@@ -62,7 +62,6 @@ from .recourse import (
     individual_recourse,
     normalize_sphere,
     project_ball,
-    uniform_shift_bound,
 )
 
 __version__ = "0.1.0"
@@ -112,6 +111,5 @@ __all__ = [
     "sweep_epsilon",
     "synth_blobs",
     "training_accuracy",
-    "uniform_shift_bound",
     "write_report_csv",
 ]

@@ -17,6 +17,7 @@ import numpy as np
 
 from .dataset import DatasetError, LabeledBatch, _format_real, load_csv, load_embeddings
 from .harness import (
+    check_query_args,
     describe_query,
     make_query,
     render_plot_svg,
@@ -33,6 +34,7 @@ from .recourse import (
 )
 
 _GRID_SNAP = 1e-12
+MAX_GRID_POINTS = 10_000
 
 
 def parse_eps_grid(text: str) -> list[float]:
@@ -40,6 +42,8 @@ def parse_eps_grid(text: str) -> list[float]:
 
     The last point snaps to ``stop`` when it lands within 1e-12 of it, so
     grids like ``0:1:0.1`` include exactly 1.0 despite float accumulation.
+    Grids of more than ``MAX_GRID_POINTS`` points are rejected before any
+    point is built.
     """
     parts = text.split(":")
     if len(parts) != 3:
@@ -56,6 +60,8 @@ def parse_eps_grid(text: str) -> list[float]:
         raise ValueError(f"grid step must be positive, got {step}")
     if stop < start:
         raise ValueError(f"grid stop {stop} below start {start}")
+    if (stop - start + _GRID_SNAP) / step >= MAX_GRID_POINTS:
+        raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
     values = []
     i = 0
     while True:
@@ -237,15 +243,13 @@ def _run_recourse(args) -> int:
     batch = _load_batch(args)
     theta = fit(batch)
     query = make_query(theta, args.goal_class, args.base_class, args.alpha)
-    budget = EpsilonBudget(args.epsilon)
-    cfg = _solver_config(args)
     print(f"baseline_loss={_format_real(nll_loss(query.features, query.goal_class, theta))}")
     if args.kind == "individual":
-        result = individual_recourse(query, theta, budget, cfg)
+        result = individual_recourse(query, theta, args.budget, args.cfg)
         delta = result.perturbation[None, :]
         print(f"perturbation_norm={_format_real(float(np.linalg.norm(result.perturbation)))}")
     else:
-        result = collective_recourse(batch, query, budget, cfg)
+        result = collective_recourse(batch, query, args.budget, args.cfg)
         delta = result.perturbation.delta
         print(f"max_row_norm={_format_real(float(result.perturbation.row_norms().max()))}")
     print(f"achieved_loss={_format_real(result.achieved_loss)}")
@@ -260,7 +264,7 @@ def _run_sweep(args) -> int:
     batch = _load_batch(args)
     theta = fit(batch)
     query = make_query(theta, args.goal_class, args.base_class, args.alpha)
-    report = sweep_epsilon(batch, query, args.eps_values, cfg=_solver_config(args))
+    report = sweep_epsilon(batch, query, args.eps_values, cfg=args.cfg)
     for row in report.rows:
         print(
             f"epsilon={_format_real(row.epsilon)}"
@@ -277,6 +281,20 @@ def _run_sweep(args) -> int:
     return 0
 
 
+def _validate_flags(args) -> None:
+    """Build the solver inputs from the flags; raises ValueError on bad ones."""
+    if args.features is not None and args.label_col is None:
+        raise ValueError("--features requires --label-col")
+    if args.command != "fit":
+        check_query_args(args.goal_class, args.base_class, args.alpha)
+    if args.command in ("recourse", "sweep"):
+        args.cfg = _solver_config(args)
+    if args.command == "recourse":
+        args.budget = EpsilonBudget(args.epsilon)
+    if args.command == "sweep":
+        args.eps_values = parse_eps_grid(args.eps_grid)
+
+
 _RUNNERS = {"fit": _run_fit, "query": _run_query, "recourse": _run_recourse, "sweep": _run_sweep}
 
 
@@ -287,23 +305,13 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
 
-    # Flag-combination checks argparse cannot express; these are usage errors.
-    if args.features is not None and args.label_col is None:
-        print("usage error: --features requires --label-col", file=sys.stderr)
+    # Checks argparse cannot express, made before any data is read; a
+    # failure here is a usage error.
+    try:
+        _validate_flags(args)
+    except ValueError as err:
+        print(f"usage error: {err}", file=sys.stderr)
         return 1
-    if args.command in ("recourse", "sweep"):
-        if args.steps < 0:
-            print(f"usage error: --steps must be nonnegative, got {args.steps}", file=sys.stderr)
-            return 1
-    if args.command == "recourse" and not (np.isfinite(args.epsilon) and args.epsilon >= 0):
-        print(f"usage error: --epsilon must be nonnegative, got {args.epsilon}", file=sys.stderr)
-        return 1
-    if args.command == "sweep":
-        try:
-            args.eps_values = parse_eps_grid(args.eps_grid)
-        except ValueError as err:
-            print(f"usage error: {err}", file=sys.stderr)
-            return 1
 
     _print_config(args)
     try:

@@ -106,11 +106,15 @@ class SyntheticSpec:
 
 
 def _read_rows(path) -> tuple[list[str], list[list[str]]]:
-    """Read a comma-separated file with a mandatory header row."""
+    """Read a comma-separated file with a mandatory header row.
+
+    A leading UTF-8 byte order mark is dropped, so it cannot become part of
+    the first column's name.
+    """
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"missing file: {path}")
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         rows = [row for row in reader if row and any(cell.strip() for cell in row)]
     if not rows:

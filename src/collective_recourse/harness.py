@@ -1,9 +1,10 @@
 """Experiment driver: build query points, sweep budgets, report and plot.
 
 The sweep runs both solvers over an ascending list of budgets with identical
-settings and collects one row per budget. Each solver receives the previous
-budget's solution as an extra candidate, which makes the reported losses
-monotone non-increasing in the budget. Reports serialize to CSV with
+settings and collects one row per budget. The individual solver receives the
+previous budget's solution as an extra candidate, and the collective solver
+is exact, so in ball mode the reported losses of both are monotone
+non-increasing in the budget. Reports serialize to CSV with
 17-significant-digit reals and render to a small self-contained SVG.
 """
 
@@ -83,6 +84,14 @@ def standardize_features(batch: LabeledBatch) -> LabeledBatch:
     )
 
 
+def check_query_args(class_a: int, class_b: int, alpha: float) -> None:
+    """Reject a class pair or weight that no dataset makes valid for :func:`make_query`."""
+    if class_a == class_b:
+        raise ValueError("class_a and class_b must differ")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+
+
 def make_query(theta: Centroids, class_a: int, class_b: int, alpha: float) -> QuerySpec:
     """Query point interpolated between two centroids, goal set to class_a.
 
@@ -94,10 +103,7 @@ def make_query(theta: Centroids, class_a: int, class_b: int, alpha: float) -> Qu
     for name, c in (("class_a", class_a), ("class_b", class_b)):
         if not 0 <= int(c) < k:
             raise ValueError(f"{name}={c} outside [0, {k - 1}]")
-    if class_a == class_b:
-        raise ValueError("class_a and class_b must differ")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    check_query_args(class_a, class_b, alpha)
     x_q = alpha * theta.mu[class_a] + (1.0 - alpha) * theta.mu[class_b]
     return QuerySpec(features=x_q, goal_class=int(class_a))
 
@@ -111,9 +117,9 @@ def sweep_epsilon(
     """Run both solvers at every budget and collect a report.
 
     Budgets must be nonnegative, finite, and strictly ascending. Both solvers
-    share ``cfg``; each run evaluates the previous budget's solution as a
-    warm-start candidate so the reported losses cannot increase with the
-    budget (ball mode).
+    share ``cfg``; each individual run evaluates the previous budget's
+    solution as a warm-start candidate and the collective solver is exact,
+    so the reported losses cannot increase with the budget (ball mode).
     """
     epsilons = [float(e) for e in epsilons]
     if not epsilons:
@@ -127,20 +133,17 @@ def sweep_epsilon(
     baseline = None
     rows = []
     prev_individual = None
-    prev_collective = None
     for eps in epsilons:
         ind_candidates = () if prev_individual is None else (prev_individual,)
-        col_candidates = () if prev_collective is None else (prev_collective,)
         try:
             if baseline is None:
                 baseline = nll_loss(query.features, query.goal_class, theta)
             budget = EpsilonBudget(eps)
             ind = individual_recourse(query, theta, budget, cfg, extra_candidates=ind_candidates)
-            col = collective_recourse(batch, query, budget, cfg, extra_candidates=col_candidates)
+            col = collective_recourse(batch, query, budget, cfg)
         except ValueError as err:
             raise ValueError(f"sweep failed at epsilon={eps}: {err}") from err
         prev_individual = ind.perturbation
-        prev_collective = col.perturbation.delta
         rows.append(
             SweepRow(
                 epsilon=eps,

@@ -1,9 +1,9 @@
 """Brute-force and numerical references used to validate gradients and solvers.
 
-Everything here is deliberately independent of the gradient-descent solvers:
-gradients are checked by central finite differences, and the two recourse
-problems are solved on small 2-D instances by exhaustive evaluation over a
-dense grid of the feasible ball. Candidate points are enumerated in a fixed
+Everything here is deliberately independent of the solvers: gradients are
+checked by central finite differences, and the two recourse problems are
+solved on small 2-D instances by exhaustive evaluation over a dense grid of
+the feasible ball. Candidate points are enumerated in a fixed
 order (row-major interior square grid, then the boundary ring), so argmin
 tie-breaking is deterministic.
 """

@@ -9,10 +9,12 @@ Two ways to lower the model's loss on a query point for a desired class:
   centroids. The refit is closed form, which collapses the nested
   train-then-attack problem into a single constrained minimization.
 
-Both solvers run deterministic projected gradient descent with normalized
-descent directions and a linearly decaying step size, and report the best
-iterate seen. Budgets are per-vector L2 balls; ``sphere`` mode instead
-rescales every iterate onto the budget sphere.
+The individual solver runs deterministic projected gradient descent with
+normalized descent directions and a linearly decaying step size, and
+reports the best iterate seen. The collective problem splits into one
+small problem per class and is solved exactly in closed form. Budgets are
+per-vector L2 balls; ``sphere`` mode instead puts every nonzero
+perturbation on the budget sphere.
 """
 
 from __future__ import annotations
@@ -21,12 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import oracle
 from .dataset import LabeledBatch
 from .model import (
+    GRAD_NORM_FLOOR,
     Centroids,
     fit,
-    grad_centroids,
     grad_input,
     nll_loss,
     predict,
@@ -108,8 +109,11 @@ class PerturbationMatrix:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Projected-gradient settings shared by both solvers.
+    """Solver settings.
 
+    ``projection_mode`` applies to both solvers. ``steps``, ``step_size``,
+    ``init`` and ``seed`` drive the individual solver's projected gradient
+    descent only; the collective solver is exact and ignores them.
     ``step_size`` is the initial step; it decays linearly to
     ``step_size / steps`` over the run. When left as None it resolves to
     ``0.05 * epsilon`` (or an absolute 1e-3 when the budget is zero).
@@ -141,9 +145,11 @@ class SolverConfig:
 class RecourseResult:
     """Best perturbation found, its loss, and the resulting model state.
 
-    ``loss_trace`` starts with the unperturbed baseline loss, followed by any
-    extra candidate evaluations and then one entry per solver step.
-    ``achieved_loss`` is the minimum of the trace. ``post_centroids`` equals
+    ``loss_trace`` starts with the unperturbed baseline loss. For individual
+    recourse it continues with any extra candidate evaluations, the random
+    initial point if any, and then one entry per solver step, and
+    ``achieved_loss`` is its minimum. For collective recourse it is exactly
+    ``[baseline, achieved_loss]``. ``post_centroids`` equals
     the base centroids for individual recourse and the refit centroids under
     the best perturbation for collective recourse.
     """
@@ -171,18 +177,6 @@ def normalize_sphere(v: np.ndarray, epsilon: float) -> np.ndarray:
     if norm <= _ZERO_NORM:
         return np.zeros_like(v)
     return v * (epsilon / norm)
-
-
-def _project_rows(delta: np.ndarray, epsilon: float, mode: str) -> np.ndarray:
-    """Apply the per-vector projection to every row of a matrix."""
-    norms = np.linalg.norm(delta, axis=1)
-    if mode == "ball":
-        scale = np.ones_like(norms)
-        outside = norms > epsilon
-        scale[outside] = epsilon / norms[outside]
-    else:
-        scale = np.where(norms > _ZERO_NORM, epsilon / np.maximum(norms, _ZERO_NORM), 0.0)
-    return delta * scale[:, None]
 
 
 def _project(v: np.ndarray, epsilon: float, mode: str) -> np.ndarray:
@@ -276,19 +270,31 @@ def collective_recourse(
     budget: EpsilonBudget,
     cfg: SolverConfig = SolverConfig(),
     mask=None,
-    extra_candidates=(),
 ) -> RecourseResult:
-    """Find budgeted training-row perturbations that help the query via refit.
+    """Exact budgeted training-row perturbations that help the query via refit.
 
-    The refit centroids are an explicit function of the perturbation matrix
-    (each centroid moves by its class's mean perturbation), so the gradient
-    of the query loss with respect to row i is the centroid gradient of row
-    i's class divided by that class's row count. Each step normalizes the
-    per-row gradients, moves every participating row, and projects rows back
-    onto the budget ball (or sphere); the best iterate is returned.
+    Each refit centroid moves by its class's mean perturbation, so with m_y
+    of its n_y rows participating, centroid y can reach any point of the
+    ball of radius r_y = eps * m_y / n_y around it, and no further. The
+    query loss increases with the goal centroid's distance to the query
+    and decreases with every other centroid's distance, so the problem
+    splits per class and has a closed form: every participating competitor
+    row moves eps straight away from the query, and every participating
+    goal row moves min(eps, d_g * n_g / m_g) straight toward it, which
+    carries the goal centroid min(r_g, d_g) closer. A centroid that sits
+    on the query moves along the first basis vector.
+
+    In ``sphere`` mode every row has norm exactly eps or stays zero, and
+    rows still move in lockstep: competitors move as above, while the goal
+    rows move the full eps toward the query only if that brings the goal
+    centroid closer (|d_g - r_g| < d_g), and otherwise stay zero. That is
+    the best lockstep move; it is not always the sphere-mode optimum, since
+    two or more goal rows pointing different ways can shorten the goal
+    centroid's step where one lockstep step would overshoot.
 
     ``mask`` selects participating rows (default: all). Masked-out rows stay
     exactly zero; a fully masked-out class simply leaves that centroid fixed.
+    Of ``cfg`` only ``projection_mode`` is read.
     """
     x_q = query.features
     if x_q.shape != (batch.dim,):
@@ -305,89 +311,38 @@ def collective_recourse(
             raise ValueError(f"mask shape {mask.shape} does not match {batch.num_rows} rows")
     goal = query.goal_class
     eps = budget.epsilon
-    eta0 = cfg.resolved_step_size(eps)
-    mode = cfg.projection_mode
-    counts = np.bincount(batch.labels, minlength=batch.num_classes)
-    inv_counts = (1.0 / counts)[batch.labels][:, None]
+    theta = fit(batch)
 
-    def outer_loss(delta):
-        return nll_loss(x_q, goal, refit_with_perturbation(batch, delta))
+    away = theta.mu - x_q
+    dists = np.linalg.norm(away, axis=1)
+    units = np.zeros_like(away)
+    units[:, 0] = 1.0
+    off = dists > GRAD_NORM_FLOOR
+    units[off] = away[off] / dists[off, None]
 
-    zero = np.zeros_like(batch.features)
-    baseline = outer_loss(zero)
-    best_delta = zero
-    best_loss = baseline
-    trace = [baseline]
-
-    for candidate in extra_candidates:
-        cand = np.array(candidate, dtype=float)
-        if cand.shape != batch.features.shape:
-            raise ValueError(
-                f"candidate shape {cand.shape} does not match batch {batch.features.shape}"
-            )
-        cand[~mask] = 0.0
-        cand = _project_rows(cand, eps, mode)
-        loss = outer_loss(cand)
-        trace.append(loss)
-        if loss < best_loss:
-            best_loss, best_delta = loss, cand
-
-    if cfg.init == "random":
-        rng = np.random.default_rng(cfg.seed)
-        delta = rng.standard_normal(batch.features.shape) * eps
-        delta[~mask] = 0.0
-        delta = _project_rows(delta, eps, mode)
-        loss = outer_loss(delta)
-        trace.append(loss)
-        if loss < best_loss:
-            best_loss, best_delta = loss, delta.copy()
+    # Signed distance each participating row of a class moves along its unit.
+    steps = np.full(batch.num_classes, eps)
+    sizes = np.bincount(batch.labels, minlength=batch.num_classes)
+    movers = np.bincount(batch.labels[mask], minlength=batch.num_classes)
+    d_g, n_g, m_g = dists[goal], sizes[goal], movers[goal]
+    if m_g == 0:
+        steps[goal] = 0.0
+    elif cfg.projection_mode == "ball":
+        steps[goal] = -min(eps, d_g * n_g / m_g)
     else:
-        delta = zero.copy()
+        steps[goal] = -eps if abs(d_g - eps * m_g / n_g) < d_g else 0.0
 
-    for step in range(cfg.steps):
-        theta_now = refit_with_perturbation(batch, delta)
-        grad_rows = grad_centroids(x_q, goal, theta_now)[batch.labels] * inv_counts
-        norms = np.linalg.norm(grad_rows, axis=1)
-        moving = mask & (norms > _ZERO_NORM)
-        if not np.any(moving):
-            break
-        directions = np.zeros_like(grad_rows)
-        directions[moving] = grad_rows[moving] / norms[moving, None]
-        eta = eta0 * (cfg.steps - step) / cfg.steps
-        delta = _project_rows(delta - eta * directions, eps, mode)
-        delta[~mask] = 0.0
-        loss = outer_loss(delta)
-        trace.append(loss)
-        if loss < best_loss:
-            best_loss, best_delta = loss, delta.copy()
+    delta = np.zeros_like(batch.features)
+    moving = mask & (steps[batch.labels] != 0.0)
+    delta[moving] = (steps[:, None] * units)[batch.labels[moving]]
 
-    post = refit_with_perturbation(batch, best_delta)
-    flipped = predict(x_q, post) == goal
+    baseline = nll_loss(x_q, goal, theta)
+    post = refit_with_perturbation(batch, delta)
+    achieved = nll_loss(x_q, goal, post)
     return RecourseResult(
-        perturbation=PerturbationMatrix(best_delta, mask),
-        achieved_loss=best_loss,
-        flipped=flipped,
-        loss_trace=np.asarray(trace),
+        perturbation=PerturbationMatrix(delta, mask),
+        achieved_loss=achieved,
+        flipped=predict(x_q, post) == goal,
+        loss_trace=np.array([baseline, achieved]),
         post_centroids=post,
     )
-
-
-def uniform_shift_bound(
-    batch: LabeledBatch,
-    query: QuerySpec,
-    budget: EpsilonBudget,
-    resolution: float,
-) -> float:
-    """Exhaustive lower-bound-quality reference for the collective optimum.
-
-    Because a centroid's displacement is the mean of its class's perturbation
-    rows, row-wise budgets let each centroid move anywhere in its own epsilon
-    ball (set every class row to the same shift), and no further. Searching
-    per-class shift vectors on a grid over the ball therefore scans the whole
-    reachable model family; the returned value is the minimal query loss on
-    that grid. Guarded to d = 2 and k <= 3.
-    """
-    _, loss = oracle.grid_collective(
-        batch, query, budget.epsilon, oracle.GridSpec(resolution)
-    )
-    return loss

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from collective_recourse.cli import cli_main, parse_eps_grid
+from collective_recourse.cli import MAX_GRID_POINTS, cli_main, parse_eps_grid
 from collective_recourse.harness import read_report_csv
 from collective_recourse.model import load_centroids_csv
 
@@ -21,6 +21,13 @@ def test_parse_eps_grid_single_point():
 def test_parse_eps_grid_rejects_garbage():
     for bad in ("0:1", "0:1:0", "a:1:0.1", "0:-1:0.1", "-0.2:1:0.1", "1:0:0.1"):
         with pytest.raises(ValueError):
+            parse_eps_grid(bad)
+
+
+def test_parse_eps_grid_rejects_huge_grid():
+    assert len(parse_eps_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
+    for bad in (f"0:{MAX_GRID_POINTS}:1", "0:1e6:1e-6", "0:1:5e-324"):
+        with pytest.raises(ValueError, match="more than"):
             parse_eps_grid(bad)
 
 
@@ -217,3 +224,62 @@ def test_cli_sweep_standardize_and_sphere(iris_path, tmp_path, capsys):
     assert cli_main(argv) == 0
     assert "standardize=true" in capsys.readouterr().out
     assert len(read_report_csv(out).rows) == 2
+
+
+def _iris_argv(iris_path, command, *extra):
+    return [
+        command,
+        "--data", str(iris_path),
+        "--label-col", "species",
+        "--goal-class", "1",
+        "--base-class", "2",
+        *extra,
+    ]
+
+
+def test_cli_sweep_huge_grid_is_usage_error(iris_path, capsys):
+    argv = _iris_argv(iris_path, "sweep", "--eps-grid", "0:1e6:1e-6", "--out", "/tmp/never.csv")
+    assert cli_main(argv) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_cli_zero_steps_is_usage_error(iris_path, capsys):
+    argv = _iris_argv(
+        iris_path, "recourse", "--kind", "individual", "--epsilon", "0.3", "--steps", "0"
+    )
+    assert cli_main(argv) == 1
+    assert "usage error: steps must be >= 1" in capsys.readouterr().err
+
+
+def test_cli_solver_flags_checked_before_data_is_read(tmp_path, capsys):
+    argv = [
+        "sweep",
+        "--data", str(tmp_path / "nope.csv"),
+        "--label-col", "species",
+        "--goal-class", "1",
+        "--base-class", "2",
+        "--eps-grid", "0:1:0.1",
+        "--step-size", "-1",
+        "--out", str(tmp_path / "never.csv"),
+    ]
+    assert cli_main(argv) == 1
+    assert "usage error: step_size must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["-0.1", "1.5", "nan"])
+def test_cli_alpha_out_of_range_is_usage_error(iris_path, capsys, alpha):
+    assert cli_main(_iris_argv(iris_path, "query", "--alpha", alpha)) == 1
+    assert "usage error: alpha must lie in [0, 1]" in capsys.readouterr().err
+
+
+def test_cli_goal_equals_base_is_usage_error(iris_path, capsys):
+    argv = [
+        "query",
+        "--data", str(iris_path),
+        "--label-col", "species",
+        "--goal-class", "1",
+        "--base-class", "1",
+    ]
+    assert cli_main(argv) == 1
+    assert "usage error: class_a and class_b must differ" in capsys.readouterr().err
+

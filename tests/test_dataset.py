@@ -36,6 +36,14 @@ def test_feature_subset(iris_path):
     assert np.array_equal(batch.features, full.features[:, :2])
 
 
+def test_bom_prefixed_csv_names_first_column(iris_path, tmp_path):
+    path = tmp_path / "iris_bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + iris_path.read_bytes())
+    batch = load_csv(path, "species", feature_columns=["sepal_length"])
+    full = load_csv(iris_path, "species")
+    assert np.array_equal(batch.features, full.features[:, :1])
+
+
 def test_one_row_per_class_fit_recovers_rows(tmp_path):
     path = tmp_path / "tiny.csv"
     path.write_text("a,b,label\n1,0,x\n-1,0,y\n0,2,z\n")

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collective_recourse.dataset import LabeledBatch, SyntheticSpec, synth_blobs
 from collective_recourse.model import fit, nll_loss, predict
+from collective_recourse.oracle import GridSpec, grid_collective, lipschitz_slack
 from collective_recourse.recourse import (
     EpsilonBudget,
     PerturbationMatrix,
@@ -14,7 +17,6 @@ from collective_recourse.recourse import (
     individual_recourse,
     normalize_sphere,
     project_ball,
-    uniform_shift_bound,
 )
 
 L_COLLINEAR = 0.9130152523999526  # log(1 + e^0.4), the symmetric-instance optimum
@@ -230,16 +232,13 @@ def test_collective_deterministic(three_blob_pair):
 
 
 def test_collective_monotone_with_warm_start(three_blob_pair):
+    # The exact solver needs no warm start to be monotone in the budget.
     batch, query = three_blob_pair
-    prev = None
     prev_loss = math.inf
     for eps in (0.0, 0.15, 0.3, 0.45):
-        cands = () if prev is None else (prev,)
-        res = collective_recourse(
-            batch, query, EpsilonBudget(eps), extra_candidates=cands
-        )
+        res = collective_recourse(batch, query, EpsilonBudget(eps))
         assert res.achieved_loss <= prev_loss + 1e-9
-        prev, prev_loss = res.perturbation.delta, res.achieved_loss
+        prev_loss = res.achieved_loss
 
 
 def test_collective_trace_starts_at_baseline(three_blob_pair):
@@ -261,8 +260,105 @@ def test_collective_shape_errors(three_blob_pair):
 def test_uniform_shift_bound(collinear_pair):
     batch, query = collinear_pair
     baseline = nll_loss(query.features, 0, fit(batch))
-    assert abs(uniform_shift_bound(batch, query, EpsilonBudget(0.0), 0.01) - baseline) < 1e-12
-    bound = uniform_shift_bound(batch, query, EpsilonBudget(0.3), 0.01)
+    assert abs(grid_collective(batch, query, 0.0, GridSpec(0.01))[1] - baseline) < 1e-12
+    _, bound = grid_collective(batch, query, 0.3, GridSpec(0.01))
     assert abs(bound - L_COLLINEAR) < 0.03  # one-cell slack at this resolution
     col = collective_recourse(batch, query, EpsilonBudget(0.3))
     assert abs(col.achieved_loss - bound) < 0.03
+
+
+def test_collective_competitor_on_query_moves_along_first_axis():
+    # Class 1 sits exactly on the query, where the centroid gradient vanishes
+    # and gradient descent would leave it still; the exact solver pushes it
+    # away along e0.
+    batch = LabeledBatch(
+        np.array([[1.0, 0.0], [-0.5, 0.0], [0.0, 2.0]]), np.array([0, 1, 2]), 3
+    )
+    query = QuerySpec(np.array([-0.5, 0.0]), 0)
+    res = collective_recourse(batch, query, EpsilonBudget(0.3))
+    assert np.array_equal(res.perturbation.delta[1], [0.3, 0.0])
+    still = collective_recourse(batch, query, EpsilonBudget(0.3), mask=batch.labels != 1)
+    assert res.achieved_loss < still.achieved_loss
+
+
+@pytest.mark.parametrize("mode", ["ball", "sphere"])
+def test_collective_goal_on_query_stays(three_blob_pair, mode):
+    batch, _ = three_blob_pair
+    query = QuerySpec(np.array([1.0, 0.0]), 0)  # the goal centroid itself
+    res = collective_recourse(
+        batch, query, EpsilonBudget(0.4), SolverConfig(projection_mode=mode)
+    )
+    assert np.array_equal(res.perturbation.delta[0], [0.0, 0.0])
+    assert np.array_equal(res.post_centroids.mu[0], [1.0, 0.0])
+
+
+@pytest.mark.parametrize("eps", [0.5, 4.0])
+def test_collective_masked_goal_rows_move_at_most_the_distance_left(eps):
+    # Goal class 0 has n_g = 4 rows with mean (1, 0), of which m_g = 2 move;
+    # d_g = 1.5, so each moving row needs at most d_g * n_g / m_g = 3.
+    features = np.array(
+        [[1.0, 0.1], [1.0, -0.1], [1.0, 0.2], [1.0, -0.2], [-1.0, 0.0], [0.0, 2.0]]
+    )
+    batch = LabeledBatch(features, np.array([0, 0, 0, 0, 1, 2]), 3)
+    query = QuerySpec(np.array([-0.5, 0.0]), 0)
+    mask = np.array([True, True, False, False, True, True])
+    res = collective_recourse(batch, query, EpsilonBudget(eps), mask=mask)
+    norms = res.perturbation.row_norms()
+    assert np.allclose(norms[:2], min(eps, 3.0), atol=1e-12)
+    assert np.all(norms <= eps + 1e-12)
+    assert np.array_equal(norms[2:4], [0.0, 0.0])
+    goal_distance = np.linalg.norm(res.post_centroids.mu[0] - query.features)
+    assert abs(goal_distance - max(0.0, 1.5 - eps * 2 / 4)) < 1e-12
+
+
+@pytest.mark.parametrize("eps, moves", [(2.5, True), (3.5, False)])
+def test_collective_sphere_single_row_goal_moves_only_if_closer(collinear_pair, eps, moves):
+    # One goal row at distance d_g = 1.5: a full eps step lands it at
+    # |1.5 - eps|, which is closer only while eps < 2 * d_g.
+    batch, query = collinear_pair
+    res = collective_recourse(
+        batch, query, EpsilonBudget(eps), SolverConfig(projection_mode="sphere")
+    )
+    goal_norm = res.perturbation.row_norms()[0]
+    assert abs(goal_norm - (eps if moves else 0.0)) < 1e-12
+    baseline = nll_loss(query.features, 0, fit(batch))
+    assert res.achieved_loss <= baseline
+
+
+def test_collective_zero_budget_sphere_masked_identity(three_blob_pair):
+    batch, query = three_blob_pair
+    res = collective_recourse(
+        batch,
+        query,
+        EpsilonBudget(0.0),
+        SolverConfig(projection_mode="sphere"),
+        mask=batch.labels != 2,
+    )
+    assert np.array_equal(res.perturbation.delta, np.zeros((3, 2)))
+    assert np.array_equal(res.post_centroids.mu, fit(batch).mu)
+    assert res.achieved_loss == nll_loss(query.features, 0, fit(batch))
+
+
+_COORD = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _collective_instances(draw):
+    k = draw(st.integers(2, 3))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+    points = draw(st.lists(st.tuples(_COORD, _COORD), min_size=sum(sizes), max_size=sum(sizes)))
+    batch = LabeledBatch(np.array(points), np.repeat(np.arange(k), sizes), k)
+    query = QuerySpec(np.array(draw(st.tuples(_COORD, _COORD))), draw(st.integers(0, k - 1)))
+    return batch, query, draw(st.floats(0.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_collective_instances())
+def test_collective_matches_grid_oracle_and_beats_individual(instance):
+    batch, query, eps = instance
+    spec = GridSpec(0.05)
+    col = collective_recourse(batch, query, EpsilonBudget(eps)).achieved_loss
+    _, grid = grid_collective(batch, query, eps, spec)
+    assert grid - lipschitz_slack(batch.num_classes, spec.resolution) <= col <= grid + 1e-12
+    ind = individual_recourse(query, fit(batch), EpsilonBudget(eps)).achieved_loss
+    assert col <= ind + 1e-12
