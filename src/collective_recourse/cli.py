@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .dataset import DatasetError, LabeledBatch, _format_real, load_csv, load_embeddings
+from .dataset import DatasetError, LabeledBatch, load_csv, load_embeddings, write_rows
 from .harness import (
     check_query_args,
     describe_query,
@@ -35,6 +35,11 @@ from .recourse import (
 
 _GRID_SNAP = 1e-12
 MAX_GRID_POINTS = 10_000
+
+
+def _format_real(value: float) -> str:
+    # 17 significant digits round-trips any float64 exactly.
+    return format(float(value), ".17g")
 
 
 def parse_eps_grid(text: str) -> list[float]:
@@ -189,8 +194,7 @@ def _load_batch(args) -> LabeledBatch:
     if args.label_col is None:
         batch = load_embeddings(args.data)
     else:
-        columns = _parse_feature_list(args.features) if args.features else None
-        batch = load_csv(args.data, args.label_col, feature_columns=columns)
+        batch = load_csv(args.data, args.label_col, feature_columns=args.feature_columns)
     if args.standardize:
         batch = standardize_features(batch)
     return batch
@@ -204,13 +208,6 @@ def _solver_config(args) -> SolverConfig:
         init=args.init,
         seed=args.seed,
     )
-
-
-def _write_delta_csv(delta: np.ndarray, path) -> None:
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(f"d{j}" for j in range(delta.shape[1])) + "\n")
-        for row in delta:
-            handle.write(",".join(_format_real(v) for v in row) + "\n")
 
 
 def _run_fit(args) -> int:
@@ -255,7 +252,7 @@ def _run_recourse(args) -> int:
     print(f"achieved_loss={_format_real(result.achieved_loss)}")
     print("flipped=" + ("true" if result.flipped else "false"))
     if args.out is not None:
-        _write_delta_csv(delta, args.out)
+        write_rows(args.out, delta, [f"d{j}" for j in range(delta.shape[1])])
         print(f"wrote perturbation: {args.out}")
     return 0
 
@@ -285,6 +282,7 @@ def _validate_flags(args) -> None:
     """Build the solver inputs from the flags; raises ValueError on bad ones."""
     if args.features is not None and args.label_col is None:
         raise ValueError("--features requires --label-col")
+    args.feature_columns = _parse_feature_list(args.features) if args.features else None
     if args.command != "fit":
         check_query_args(args.goal_class, args.base_class, args.alpha)
     if args.command in ("recourse", "sweep"):

@@ -5,6 +5,10 @@ one class index per row. Two CSV layouts are supported: a generic labeled
 CSV with a named label column (string labels mapped to class indices in
 first-appearance order) and the canonical embedding layout ``e0..e{d-1},label``
 whose label column already holds integer class indices.
+
+This module is the package's only CSV reader and writer: centroid files,
+sweep reports and perturbation files also go through :func:`read_rows`,
+:func:`read_reals` and :func:`write_rows`.
 """
 
 from __future__ import annotations
@@ -19,11 +23,6 @@ import numpy as np
 
 class DatasetError(ValueError):
     """Raised for malformed input files or invalid batch contents."""
-
-
-def _format_real(value: float) -> str:
-    # 17 significant digits round-trips any float64 exactly.
-    return format(float(value), ".17g")
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -105,24 +104,23 @@ class SyntheticSpec:
         object.__setattr__(self, "centers", _frozen(centers))
 
 
-def _read_rows(path) -> tuple[list[str], list[list[str]]]:
-    """Read a comma-separated file with a mandatory header row.
+def read_rows(path) -> list[list[str]]:
+    """Every non-blank row of a comma-separated file, header row included.
 
     A leading UTF-8 byte order mark is dropped, so it cannot become part of
-    the first column's name.
+    the first cell.
     """
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"missing file: {path}")
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+        rows = [row for row in csv.reader(handle) if any(cell.strip() for cell in row)]
     if not rows:
         raise DatasetError(f"{path}: no rows")
-    return rows[0], rows[1:]
+    return rows
 
 
-def _parse_cell(text: str, line: int, column: str, path) -> float:
+def _parse_cell(text: str, line: int, column, path) -> float:
     try:
         value = float(text)
     except ValueError:
@@ -132,6 +130,54 @@ def _parse_cell(text: str, line: int, column: str, path) -> float:
     if not math.isfinite(value):
         raise DatasetError(f"{path}: non-finite value at line {line}, column {column!r}")
     return value
+
+
+def read_reals(path, rows, header=None, columns=None) -> np.ndarray:
+    """The cells of ``columns`` (default: all) as a finite float matrix.
+
+    ``rows`` are the data rows below ``header``, or every row of a headerless
+    file; each must have one cell per header (or first-row) column. All cells
+    are converted in one call. Only if that fails are the rows rescanned, so
+    the first short or long row, unparsable cell or non-finite value in file
+    order is reported by line and column.
+    """
+    names = range(len(rows[0])) if header is None else header
+    picked = range(len(names)) if columns is None else columns
+    if all(len(row) == len(names) for row in rows):
+        cells = rows if columns is None else [[row[j] for j in columns] for row in rows]
+        try:
+            values = np.array(cells, dtype=float).reshape(len(rows), len(picked))
+        except ValueError:
+            pass
+        else:
+            if np.all(np.isfinite(values)):
+                return values
+    values = []
+    for line, row in enumerate(rows, 1 if header is None else 2):
+        if len(row) != len(names):
+            raise DatasetError(f"{path}: line {line} has {len(row)} cells, expected {len(names)}")
+        values.append([_parse_cell(row[j], line, names[j], path) for j in picked])
+    return np.array(values).reshape(len(rows), len(picked))
+
+
+def _format_cell(value) -> str:
+    # 17 significant digits round-trip any float64 exactly. Flags are Python
+    # bools; identity tests keep this per-cell call cheap.
+    if value is True or value is False:
+        return "true" if value else "false"
+    return format(value, ".17g")
+
+
+def write_rows(path, rows, header=None) -> None:
+    """Write rows of cells as comma-separated lines below an optional header.
+
+    Reals (Python or numpy, and integer labels) are printed with 17
+    significant digits and flags (Python bools) as ``true``/``false``.
+    """
+    with open(path, "w", newline="") as handle:
+        if header is not None:
+            handle.write(",".join(header) + "\n")
+        handle.writelines(",".join(map(_format_cell, row)) + "\n" for row in rows)
 
 
 def load_csv(path, label_column: str, feature_columns=None) -> LabeledBatch:
@@ -144,7 +190,7 @@ def load_csv(path, label_column: str, feature_columns=None) -> LabeledBatch:
     feature set; by default every non-label column is used in file order.
     No standardization is applied.
     """
-    header, data_rows = _read_rows(path)
+    header, *data_rows = read_rows(path)
     if label_column not in header:
         raise DatasetError(f"{path}: missing column {label_column!r} (header: {header})")
     if feature_columns is None:
@@ -157,27 +203,16 @@ def load_csv(path, label_column: str, feature_columns=None) -> LabeledBatch:
     if not data_rows:
         raise DatasetError(f"{path}: no data rows")
 
+    features = read_reals(path, data_rows, header, [header.index(name) for name in feature_columns])
     label_idx = header.index(label_column)
-    feature_idx = [header.index(name) for name in feature_columns]
     label_to_class: dict[str, int] = {}
-    features = []
-    labels = []
-    for offset, row in enumerate(data_rows):
-        line = offset + 2  # header is line 1
-        if len(row) != len(header):
-            raise DatasetError(
-                f"{path}: line {line} has {len(row)} cells, expected {len(header)}"
-            )
-        features.append(
-            [_parse_cell(row[j], line, header[j], path) for j in feature_idx]
-        )
-        label = row[label_idx].strip()
-        if label not in label_to_class:
-            label_to_class[label] = len(label_to_class)
-        labels.append(label_to_class[label])
+    labels = [
+        label_to_class.setdefault(row[label_idx].strip(), len(label_to_class))
+        for row in data_rows
+    ]
     if len(label_to_class) < 2:
         raise DatasetError(f"{path}: found only {len(label_to_class)} distinct label(s)")
-    return LabeledBatch(np.asarray(features), np.asarray(labels), len(label_to_class))
+    return LabeledBatch(features, np.asarray(labels), len(label_to_class))
 
 
 def load_embeddings(path) -> LabeledBatch:
@@ -186,36 +221,27 @@ def load_embeddings(path) -> LabeledBatch:
     The label column holds literal class indices; every index 0..max must be
     occupied (a skipped index means an empty class and is rejected).
     """
-    header, data_rows = _read_rows(path)
+    header, *data_rows = read_rows(path)
     if len(header) < 2:
         raise DatasetError(f"{path}: need at least one embedding column plus a label column")
     if not data_rows:
         raise DatasetError(f"{path}: no rows")
-    label_col = header[-1]
-    features = []
-    labels = []
-    for offset, row in enumerate(data_rows):
-        line = offset + 2
-        if len(row) != len(header):
-            raise DatasetError(
-                f"{path}: line {line} has {len(row)} cells, expected {len(header)}"
-            )
-        features.append(
-            [_parse_cell(row[j], line, header[j], path) for j in range(len(header) - 1)]
+    values = read_reals(path, data_rows, header)
+    labels = values[:, -1]
+    bad = (labels < 0) | (labels != np.floor(labels))
+    if np.any(bad):
+        row = int(np.argmax(bad))
+        raise DatasetError(
+            f"{path}: label must be a nonnegative integer at line {row + 2}, "
+            f"got {data_rows[row][-1]!r}"
         )
-        raw = _parse_cell(row[-1], line, label_col, path)
-        label = int(raw)
-        if label != raw or label < 0:
-            raise DatasetError(
-                f"{path}: label must be a nonnegative integer at line {line}, got {row[-1]!r}"
-            )
-        labels.append(label)
-    labels = np.asarray(labels)
-    k = int(labels.max()) + 1
-    present = np.bincount(labels, minlength=k)
-    if np.any(present == 0):
-        raise DatasetError(f"{path}: empty class: no rows with label {int(np.argmin(present))}")
-    return LabeledBatch(np.asarray(features), labels, k)
+    # N rows occupy at most N classes, so a label >= N leaves one of 0..N-1
+    # empty: counting labels clipped to N finds it without sizing the count
+    # by the label's value.
+    counts = np.bincount(np.minimum(labels, len(labels)).astype(int))
+    if np.any(counts == 0):
+        raise DatasetError(f"{path}: empty class: no rows with label {int(np.argmin(counts))}")
+    return LabeledBatch(values[:, :-1], labels, len(counts))
 
 
 def save_csv(batch: LabeledBatch, path) -> None:
@@ -224,10 +250,8 @@ def save_csv(batch: LabeledBatch, path) -> None:
     Reals are printed with 17 significant digits, so a save/load round trip
     through :func:`load_embeddings` reproduces the batch bit for bit.
     """
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join([f"e{j}" for j in range(batch.dim)] + ["label"]) + "\n")
-        for row, label in zip(batch.features, batch.labels):
-            handle.write(",".join(_format_real(v) for v in row) + f",{int(label)}\n")
+    rows = (row.tolist() + [label] for row, label in zip(batch.features, batch.labels.tolist()))
+    write_rows(path, rows, [f"e{j}" for j in range(batch.dim)] + ["label"])
 
 
 def synth_blobs(spec: SyntheticSpec) -> LabeledBatch:

@@ -10,13 +10,11 @@ non-increasing in the budget. Reports serialize to CSV with
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .dataset import LabeledBatch, _format_real
+from .dataset import DatasetError, LabeledBatch, read_reals, read_rows, write_rows
 from .model import Centroids, fit, nll_loss, predict
 from .recourse import (
     EpsilonBudget,
@@ -160,49 +158,19 @@ def sweep_epsilon(
 def write_report_csv(report: SweepReport, path) -> None:
     """Write the sweep as CSV: 17-significant-digit reals, true/false flags."""
     try:
-        with open(path, "w", newline="") as handle:
-            handle.write(",".join(REPORT_COLUMNS) + "\n")
-            for row in report.rows:
-                handle.write(
-                    ",".join(
-                        [
-                            _format_real(row.epsilon),
-                            _format_real(row.baseline_loss),
-                            _format_real(row.individual_loss),
-                            _format_real(row.collective_loss),
-                            "true" if row.individual_flipped else "false",
-                            "true" if row.collective_flipped else "false",
-                        ]
-                    )
-                    + "\n"
-                )
+        write_rows(path, map(astuple, report.rows), REPORT_COLUMNS)
     except OSError as err:
         raise OSError(f"cannot write report to {path}: {err}") from err
 
 
 def read_report_csv(path) -> SweepReport:
     """Read a CSV written by :func:`write_report_csv`."""
-    path = Path(path)
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != list(REPORT_COLUMNS):
-            raise ValueError(f"{path}: unexpected header {header}")
-        rows = []
-        for cells in reader:
-            if not cells:
-                continue
-            rows.append(
-                SweepRow(
-                    epsilon=float(cells[0]),
-                    baseline_loss=float(cells[1]),
-                    individual_loss=float(cells[2]),
-                    collective_loss=float(cells[3]),
-                    individual_flipped=cells[4] == "true",
-                    collective_flipped=cells[5] == "true",
-                )
-            )
-    return SweepReport(tuple(rows))
+    header, *rows = read_rows(path)
+    if header != list(REPORT_COLUMNS):
+        raise DatasetError(f"{path}: unexpected header {header}")
+    reals = read_reals(path, rows, header, range(4)).tolist()
+    flags = ([cell == "true" for cell in row[4:]] for row in rows)
+    return SweepReport(tuple(SweepRow(*r, *f) for r, f in zip(reals, flags)))
 
 
 # Fixed plot geometry; coordinates are emitted with a stable format so the

@@ -9,11 +9,10 @@ parameters under a training-set perturbation available in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .dataset import LabeledBatch, _format_real
+from .dataset import LabeledBatch, read_reals, read_rows, write_rows
 
 # Shared floor for distance denominators: keeps gradients bounded at a
 # centroid and makes the input/centroid gradient identity exact.
@@ -170,13 +169,9 @@ def training_accuracy(batch: LabeledBatch, theta: Centroids) -> float:
 
 def save_centroids_csv(theta: Centroids, path) -> None:
     """Write the centroid matrix as k rows x d comma-separated columns."""
-    with open(path, "w", newline="") as handle:
-        for row in theta.mu:
-            handle.write(",".join(_format_real(v) for v in row) + "\n")
+    write_rows(path, theta.mu)
 
 
 def load_centroids_csv(path) -> Centroids:
     """Read a centroid matrix written by :func:`save_centroids_csv`."""
-    path = Path(path)
-    rows = [line.split(",") for line in path.read_text().splitlines() if line.strip()]
-    return Centroids(np.asarray([[float(v) for v in row] for row in rows]))
+    return Centroids(read_reals(path, read_rows(path)))

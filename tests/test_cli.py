@@ -283,3 +283,19 @@ def test_cli_goal_equals_base_is_usage_error(iris_path, capsys):
     assert cli_main(argv) == 1
     assert "usage error: class_a and class_b must differ" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("features", [",", "a,,b"])
+def test_cli_empty_feature_name_is_usage_error(iris_path, capsys, features):
+    argv = ["fit", "--data", str(iris_path), "--label-col", "species", "--features", features]
+    assert cli_main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "usage error: empty feature name" in err
+
+
+def test_cli_huge_label_is_data_error(tmp_path, capsys):
+    path = tmp_path / "x.csv"
+    path.write_text("e0,label\n1.0,0\n2.0,1e300\n")
+    assert cli_main(["fit", "--data", str(path)]) == 2
+    assert "empty class: no rows with label 1" in capsys.readouterr().err

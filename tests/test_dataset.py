@@ -1,5 +1,10 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from collective_recourse.dataset import (
     DatasetError,
@@ -203,3 +208,61 @@ def test_synth_spec_validation():
         SyntheticSpec(centers, 3, -0.1, seed=0)
     with pytest.raises(DatasetError):
         SyntheticSpec(np.array([np.inf, 0.0])[None, :], 3, 0.1, seed=0)
+
+
+@pytest.mark.parametrize("huge", ["1e300", "10000000"])
+def test_load_embeddings_huge_label_is_an_empty_class(tmp_path, huge):
+    path = tmp_path / "x.csv"
+    path.write_text(f"e0,label\n1.0,0\n2.0,{huge}\n")
+    with pytest.raises(DatasetError, match="empty class: no rows with label 1"):
+        load_embeddings(path)
+
+
+@pytest.mark.parametrize(
+    "body, where",
+    [
+        ("1,inf,0\n3,oops,1\n", "non-finite value at line 2, column 'e1'"),
+        ("1,oops,0\n3,inf,1\n", "unparsable value 'oops' at line 2, column 'e1'"),
+        ("1,2\n3,oops,1\n", "line 2 has 2 cells, expected 3"),
+        ("1,2,0\n3,oops,1\n4,5\n", "unparsable value 'oops' at line 3, column 'e1'"),
+        ("1,2,0\n3,4,1,5\n", "line 3 has 4 cells, expected 3"),
+    ],
+)
+def test_first_bad_row_or_cell_in_file_order_is_reported(tmp_path, body, where):
+    path = tmp_path / "x.csv"
+    path.write_text("e0,e1,label\n" + body)
+    with pytest.raises(DatasetError, match=re.escape(f"{path}: {where}")):
+        load_embeddings(path)
+
+
+def test_save_csv_reproduces_bundled_embeddings(embeddings_path, tmp_path):
+    # The seeded recipe of demos/04_embedding_pipeline.py.
+    centers = 1.2 * np.random.default_rng(42).standard_normal((10, 10))
+    batch = synth_blobs(SyntheticSpec(centers, points_per_class=40, noise_scale=1.0, seed=7))
+    path = tmp_path / "embeddings_d10.csv"
+    save_csv(batch, path)
+    assert path.read_bytes() == embeddings_path.read_bytes()
+
+
+_EDGE_REALS = (
+    -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308
+)
+
+
+@st.composite
+def _batches(draw):
+    k = draw(st.integers(2, 4))
+    labels = draw(st.permutations(range(k))) + draw(st.lists(st.integers(0, k - 1), max_size=5))
+    reals = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_REALS)
+    features = draw(arrays(float, (len(labels), draw(st.integers(1, 4))), elements=reals))
+    return LabeledBatch(features, np.array(labels), k)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(batch=_batches())
+def test_save_load_round_trip_keeps_every_bit(tmp_path_factory, batch):
+    path = tmp_path_factory.mktemp("round") / "batch.csv"
+    save_csv(batch, path)
+    back = load_embeddings(path)
+    assert back.features.tobytes() == batch.features.tobytes()
+    assert np.array_equal(back.labels, batch.labels)

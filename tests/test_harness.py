@@ -3,7 +3,9 @@ import re
 import numpy as np
 import pytest
 
+from collective_recourse.dataset import DatasetError
 from collective_recourse.harness import (
+    REPORT_COLUMNS,
     SweepReport,
     SweepRow,
     describe_query,
@@ -211,3 +213,26 @@ def test_standardize_constant_column():
     batch = LabeledBatch(np.array([[1.0, 5.0], [2.0, 5.0]]), np.array([0, 1]), 2)
     z = standardize_features(batch)
     assert np.allclose(z.features[:, 1], 0.0)  # centered, not divided by zero
+
+
+def test_report_csv_ignores_bom(tmp_path):
+    report = SweepReport((_row(0.0, 1.25, 1.25, 1.25), _row(0.5, 1.25, 0.75, 0.5, True, True)))
+    path = tmp_path / "r.csv"
+    write_report_csv(report, path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert read_report_csv(path) == report
+
+
+@pytest.mark.parametrize(
+    "row, where",
+    [
+        ("0.5,1,1\n", "line 3 has 3 cells, expected 6"),
+        ("0.5,x,1,1,false,false\n", "unparsable value 'x' at line 3, column 'baseline_loss'"),
+        ("inf,1,1,1,false,false\n", "non-finite value at line 3, column 'epsilon'"),
+    ],
+)
+def test_report_csv_bad_row_names_location(tmp_path, row, where):
+    path = tmp_path / "r.csv"
+    path.write_text(",".join(REPORT_COLUMNS) + "\n0,1,1,1,false,false\n" + row)
+    with pytest.raises(DatasetError, match=re.escape(where)):
+        read_report_csv(path)

@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from collective_recourse.dataset import LabeledBatch
+from collective_recourse.dataset import DatasetError, LabeledBatch
 from collective_recourse.model import (
     Centroids,
     class_scores,
@@ -276,3 +277,24 @@ def test_centroids_csv_round_trip(tmp_path, iris_batch):
     save_centroids_csv(theta, path)
     back = load_centroids_csv(path)
     assert np.array_equal(back.mu, theta.mu)
+
+
+def test_centroids_csv_ignores_bom(tmp_path):
+    path = tmp_path / "centroids.csv"
+    path.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n")
+    assert np.array_equal(load_centroids_csv(path).mu, [[1.0, 2.0], [3.0, 4.0]])
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("1,2\n3\n", "line 2 has 1 cells, expected 2"),
+        ("1,2\n3,x\n", "unparsable value 'x' at line 2, column 1"),
+        ("1,nan\n3,4\n", "non-finite value at line 1, column 1"),
+    ],
+)
+def test_centroids_csv_bad_file_names_location(tmp_path, text, where):
+    path = tmp_path / "centroids.csv"
+    path.write_text(text)
+    with pytest.raises(DatasetError, match=re.escape(where)):
+        load_centroids_csv(path)
