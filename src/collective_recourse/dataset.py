@@ -104,8 +104,9 @@ class SyntheticSpec:
         object.__setattr__(self, "centers", _frozen(centers))
 
 
-def read_rows(path) -> list[list[str]]:
-    """Every non-blank row of a comma-separated file, header row included.
+def read_rows(path) -> tuple[list[list[str]], list[int]]:
+    """Every non-blank row of a comma-separated file, header row included,
+    and the file line number of each (blank lines are counted, not returned).
 
     A leading UTF-8 byte order mark is dropped, so it cannot become part of
     the first cell.
@@ -113,11 +114,16 @@ def read_rows(path) -> list[list[str]]:
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"missing file: {path}")
+    rows, lines = [], []
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        rows = [row for row in csv.reader(handle) if any(cell.strip() for cell in row)]
+        reader = csv.reader(handle)
+        for row in reader:
+            if any(cell.strip() for cell in row):
+                rows.append(row)
+                lines.append(reader.line_num)
     if not rows:
         raise DatasetError(f"{path}: no rows")
-    return rows
+    return rows, lines
 
 
 def _parse_cell(text: str, line: int, column, path) -> float:
@@ -132,13 +138,14 @@ def _parse_cell(text: str, line: int, column, path) -> float:
     return value
 
 
-def read_reals(path, rows, header=None, columns=None) -> np.ndarray:
+def read_reals(path, rows, lines, header=None, columns=None) -> np.ndarray:
     """The cells of ``columns`` (default: all) as a finite float matrix.
 
     ``rows`` are the data rows below ``header``, or every row of a headerless
-    file; each must have one cell per header (or first-row) column. All cells
-    are converted in one call. Only if that fails are the rows rescanned, so
-    the first short or long row, unparsable cell or non-finite value in file
+    file, and ``lines`` their file line numbers (see :func:`read_rows`); each
+    row must have one cell per header (or first-row) column. All cells are
+    converted in one call. Only if that fails are the rows rescanned, so the
+    first short or long row, unparsable cell or non-finite value in file
     order is reported by line and column.
     """
     names = range(len(rows[0])) if header is None else header
@@ -153,7 +160,7 @@ def read_reals(path, rows, header=None, columns=None) -> np.ndarray:
             if np.all(np.isfinite(values)):
                 return values
     values = []
-    for line, row in enumerate(rows, 1 if header is None else 2):
+    for line, row in zip(lines, rows):
         if len(row) != len(names):
             raise DatasetError(f"{path}: line {line} has {len(row)} cells, expected {len(names)}")
         values.append([_parse_cell(row[j], line, names[j], path) for j in picked])
@@ -161,11 +168,19 @@ def read_reals(path, rows, header=None, columns=None) -> np.ndarray:
 
 
 def _format_cell(value) -> str:
-    # 17 significant digits round-trip any float64 exactly. Flags are Python
-    # bools; identity tests keep this per-cell call cheap.
     if value is True or value is False:
         return "true" if value else "false"
     return format(value, ".17g")
+
+
+def _format_row(row) -> str:
+    # 17 significant digits round-trip any float64 exactly. A flag is a
+    # Python bool, which is also an int that %g would print as 1 or 0, so
+    # only a row without flags is formatted in one call.
+    cells = tuple(row)
+    if bool in map(type, cells):
+        return ",".join(map(_format_cell, cells)) + "\n"
+    return (",".join(("%.17g",) * len(cells)) + "\n") % cells
 
 
 def write_rows(path, rows, header=None) -> None:
@@ -177,7 +192,7 @@ def write_rows(path, rows, header=None) -> None:
     with open(path, "w", newline="") as handle:
         if header is not None:
             handle.write(",".join(header) + "\n")
-        handle.writelines(",".join(map(_format_cell, row)) + "\n" for row in rows)
+        handle.writelines(map(_format_row, rows))
 
 
 def load_csv(path, label_column: str, feature_columns=None) -> LabeledBatch:
@@ -190,7 +205,7 @@ def load_csv(path, label_column: str, feature_columns=None) -> LabeledBatch:
     feature set; by default every non-label column is used in file order.
     No standardization is applied.
     """
-    header, *data_rows = read_rows(path)
+    (header, *data_rows), (_, *data_lines) = read_rows(path)
     if label_column not in header:
         raise DatasetError(f"{path}: missing column {label_column!r} (header: {header})")
     if feature_columns is None:
@@ -203,7 +218,9 @@ def load_csv(path, label_column: str, feature_columns=None) -> LabeledBatch:
     if not data_rows:
         raise DatasetError(f"{path}: no data rows")
 
-    features = read_reals(path, data_rows, header, [header.index(name) for name in feature_columns])
+    features = read_reals(
+        path, data_rows, data_lines, header, [header.index(name) for name in feature_columns]
+    )
     label_idx = header.index(label_column)
     label_to_class: dict[str, int] = {}
     labels = [
@@ -221,18 +238,18 @@ def load_embeddings(path) -> LabeledBatch:
     The label column holds literal class indices; every index 0..max must be
     occupied (a skipped index means an empty class and is rejected).
     """
-    header, *data_rows = read_rows(path)
+    (header, *data_rows), (_, *data_lines) = read_rows(path)
     if len(header) < 2:
         raise DatasetError(f"{path}: need at least one embedding column plus a label column")
     if not data_rows:
         raise DatasetError(f"{path}: no rows")
-    values = read_reals(path, data_rows, header)
+    values = read_reals(path, data_rows, data_lines, header)
     labels = values[:, -1]
     bad = (labels < 0) | (labels != np.floor(labels))
     if np.any(bad):
         row = int(np.argmax(bad))
         raise DatasetError(
-            f"{path}: label must be a nonnegative integer at line {row + 2}, "
+            f"{path}: label must be a nonnegative integer at line {data_lines[row]}, "
             f"got {data_rows[row][-1]!r}"
         )
     # N rows occupy at most N classes, so a label >= N leaves one of 0..N-1

@@ -165,10 +165,10 @@ def write_report_csv(report: SweepReport, path) -> None:
 
 def read_report_csv(path) -> SweepReport:
     """Read a CSV written by :func:`write_report_csv`."""
-    header, *rows = read_rows(path)
+    (header, *rows), (_, *lines) = read_rows(path)
     if header != list(REPORT_COLUMNS):
         raise DatasetError(f"{path}: unexpected header {header}")
-    reals = read_reals(path, rows, header, range(4)).tolist()
+    reals = read_reals(path, rows, lines, header, range(4)).tolist()
     flags = ([cell == "true" for cell in row[4:]] for row in rows)
     return SweepReport(tuple(SweepRow(*r, *f) for r, f in zip(reals, flags)))
 

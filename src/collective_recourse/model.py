@@ -112,16 +112,33 @@ def nll_loss(x, target: int, theta: Centroids) -> float:
     return float(nll_from_distances(distances(x[None, :], theta), target)[0])
 
 
-def _coefficients_and_units(x, target, theta):
-    """Softmax coefficients (p_y - 1[y=target]) and unit vectors toward x."""
-    diffs = x - theta.mu
-    norms = np.linalg.norm(diffs, axis=1)
+def _coefficients_and_units(x, target, mu):
+    """Softmax coefficients (p_y - 1[y=target]), unit vectors toward x, and
+    the loss, all from one evaluation of the distances ||x - mu_y||.
+
+    The loss is the log-sum-exp of :func:`nll_from_distances`, bit for bit:
+    its scores - max(scores) is exactly min(norms) - norms.
+    """
+    diffs = x - mu
+    # The value np.linalg.norm(diffs, axis=1) computes, without its call overhead.
+    norms = np.sqrt(np.add.reduce(diffs * diffs, axis=1))
+    nearest = np.minimum.reduce(norms)
     units = diffs / np.maximum(norms, GRAD_NORM_FLOOR)[:, None]
-    shifted = np.exp(-norms + norms.min())
-    probs = shifted / shifted.sum()
-    coef = probs.copy()
+    shifted = np.exp(nearest - norms)
+    total = np.add.reduce(shifted)
+    coef = shifted / total
     coef[target] -= 1.0
-    return coef, units
+    return coef, units, np.log(total) - nearest + norms[target]
+
+
+def _loss_and_grad(x, target: int, mu: np.ndarray) -> tuple[float, np.ndarray]:
+    """:func:`nll_loss` and :func:`grad_input` at ``x`` from one distance evaluation.
+
+    Bit for bit the values of the public pair, which stay the checked
+    entry points: arguments are not validated here.
+    """
+    coef, units, loss = _coefficients_and_units(x, target, mu)
+    return float(loss), -np.add.reduce(coef[:, None] * units, axis=0)
 
 
 def grad_centroids(x, target: int, theta: Centroids) -> np.ndarray:
@@ -131,7 +148,7 @@ def grad_centroids(x, target: int, theta: Centroids) -> np.ndarray:
     """
     x = _check_point(x, theta)
     target = _check_target(target, theta)
-    coef, units = _coefficients_and_units(x, target, theta)
+    coef, units, _ = _coefficients_and_units(x, target, theta.mu)
     return coef[:, None] * units
 
 
@@ -174,4 +191,4 @@ def save_centroids_csv(theta: Centroids, path) -> None:
 
 def load_centroids_csv(path) -> Centroids:
     """Read a centroid matrix written by :func:`save_centroids_csv`."""
-    return Centroids(read_reals(path, read_rows(path)))
+    return Centroids(read_reals(path, *read_rows(path)))

@@ -11,14 +11,17 @@ Two ways to lower the model's loss on a query point for a desired class:
 
 The individual solver runs deterministic projected gradient descent with
 normalized descent directions and a linearly decaying step size, and
-reports the best iterate seen. The collective problem splits into one
-small problem per class and is solved exactly in closed form. Budgets are
-per-vector L2 balls; ``sphere`` mode instead puts every nonzero
-perturbation on the budget sphere.
+reports the best iterate seen. It checks its inputs once per solve, and
+each step makes one query-to-centroid distance evaluation, which gives
+both the loss at the new iterate and the gradient for the next step. The
+collective problem splits into one small problem per class and is solved
+exactly in closed form. Budgets are per-vector L2 balls; ``sphere`` mode
+instead puts every nonzero perturbation on the budget sphere.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +30,8 @@ from .dataset import LabeledBatch
 from .model import (
     GRAD_NORM_FLOOR,
     Centroids,
+    _loss_and_grad,
     fit,
-    grad_input,
     nll_loss,
     predict,
     refit_with_perturbation,
@@ -161,34 +164,25 @@ class RecourseResult:
     post_centroids: Centroids = field(repr=False)
 
 
+def _project(v: np.ndarray, epsilon: float, mode: str) -> np.ndarray:
+    """:func:`project_ball` or :func:`normalize_sphere` of a float vector, by ``mode``.
+
+    Makes no copy: in ball mode a feasible ``v`` is returned as is.
+    """
+    norm = math.sqrt(v.dot(v))
+    if mode == "ball":
+        return v if norm <= epsilon else v * (epsilon / norm)
+    return v * (epsilon / norm) if norm > _ZERO_NORM else np.zeros_like(v)
+
+
 def project_ball(v: np.ndarray, epsilon: float) -> np.ndarray:
     """Nearest point of the L2 ball of radius epsilon: rescale only if outside."""
-    v = np.asarray(v, dtype=float)
-    norm = np.linalg.norm(v)
-    if norm <= epsilon:
-        return v.copy()
-    return v * (epsilon / norm)
+    return _project(np.array(v, dtype=float), epsilon, "ball")
 
 
 def normalize_sphere(v: np.ndarray, epsilon: float) -> np.ndarray:
     """Rescale onto the radius-epsilon sphere; the zero vector stays zero."""
-    v = np.asarray(v, dtype=float)
-    norm = np.linalg.norm(v)
-    if norm <= _ZERO_NORM:
-        return np.zeros_like(v)
-    return v * (epsilon / norm)
-
-
-def _project(v: np.ndarray, epsilon: float, mode: str) -> np.ndarray:
-    return project_ball(v, epsilon) if mode == "ball" else normalize_sphere(v, epsilon)
-
-
-def _normalized(g: np.ndarray) -> np.ndarray | None:
-    """Unit descent direction, or None at a stationary point."""
-    norm = np.linalg.norm(g)
-    if norm <= _ZERO_NORM:
-        return None
-    return g / norm
+    return _project(np.array(v, dtype=float), epsilon, "sphere")
 
 
 def individual_recourse(
@@ -205,6 +199,12 @@ def individual_recourse(
     (or sphere). The returned perturbation is the best iterate, which always
     includes delta = 0, so the achieved loss never exceeds the baseline.
 
+    The query and goal are checked once per solve. Each step then makes one
+    distance evaluation, which yields both the loss at the new iterate and
+    the gradient that the next step follows; the results are bit for bit
+    those of calling :func:`~collective_recourse.model.nll_loss` and
+    :func:`~collective_recourse.model.grad_input` at every iterate.
+
     ``extra_candidates`` are additional feasible perturbations (for example a
     solution found under a smaller budget) evaluated into the candidate set;
     this is what makes loss-versus-budget sweeps monotone.
@@ -217,18 +217,19 @@ def individual_recourse(
             f"goal class {query.goal_class} outside [0, {theta.num_classes - 1}]"
         )
     goal = query.goal_class
+    mu = theta.mu
     eps = budget.epsilon
     eta0 = cfg.resolved_step_size(eps)
     mode = cfg.projection_mode
 
-    baseline = nll_loss(x_q, goal, theta)
-    best_delta = np.zeros_like(x_q)
+    baseline, grad = _loss_and_grad(x_q, goal, mu)
+    best_delta = delta = np.zeros_like(x_q)
     best_loss = baseline
     trace = [baseline]
 
     for candidate in extra_candidates:
-        cand = _project(np.asarray(candidate, dtype=float), eps, mode)
-        loss = nll_loss(x_q + cand, goal, theta)
+        cand = _project(np.array(candidate, dtype=float), eps, mode)
+        loss, _ = _loss_and_grad(x_q + cand, goal, mu)
         trace.append(loss)
         if loss < best_loss:
             best_loss, best_delta = loss, cand
@@ -236,23 +237,22 @@ def individual_recourse(
     if cfg.init == "random":
         rng = np.random.default_rng(cfg.seed)
         delta = _project(rng.standard_normal(x_q.shape) * eps, eps, mode)
-        loss = nll_loss(x_q + delta, goal, theta)
+        loss, grad = _loss_and_grad(x_q + delta, goal, mu)
         trace.append(loss)
         if loss < best_loss:
-            best_loss, best_delta = loss, delta.copy()
-    else:
-        delta = np.zeros_like(x_q)
+            best_loss, best_delta = loss, delta
 
+    # delta is rebound, never written in place, so best_delta needs no copy.
     for step in range(cfg.steps):
-        direction = _normalized(grad_input(x_q + delta, goal, theta))
-        if direction is None:
+        norm = math.sqrt(grad.dot(grad))
+        if norm <= _ZERO_NORM:
             break
         eta = eta0 * (cfg.steps - step) / cfg.steps
-        delta = _project(delta - eta * direction, eps, mode)
-        loss = nll_loss(x_q + delta, goal, theta)
+        delta = _project(delta - eta * (grad / norm), eps, mode)
+        loss, grad = _loss_and_grad(x_q + delta, goal, mu)
         trace.append(loss)
         if loss < best_loss:
-            best_loss, best_delta = loss, delta.copy()
+            best_loss, best_delta = loss, delta
 
     flipped = predict(x_q + best_delta, theta) == goal
     return RecourseResult(

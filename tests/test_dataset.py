@@ -226,6 +226,10 @@ def test_load_embeddings_huge_label_is_an_empty_class(tmp_path, huge):
         ("1,2\n3,oops,1\n", "line 2 has 2 cells, expected 3"),
         ("1,2,0\n3,oops,1\n4,5\n", "unparsable value 'oops' at line 3, column 'e1'"),
         ("1,2,0\n3,4,1,5\n", "line 3 has 4 cells, expected 3"),
+        # Blank lines are skipped but still counted.
+        ("\n1,oops,0\n3,4,1\n", "unparsable value 'oops' at line 3, column 'e1'"),
+        ("1,2,0\n\n\n3,4\n", "line 5 has 2 cells, expected 3"),
+        ("1,2,0\n , \n3,4,-1\n", "label must be a nonnegative integer at line 4, got '-1'"),
     ],
 )
 def test_first_bad_row_or_cell_in_file_order_is_reported(tmp_path, body, where):

@@ -3,10 +3,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from collective_recourse.dataset import DatasetError, LabeledBatch
 from collective_recourse.model import (
     Centroids,
+    _loss_and_grad,
     class_scores,
     distances,
     fit,
@@ -169,6 +173,26 @@ def test_grad_bounded_at_centroid():
     assert np.all(np.isfinite(g))
     gc = grad_centroids(np.array([1.0, 0.0]), 1, TWO)
     assert np.all(np.isfinite(gc))
+
+
+@st.composite
+def _kernel_points(draw):
+    k, d = draw(st.integers(2, 6)), draw(st.integers(1, 12))
+    reals = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
+    mu = draw(arrays(float, (k, d), elements=reals))
+    # Half the points sit exactly on a centroid, where GRAD_NORM_FLOOR applies.
+    on = draw(st.one_of(st.none(), st.integers(0, k - 1)))
+    x = mu[on].copy() if on is not None else draw(arrays(float, d, elements=reals))
+    return x, draw(st.integers(0, k - 1)), Centroids(mu)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_kernel_points())
+def test_fused_loss_and_grad_equals_public_pair_bitwise(point):
+    x, target, theta = point
+    loss, grad = _loss_and_grad(x, target, theta.mu)
+    assert np.float64(loss).tobytes() == np.float64(nll_loss(x, target, theta)).tobytes()
+    assert grad.tobytes() == grad_input(x, target, theta).tobytes()
 
 
 def test_grad_input_matches_finite_differences():

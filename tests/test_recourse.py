@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collective_recourse.dataset import LabeledBatch, SyntheticSpec, synth_blobs
-from collective_recourse.model import fit, nll_loss, predict
+from collective_recourse.dataset import LabeledBatch, SyntheticSpec, load_embeddings, synth_blobs
+from collective_recourse.model import distances, fit, grad_input, nll_loss, predict
 from collective_recourse.oracle import GridSpec, grid_collective, lipschitz_slack
 from collective_recourse.recourse import (
     EpsilonBudget,
@@ -164,6 +164,65 @@ def test_individual_dimension_errors(collinear_pair):
         individual_recourse(QuerySpec(np.zeros(3), 0), theta, EpsilonBudget(0.1))
     with pytest.raises(ValueError):
         individual_recourse(QuerySpec(np.zeros(2), 5), theta, EpsilonBudget(0.1))
+
+
+def _reference_individual(query, theta, budget, cfg, extra_candidates=()):
+    """Individual PGD written with the public, argument-checking calls: one
+    grad_input and one nll_loss evaluation per step."""
+    x_q, goal, eps = query.features, query.goal_class, budget.epsilon
+    project = project_ball if cfg.projection_mode == "ball" else normalize_sphere
+    eta0 = cfg.resolved_step_size(eps)
+    best_loss = nll_loss(x_q, goal, theta)
+    best_delta = np.zeros_like(x_q)
+    trace = [best_loss]
+    for candidate in extra_candidates:
+        cand = project(candidate, eps)
+        trace.append(nll_loss(x_q + cand, goal, theta))
+        if trace[-1] < best_loss:
+            best_loss, best_delta = trace[-1], cand
+    delta = np.zeros_like(x_q)
+    if cfg.init == "random":
+        delta = project(np.random.default_rng(cfg.seed).standard_normal(x_q.shape) * eps, eps)
+        trace.append(nll_loss(x_q + delta, goal, theta))
+        if trace[-1] < best_loss:
+            best_loss, best_delta = trace[-1], delta.copy()
+    for step in range(cfg.steps):
+        g = grad_input(x_q + delta, goal, theta)
+        if np.linalg.norm(g) <= 1e-12:
+            break
+        eta = eta0 * (cfg.steps - step) / cfg.steps
+        delta = project(delta - eta * (g / np.linalg.norm(g)), eps)
+        trace.append(nll_loss(x_q + delta, goal, theta))
+        if trace[-1] < best_loss:
+            best_loss, best_delta = trace[-1], delta.copy()
+    return np.asarray(trace), best_delta, predict(x_q + best_delta, theta) == goal
+
+
+@pytest.mark.parametrize("data", ["iris", "embeddings"])
+@pytest.mark.parametrize("mode", ["ball", "sphere"])
+@pytest.mark.parametrize("init", ["zero", "random"])
+def test_individual_matches_per_step_reference_bitwise(iris_batch, embeddings_path, data, mode, init):
+    batch = iris_batch if data == "iris" else load_embeddings(embeddings_path)
+    theta = fit(batch)
+    # Misclassified rows, asking for their own label, plus a row asking for another class.
+    rows = np.flatnonzero(distances(batch.features, theta).argmin(axis=1) != batch.labels)[:2]
+    queries = [QuerySpec(batch.features[r], batch.labels[r]) for r in rows]
+    queries.append(QuerySpec(batch.features[0], (batch.labels[0] + 1) % batch.num_classes))
+    for query in queries:
+        warm = None
+        # Each larger budget is warm-started from the previous answer and from
+        # an infeasible candidate, which must be projected; after 3 short
+        # steps the warm start is still the best iterate.
+        for eps, steps in ((0.3, 500), (1.0, 500), (1.5, 3)):
+            budget = EpsilonBudget(eps)
+            cfg = SolverConfig(steps=steps, projection_mode=mode, init=init, seed=7)
+            cands = () if warm is None else (warm, np.full(batch.dim, 3.0))
+            res = individual_recourse(query, theta, budget, cfg, extra_candidates=cands)
+            trace, delta, flipped = _reference_individual(query, theta, budget, cfg, cands)
+            assert res.loss_trace.tobytes() == trace.tobytes()
+            assert res.perturbation.tobytes() == delta.tobytes()
+            assert res.flipped == flipped
+            warm = res.perturbation
 
 
 def test_collective_zero_budget(collinear_pair):
