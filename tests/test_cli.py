@@ -266,6 +266,31 @@ def test_cli_solver_flags_checked_before_data_is_read(tmp_path, capsys):
     assert "usage error: step_size must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--step-size", "inf"], "step_size must be positive and finite"),
+        (["--seed", "-1", "--init", "random"], "seed must be nonnegative"),
+        (["--seed", "-1"], "seed must be nonnegative"),
+    ],
+)
+def test_cli_infinite_step_or_negative_seed_is_usage_error(tmp_path, capsys, flags, message):
+    argv = [
+        "sweep",
+        "--data", str(tmp_path / "nope.csv"),
+        "--label-col", "species",
+        "--goal-class", "1",
+        "--base-class", "2",
+        "--eps-grid", "0:1:0.1",
+        *flags,
+        "--out", str(tmp_path / "never.csv"),
+    ]
+    assert cli_main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"usage error: {message}" in err
+
+
 @pytest.mark.parametrize("alpha", ["-0.1", "1.5", "nan"])
 def test_cli_alpha_out_of_range_is_usage_error(iris_path, capsys, alpha):
     assert cli_main(_iris_argv(iris_path, "query", "--alpha", alpha)) == 1

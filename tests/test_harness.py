@@ -3,11 +3,12 @@ import re
 import numpy as np
 import pytest
 
-from collective_recourse.dataset import DatasetError
+from collective_recourse.dataset import DatasetError, LabeledBatch, load_embeddings
 from collective_recourse.harness import (
     REPORT_COLUMNS,
     SweepReport,
     SweepRow,
+    _warm_started_individual,
     describe_query,
     make_query,
     read_report_csv,
@@ -16,8 +17,13 @@ from collective_recourse.harness import (
     sweep_epsilon,
     write_report_csv,
 )
-from collective_recourse.model import fit, predict
-from collective_recourse.recourse import QuerySpec
+from collective_recourse.model import fit, nll_loss, predict
+from collective_recourse.recourse import (
+    EpsilonBudget,
+    QuerySpec,
+    SolverConfig,
+    individual_recourse,
+)
 
 
 def _row(eps, base, ind, col, fi=False, fc=False):
@@ -110,6 +116,82 @@ def test_sweep_error_names_offending_epsilon(collinear_pair):
     bad_query = QuerySpec(np.zeros(3), 0)  # wrong dimension
     with pytest.raises(ValueError, match=r"epsilon=0\.25"):
         sweep_epsilon(batch, bad_query, [0.25])
+
+
+def _sequential_individual(query, theta, epsilons, cfg):
+    """One individual_recourse call per budget, each warm-started from the last."""
+    results, warm = [], ()
+    for eps in epsilons:
+        results.append(individual_recourse(query, theta, EpsilonBudget(eps), cfg, warm))
+        warm = (results[-1].perturbation,)
+    return results
+
+
+def _assert_sweep_matches_sequential(batch, query, epsilons, cfg):
+    theta = fit(batch)
+    reference = _sequential_individual(query, theta, epsilons, cfg)
+    baseline = nll_loss(query.features, query.goal_class, theta)
+    chain = _warm_started_individual(query, theta, epsilons, cfg, baseline)
+    report = sweep_epsilon(batch, query, epsilons, cfg)
+    assert len(chain) == len(report.rows) == len(reference)
+    for ref, (loss, delta, flipped), row in zip(reference, chain, report.rows):
+        assert np.float64(loss).tobytes() == np.float64(ref.achieved_loss).tobytes()
+        assert delta.tobytes() == ref.perturbation.tobytes()
+        assert flipped == ref.flipped
+        assert np.float64(row.individual_loss).tobytes() == np.float64(ref.achieved_loss).tobytes()
+        assert row.individual_flipped == ref.flipped
+    return reference
+
+
+@pytest.mark.parametrize("data", ["iris", "embeddings"])
+@pytest.mark.parametrize("mode", ["ball", "sphere"])
+@pytest.mark.parametrize("init", ["zero", "random"])
+def test_sweep_matches_sequential_individual_chain_bitwise(iris_batch, embeddings_path, data, mode, init):
+    batch = iris_batch if data == "iris" else load_embeddings(embeddings_path)
+    query = make_query(fit(batch), 1, 2, 0.25)
+    cfg = SolverConfig(projection_mode=mode, init=init, seed=7)
+    _assert_sweep_matches_sequential(batch, query, [0.1 * i for i in range(11)], cfg)
+
+
+@pytest.mark.parametrize("data", ["iris", "embeddings"])
+def test_sweep_matches_sequential_chain_where_warm_start_wins(iris_batch, embeddings_path, data):
+    batch = iris_batch if data == "iris" else load_embeddings(embeddings_path)
+    query = make_query(fit(batch), 1, 2, 0.25)
+    # Three long steps from a random start: the previous budget's answer,
+    # rescaled onto this budget's sphere, often beats the whole trajectory.
+    cfg = SolverConfig(steps=3, step_size=0.2, projection_mode="sphere", init="random", seed=7)
+    reference = _assert_sweep_matches_sequential(batch, query, [0.1 * i for i in range(11)], cfg)
+    warm_wins = [r.loss_trace[1] < min(r.loss_trace[0], r.loss_trace[2:].min()) for r in reference[1:]]
+    assert any(warm_wins)
+
+
+def test_sweep_rows_stop_independently():
+    # Goal centroid at 0, competitor at 30, query 0.5 toward it: the loss
+    # gradient there is about 5e-13, below the 1e-12 stop, though stepping
+    # toward the goal would still lower the loss. The seed-3 random start
+    # points toward the competitor: within eps 0.1 the gradient stays that
+    # small and the solve stops at once, while at eps 20 the competitor is
+    # nearer than the goal and the solve keeps stepping.
+    batch = LabeledBatch(np.array([[0.0], [30.0]]), np.array([0, 1]), 2)
+    query = QuerySpec(np.array([0.5]), 0)
+    cfg = SolverConfig(init="random", seed=3)
+    assert np.random.default_rng(3).standard_normal(1)[0] > 0
+    reference = _assert_sweep_matches_sequential(batch, query, [0.0, 0.1, 20.0], cfg)
+    assert len(reference[1].loss_trace) == 3  # baseline, warm start, random start
+    assert len(reference[2].loss_trace) > 3
+
+
+def test_sweep_keeps_warm_start_on_a_tie(collinear_pair):
+    # In sphere mode the previous answer rescaled to 0.11 lands within an
+    # ulp of the trajectory's best point, at exactly the same loss; the warm
+    # start comes first, so it must win the tie.
+    batch, query = collinear_pair
+    theta = fit(batch)
+    cfg = SolverConfig(steps=5, projection_mode="sphere")
+    reference = _assert_sweep_matches_sequential(batch, query, [0.01, 0.11], cfg)
+    cold = individual_recourse(query, theta, EpsilonBudget(0.11), cfg)
+    assert cold.achieved_loss == reference[1].achieved_loss
+    assert cold.perturbation.tobytes() != reference[1].perturbation.tobytes()
 
 
 def test_report_csv_empty(tmp_path):

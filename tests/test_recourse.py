@@ -13,6 +13,8 @@ from collective_recourse.recourse import (
     PerturbationMatrix,
     QuerySpec,
     SolverConfig,
+    _project,
+    _project_rows,
     collective_recourse,
     individual_recourse,
     normalize_sphere,
@@ -60,6 +62,29 @@ def test_solver_config_validation():
     assert cfg.resolved_step_size(0.4) == pytest.approx(0.02)
     assert cfg.resolved_step_size(0.0) == 1e-3
     assert SolverConfig(step_size=0.5).resolved_step_size(0.4) == 0.5
+
+
+@pytest.mark.parametrize("init", ["zero", "random"])
+def test_solver_config_rejects_infinite_step_and_negative_seed(init):
+    for step_size in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="step_size must be positive and finite"):
+            SolverConfig(step_size=step_size, init=init)
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        SolverConfig(seed=-1, init=init)
+
+
+@pytest.mark.parametrize("mode", ["ball", "sphere"])
+def test_project_rows_equals_one_row_projection_bitwise(mode):
+    rng = np.random.default_rng(2)
+    rows = np.vstack([
+        rng.standard_normal((40, 6)) * 10.0 ** rng.integers(-14, 3, size=(40, 1)),
+        -np.zeros((2, 6)),  # signed zeros: sphere mode returns +0.0
+        np.full((2, 6), -1e-14),  # under the 1e-12 zero-norm floor
+    ])
+    eps = rng.choice([0.0, 1e-13, 0.3, 2.0], size=len(rows))
+    projected = _project_rows(rows, eps, mode)
+    for row, e, got in zip(rows, eps, projected):
+        assert got.tobytes() == _project(row, e, mode).tobytes()
 
 
 def test_project_ball():
