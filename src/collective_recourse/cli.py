@@ -128,9 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     solving = argparse.ArgumentParser(add_help=False)
-    solving.add_argument("--steps", type=int, default=500, help="gradient steps")
     solving.add_argument(
-        "--step-size", type=float, default=None, help="step length (default: scaled from epsilon)"
+        "--steps", type=int, default=500, help="iteration cap of the individual solver"
     )
     solving.add_argument("--mode", choices=("ball", "sphere"), default="ball")
     solving.add_argument("--init", choices=("zero", "random"), default="zero")
@@ -175,11 +174,11 @@ _ECHO_KEYS = {
     "query": ("data", "label_col", "features", "standardize", "alpha", "goal_class", "base_class"),
     "recourse": (
         "data", "label_col", "features", "standardize", "alpha", "goal_class", "base_class",
-        "kind", "epsilon", "steps", "step_size", "mode", "init", "seed", "out",
+        "kind", "epsilon", "steps", "mode", "init", "seed", "out",
     ),
     "sweep": (
         "data", "label_col", "features", "standardize", "alpha", "goal_class", "base_class",
-        "eps_grid", "steps", "step_size", "mode", "init", "seed", "out", "plot",
+        "eps_grid", "steps", "mode", "init", "seed", "out", "plot",
     ),
 }
 
@@ -203,7 +202,6 @@ def _load_batch(args) -> LabeledBatch:
 def _solver_config(args) -> SolverConfig:
     return SolverConfig(
         steps=args.steps,
-        step_size=args.step_size,
         projection_mode=args.mode,
         init=args.init,
         seed=args.seed,

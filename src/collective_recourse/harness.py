@@ -4,9 +4,7 @@ The sweep runs both solvers over an ascending list of budgets with identical
 settings and collects one row per budget. The individual solver receives the
 previous budget's solution as an extra candidate, and the collective solver
 is exact, so in ball mode the reported losses of both are monotone
-non-increasing in the budget. The individual solves of all budgets run as
-one batched PGD loop, with results bit for bit those of one
-``individual_recourse`` call per budget. Reports serialize to CSV with
+non-increasing in the budget. Reports serialize to CSV with
 17-significant-digit reals and render to a small self-contained SVG.
 """
 
@@ -22,10 +20,8 @@ from .recourse import (
     EpsilonBudget,
     QuerySpec,
     SolverConfig,
-    _individual_batch,
     collective_recourse,
-    normalize_sphere,
-    project_ball,
+    individual_recourse,
 )
 
 REPORT_COLUMNS = (
@@ -110,39 +106,6 @@ def make_query(theta: Centroids, class_a: int, class_b: int, alpha: float) -> Qu
     return QuerySpec(features=x_q, goal_class=int(class_a))
 
 
-def _warm_started_individual(
-    query: QuerySpec, theta: Centroids, epsilons, cfg: SolverConfig, baseline: float
-) -> list[tuple[float, np.ndarray, bool]]:
-    """``(achieved_loss, perturbation, flipped)`` of individual recourse at each
-    ascending budget, each solve warm-started from the previous budget's answer.
-
-    Bit for bit the chain of :func:`individual_recourse` calls that passes the
-    previous perturbation as ``extra_candidates``, from one batched PGD loop
-    over all budgets. The warm start does not change a solve's trajectory,
-    only which point wins, so it is replayed here in the single solve's
-    order, each later point taken only on a strict improvement: the baseline
-    (``nll_loss`` at the query, passed in), the previous answer projected to
-    this budget, then the trajectory's best point.
-    """
-    x_q, goal = query.features, query.goal_class
-    path_losses, path_deltas = _individual_batch(query, theta, epsilons, cfg)
-    project = project_ball if cfg.projection_mode == "ball" else normalize_sphere
-    chain = []
-    delta = None
-    for eps, path_loss, path_delta in zip(epsilons, path_losses, path_deltas):
-        best_loss, best_delta = baseline, np.zeros_like(x_q)
-        if delta is not None:
-            warm = project(delta, eps)
-            warm_loss = nll_loss(x_q + warm, goal, theta)
-            if warm_loss < best_loss:
-                best_loss, best_delta = warm_loss, warm
-        if path_loss < best_loss:
-            best_loss, best_delta = float(path_loss), path_delta
-        delta = best_delta
-        chain.append((best_loss, delta, predict(x_q + delta, theta) == goal))
-    return chain
-
-
 def sweep_epsilon(
     batch: LabeledBatch,
     query: QuerySpec,
@@ -155,11 +118,6 @@ def sweep_epsilon(
     share ``cfg``; each individual run evaluates the previous budget's
     solution as a warm-start candidate and the collective solver is exact,
     so the reported losses cannot increase with the budget (ball mode).
-
-    The individual runs of all budgets share one batched PGD loop instead of
-    one :func:`~collective_recourse.recourse.individual_recourse` call per
-    budget; every row is unchanged, bit for bit. A bad query is reported at
-    the first budget.
     """
     epsilons = [float(e) for e in epsilons]
     if not epsilons:
@@ -170,24 +128,23 @@ def sweep_epsilon(
         raise ValueError(f"epsilons must be strictly ascending, got {epsilons}")
 
     theta = fit(batch)
-    try:
-        baseline = nll_loss(query.features, query.goal_class, theta)
-        individual = _warm_started_individual(query, theta, epsilons, cfg, baseline)
-    except ValueError as err:
-        raise ValueError(f"sweep failed at epsilon={epsilons[0]}: {err}") from err
     rows = []
-    for eps, (ind_loss, _, ind_flipped) in zip(epsilons, individual):
+    warm = ()
+    for eps in epsilons:
         try:
-            col = collective_recourse(batch, query, EpsilonBudget(eps), cfg)
+            budget = EpsilonBudget(eps)
+            ind = individual_recourse(query, theta, budget, cfg, extra_candidates=warm)
+            col = collective_recourse(batch, query, budget, cfg)
         except ValueError as err:
             raise ValueError(f"sweep failed at epsilon={eps}: {err}") from err
+        warm = (ind.perturbation,)
         rows.append(
             SweepRow(
                 epsilon=eps,
-                baseline_loss=baseline,
-                individual_loss=ind_loss,
+                baseline_loss=float(ind.loss_trace[0]),
+                individual_loss=ind.achieved_loss,
                 collective_loss=col.achieved_loss,
-                individual_flipped=ind_flipped,
+                individual_flipped=ind.flipped,
                 collective_flipped=col.flipped,
             )
         )

@@ -141,28 +141,6 @@ def _loss_and_grad(x, target: int, mu: np.ndarray) -> tuple[float, np.ndarray]:
     return float(loss), -np.add.reduce(coef[:, None] * units, axis=0)
 
 
-def _loss_and_grad_rows(points: np.ndarray, target: int, mu: np.ndarray):
-    """:func:`_loss_and_grad` at each row of a B x d ``points`` matrix.
-
-    Returns the B losses and the B x d gradients; row b is bit for bit
-    ``_loss_and_grad(points[b], target, mu)``: every reduction runs along
-    the same axis, in the same order, as in the one-point kernel. That
-    kernel stays separate because a shape-generic version of it (ellipsis
-    indexing, kept dimensions) makes a single evaluation about a third
-    slower.
-    """
-    diffs = points[:, None, :] - mu
-    norms = np.sqrt(np.add.reduce(diffs * diffs, axis=2))
-    nearest = np.minimum.reduce(norms, axis=1)
-    units = diffs / np.maximum(norms, GRAD_NORM_FLOOR)[:, :, None]
-    shifted = np.exp(nearest[:, None] - norms)
-    total = np.add.reduce(shifted, axis=1)
-    coef = shifted / total[:, None]
-    coef[:, target] -= 1.0
-    loss = np.log(total) - nearest + norms[:, target]
-    return loss, -np.add.reduce(coef[:, :, None] * units, axis=1)
-
-
 def grad_centroids(x, target: int, theta: Centroids) -> np.ndarray:
     """Loss gradient with respect to each centroid row.
 

@@ -9,23 +9,20 @@ Two ways to lower the model's loss on a query point for a desired class:
   centroids. The refit is closed form, which collapses the nested
   train-then-attack problem into a single constrained minimization.
 
-The individual solver runs deterministic projected gradient descent with
-normalized descent directions and a linearly decaying step size, and
-reports the best iterate seen. It checks its inputs once per solve, and
-each step makes one query-to-centroid distance evaluation, which gives
-both the loss at the new iterate and the gradient for the next step. A
-budget sweep runs the individual solves of all its budgets as one batched
-loop over a budgets x d iterate matrix, bit for bit the same iterates; a
-single solve keeps the one-vector loop, since a batched step costs over
-twice a single step and pays only from about three budgets on. The
-collective problem splits into one small problem per class and is solved
-exactly in closed form. Budgets are per-vector L2 balls; ``sphere`` mode
-instead puts every nonzero perturbation on the budget sphere.
+The individual solver runs the spectral projected gradient method to
+convergence from the best of a few candidate points, one of them the step
+toward the goal centroid, and reports the best point it evaluated. Each
+evaluation is one query-to-centroid distance computation, which gives both
+the loss and the gradient there. The collective problem splits into one
+small problem per class and is solved exactly in closed form. Budgets are
+per-vector L2 balls; ``sphere`` mode instead puts every nonzero
+perturbation on the budget sphere.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +32,6 @@ from .model import (
     GRAD_NORM_FLOOR,
     Centroids,
     _loss_and_grad,
-    _loss_and_grad_rows,
     fit,
     nll_loss,
     predict,
@@ -43,6 +39,12 @@ from .model import (
 )
 
 _ZERO_NORM = 1e-12
+# Spectral projected gradient: non-monotone memory, Armijo constant, stop
+# threshold (times max(1, eps)) and Barzilai-Borwein step safeguards.
+_MEMORY = 10
+_ARMIJO = 1e-4
+_STOP = 1e-13
+_LAMBDA_MIN, _LAMBDA_MAX = 1e-30, 1e30
 
 
 @dataclass(frozen=True)
@@ -119,16 +121,14 @@ class PerturbationMatrix:
 class SolverConfig:
     """Solver settings.
 
-    ``projection_mode`` applies to both solvers. ``steps``, ``step_size``,
-    ``init`` and ``seed`` drive the individual solver's projected gradient
-    descent only; the collective solver is exact and ignores them.
-    ``step_size`` is the initial step; it decays linearly to
-    ``step_size / steps`` over the run. When left as None it resolves to
-    ``0.05 * epsilon`` (or an absolute 1e-3 when the budget is zero).
+    ``projection_mode`` applies to both solvers. ``steps``, ``init`` and
+    ``seed`` drive the individual solver only; the collective solver is
+    exact and ignores them. ``steps`` caps the individual solver's
+    iterations. ``init="random"`` adds a seeded random point to the
+    candidates it starts from.
     """
 
     steps: int = 500
-    step_size: float | None = None
     projection_mode: str = "ball"
     init: str = "zero"
     seed: int = 0
@@ -136,10 +136,6 @@ class SolverConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.step_size is not None and not (
-            self.step_size > 0 and math.isfinite(self.step_size)
-        ):
-            raise ValueError(f"step_size must be positive and finite, got {self.step_size}")
         if self.projection_mode not in ("ball", "sphere"):
             raise ValueError(f"projection_mode must be 'ball' or 'sphere', got {self.projection_mode!r}")
         if self.init not in ("zero", "random"):
@@ -147,20 +143,16 @@ class SolverConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
-    def resolved_step_size(self, epsilon: float) -> float:
-        if self.step_size is not None:
-            return self.step_size
-        return 0.05 * epsilon if epsilon > 0 else 1e-3
-
 
 @dataclass
 class RecourseResult:
     """Best perturbation found, its loss, and the resulting model state.
 
     ``loss_trace`` starts with the unperturbed baseline loss. For individual
-    recourse it continues with any extra candidate evaluations, the random
-    initial point if any, and then one entry per solver step, and
-    ``achieved_loss`` is its minimum. For collective recourse it is exactly
+    recourse it continues with one entry per extra candidate, one for the
+    random start if any, and then one per further evaluation (the step
+    toward the goal centroid first, then each point the iterations try),
+    and ``achieved_loss`` is its minimum. For collective recourse it is exactly
     ``[baseline, achieved_loss]``. ``post_centroids`` equals
     the base centroids for individual recourse and the refit centroids under
     the best perturbation for collective recourse.
@@ -184,28 +176,6 @@ def _project(v: np.ndarray, epsilon: float, mode: str) -> np.ndarray:
     return v * (epsilon / norm) if norm > _ZERO_NORM else np.zeros_like(v)
 
 
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """``math.sqrt(row.dot(row))`` of each row, bit for bit.
-
-    Stacked 1 x d by d x 1 products run the same BLAS dot as ``row.dot(row)``;
-    ``einsum`` or ``(v * v).sum(1)`` add in another order and differ in the
-    last bit for a large share of rows.
-    """
-    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
-
-
-def _project_rows(v: np.ndarray, epsilon: np.ndarray, mode: str) -> np.ndarray:
-    """:func:`_project` of each row of ``v`` onto its own radius ``epsilon[b]``,
-    bit for bit the one-row result."""
-    norm = _row_norms(v)
-    if mode == "ball":
-        scale = np.divide(epsilon, norm, out=np.ones_like(norm), where=~(norm <= epsilon))
-        return v * scale[:, None]
-    keep = norm > _ZERO_NORM
-    scale = np.divide(epsilon, norm, out=np.zeros_like(norm), where=keep)
-    return np.where(keep[:, None], v * scale[:, None], 0.0)
-
-
 def project_ball(v: np.ndarray, epsilon: float) -> np.ndarray:
     """Nearest point of the L2 ball of radius epsilon: rescale only if outside."""
     return _project(np.array(v, dtype=float), epsilon, "ball")
@@ -227,6 +197,37 @@ def _check_query(query: QuerySpec, theta: Centroids) -> None:
         )
 
 
+def _spg(x_q, goal, mu, delta, loss, grad, eps, mode, steps):
+    """Yield each point the spectral projected gradient method evaluates, with its loss.
+
+    Starts from the feasible ``delta`` with the given loss and gradient. Each
+    iteration projects a Barzilai-Borwein step, then halves the way to that
+    point until a point passes a non-monotone Armijo test against the worst
+    of the last ``_MEMORY`` accepted losses. It stops once the step falls to
+    1e-13 * max(1, eps) or below, or after ``steps`` iterations.
+    """
+    tol = _STOP * max(1.0, eps)
+    recent = deque([loss], maxlen=_MEMORY)
+    lam = min(_LAMBDA_MAX, eps / max(math.sqrt(grad.dot(grad)), _ZERO_NORM))
+    for _ in range(steps):
+        direction = _project(delta - lam * grad, eps, mode) - delta
+        length, ceiling, alpha = math.sqrt(direction.dot(direction)), max(recent), 1.0
+        while alpha * length > tol:
+            trial = _project(delta + alpha * direction, eps, mode)
+            loss, trial_grad = _loss_and_grad(x_q + trial, goal, mu)
+            yield trial, loss
+            if loss <= ceiling + _ARMIJO * grad.dot(trial - delta):
+                break
+            alpha *= 0.5
+        else:
+            return
+        s, y = trial - delta, trial_grad - grad
+        sy = s.dot(y)
+        lam = min(_LAMBDA_MAX, max(_LAMBDA_MIN, s.dot(s) / sy)) if sy > 0 else _LAMBDA_MAX
+        delta, grad = trial, trial_grad
+        recent.append(loss)
+
+
 def individual_recourse(
     query: QuerySpec,
     theta: Centroids,
@@ -236,127 +237,61 @@ def individual_recourse(
 ) -> RecourseResult:
     """Find a budgeted perturbation of the query's own features.
 
-    Projected gradient descent on delta: each step moves along the normalized
-    loss gradient at ``x_q + delta`` and projects back onto the budget ball
-    (or sphere). The returned perturbation is the best iterate, which always
-    includes delta = 0, so the achieved loss never exceeds the baseline.
+    Evaluates these candidates in turn: delta = 0, each of
+    ``extra_candidates`` (for example the answer under a smaller budget,
+    which is what makes loss-versus-budget sweeps monotone) projected onto
+    the budget, the seeded random point when ``cfg.init`` is ``"random"``,
+    and the step toward the goal centroid. From the best of them it runs the
+    spectral projected gradient method (Birgin, Martinez & Raydan, SIAM J.
+    Optim. 2000) for at most ``cfg.steps`` iterations; in sphere mode it
+    starts from the best candidate on the sphere, since delta = 0 is an
+    isolated point there. Every evaluated point is feasible, and the
+    returned perturbation is the best of them (the first, on a tie), so the
+    achieved loss never exceeds the baseline.
 
-    The query and goal are checked once per solve. Each step then makes one
-    distance evaluation, which yields both the loss at the new iterate and
-    the gradient that the next step follows; the results are bit for bit
-    those of calling :func:`~collective_recourse.model.nll_loss` and
-    :func:`~collective_recourse.model.grad_input` at every iterate.
-
-    ``extra_candidates`` are additional feasible perturbations (for example a
-    solution found under a smaller budget) evaluated into the candidate set;
-    this is what makes loss-versus-budget sweeps monotone.
-    """
-    _check_query(query, theta)
-    x_q = query.features
-    goal = query.goal_class
-    mu = theta.mu
-    eps = budget.epsilon
-    eta0 = cfg.resolved_step_size(eps)
-    mode = cfg.projection_mode
-
-    baseline, grad = _loss_and_grad(x_q, goal, mu)
-    best_delta = delta = np.zeros_like(x_q)
-    best_loss = baseline
-    trace = [baseline]
-
-    for candidate in extra_candidates:
-        cand = _project(np.array(candidate, dtype=float), eps, mode)
-        loss, _ = _loss_and_grad(x_q + cand, goal, mu)
-        trace.append(loss)
-        if loss < best_loss:
-            best_loss, best_delta = loss, cand
-
-    if cfg.init == "random":
-        rng = np.random.default_rng(cfg.seed)
-        delta = _project(rng.standard_normal(x_q.shape) * eps, eps, mode)
-        loss, grad = _loss_and_grad(x_q + delta, goal, mu)
-        trace.append(loss)
-        if loss < best_loss:
-            best_loss, best_delta = loss, delta
-
-    # delta is rebound, never written in place, so best_delta needs no copy.
-    for step in range(cfg.steps):
-        norm = math.sqrt(grad.dot(grad))
-        if norm <= _ZERO_NORM:
-            break
-        eta = eta0 * (cfg.steps - step) / cfg.steps
-        delta = _project(delta - eta * (grad / norm), eps, mode)
-        loss, grad = _loss_and_grad(x_q + delta, goal, mu)
-        trace.append(loss)
-        if loss < best_loss:
-            best_loss, best_delta = loss, delta
-
-    flipped = predict(x_q + best_delta, theta) == goal
-    return RecourseResult(
-        perturbation=best_delta,
-        achieved_loss=best_loss,
-        flipped=flipped,
-        loss_trace=np.asarray(trace),
-        post_centroids=theta,
-    )
-
-
-def _individual_batch(
-    query: QuerySpec, theta: Centroids, epsilons, cfg: SolverConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Best PGD iterate of :func:`individual_recourse` at every budget, in one loop.
-
-    Row b of the B x d iterate matrix follows, bit for bit, the iterates of
-    ``individual_recourse(query, theta, EpsilonBudget(epsilons[b]), cfg)``
-    with no extra candidates: its own step size and radius, the same random
-    start, and its own stop once its gradient norm is at most 1e-12.
-    Returns the B best losses and the B x d best perturbations, each the
-    first strict improvement on the baseline loss at delta = 0 (which is
-    returned where nothing improves on it). A warm-start candidate sits
-    between the baseline and the trajectory in the single solve's order, so
-    the caller can replay it against these results and get the same answer.
-
-    One batched step costs over twice a single step, so this pays only when
-    about three or more budgets are solved together.
+    The loss is lowest at the goal centroid: by the triangle inequality each
+    other centroid is at most its distance to the goal centroid farther
+    from a point than the goal centroid is, and at the goal centroid all of
+    these bounds hold with equality. So in ball mode a budget that reaches
+    the goal centroid returns the step onto it without iterating.
     """
     _check_query(query, theta)
     x_q, goal, mu = query.features, query.goal_class, theta.mu
-    eps = np.array(epsilons, dtype=float)
-    eta0 = np.array([cfg.resolved_step_size(e) for e in eps])
-    mode = cfg.projection_mode
+    eps, mode = budget.epsilon, cfg.projection_mode
+    to_goal = mu[goal] - x_q
+    reaches_goal = mode == "ball" and math.sqrt(to_goal.dot(to_goal)) <= eps
+    trace = []
+    best_loss = start_loss = math.inf
+    # Past a norm of about 1e154 squared norms overflow: such a point
+    # evaluates to inf or NaN, and so never wins or passes the Armijo test.
+    with np.errstate(over="ignore", invalid="ignore"):
+        starts = [np.zeros_like(x_q)]
+        starts += [_project(np.array(c, dtype=float), eps, mode) for c in extra_candidates]
+        if cfg.init == "random":
+            noise = np.random.default_rng(cfg.seed).standard_normal(x_q.shape)
+            starts.append(_project(noise * eps, eps, mode))
+        # Without this step the iterates stall at the kink on the goal centroid.
+        starts.append(_project(to_goal, eps, mode))
+        for delta in starts:
+            loss, grad = _loss_and_grad(x_q + delta, goal, mu)
+            trace.append(loss)
+            if loss < best_loss:
+                best_loss, best_delta = loss, delta
+            if loss < start_loss and (mode == "ball" or delta.any()):
+                start_loss, start = loss, (delta, loss, grad)
+        if start_loss < math.inf and not reaches_goal:
+            for delta, loss in _spg(x_q, goal, mu, *start, eps, mode, cfg.steps):
+                trace.append(loss)
+                if loss < best_loss:
+                    best_loss, best_delta = loss, delta
 
-    baseline, grad0 = _loss_and_grad(x_q, goal, mu)
-    best_loss = np.full(eps.shape, baseline)
-    best_delta = np.zeros((eps.size, x_q.size))
-    delta, grad = np.zeros_like(best_delta), np.tile(grad0, (eps.size, 1))
-    # Indices of the rows still stepping; the working arrays hold only those.
-    rows = np.arange(eps.size)
-
-    def keep_best(loss):
-        better = loss < best_loss[rows]
-        best_loss[rows[better]] = loss[better]
-        best_delta[rows[better]] = delta[better]
-
-    if cfg.init == "random":
-        start = np.random.default_rng(cfg.seed).standard_normal(x_q.shape)
-        delta = _project_rows(start * eps[:, None], eps, mode)
-        loss, grad = _loss_and_grad_rows(x_q + delta, goal, mu)
-        keep_best(loss)
-
-    for step in range(cfg.steps):
-        norm = _row_norms(grad)
-        stopped = norm <= _ZERO_NORM
-        if stopped.any():
-            going = ~stopped
-            rows, delta, grad, norm = rows[going], delta[going], grad[going], norm[going]
-            eps, eta0 = eps[going], eta0[going]
-            if rows.size == 0:
-                break
-        eta = eta0 * (cfg.steps - step) / cfg.steps
-        delta = _project_rows(delta - eta[:, None] * (grad / norm[:, None]), eps, mode)
-        loss, grad = _loss_and_grad_rows(x_q + delta, goal, mu)
-        keep_best(loss)
-    return best_loss, best_delta
+    return RecourseResult(
+        perturbation=best_delta,
+        achieved_loss=best_loss,
+        flipped=predict(x_q + best_delta, theta) == goal,
+        loss_trace=np.asarray(trace),
+        post_centroids=theta,
+    )
 
 
 def collective_recourse(
@@ -391,22 +326,16 @@ def collective_recourse(
     exactly zero; a fully masked-out class simply leaves that centroid fixed.
     Of ``cfg`` only ``projection_mode`` is read.
     """
-    x_q = query.features
-    if x_q.shape != (batch.dim,):
-        raise ValueError(f"query dimension {x_q.shape[0]} does not match batch dim {batch.dim}")
-    if query.goal_class >= batch.num_classes:
-        raise ValueError(
-            f"goal class {query.goal_class} outside [0, {batch.num_classes - 1}]"
-        )
+    theta = fit(batch)
+    _check_query(query, theta)
     if mask is None:
         mask = np.ones(batch.num_rows, dtype=bool)
     else:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (batch.num_rows,):
             raise ValueError(f"mask shape {mask.shape} does not match {batch.num_rows} rows")
-    goal = query.goal_class
+    x_q, goal = query.features, query.goal_class
     eps = budget.epsilon
-    theta = fit(batch)
 
     away = theta.mu - x_q
     dists = np.linalg.norm(away, axis=1)

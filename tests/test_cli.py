@@ -259,22 +259,21 @@ def test_cli_solver_flags_checked_before_data_is_read(tmp_path, capsys):
         "--goal-class", "1",
         "--base-class", "2",
         "--eps-grid", "0:1:0.1",
-        "--step-size", "-1",
+        "--steps", "0",
         "--out", str(tmp_path / "never.csv"),
     ]
     assert cli_main(argv) == 1
-    assert "usage error: step_size must be positive" in capsys.readouterr().err
+    assert "usage error: steps must be >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--step-size", "inf"], "step_size must be positive and finite"),
         (["--seed", "-1", "--init", "random"], "seed must be nonnegative"),
         (["--seed", "-1"], "seed must be nonnegative"),
     ],
 )
-def test_cli_infinite_step_or_negative_seed_is_usage_error(tmp_path, capsys, flags, message):
+def test_cli_negative_seed_is_usage_error(tmp_path, capsys, flags, message):
     argv = [
         "sweep",
         "--data", str(tmp_path / "nope.csv"),
@@ -289,6 +288,17 @@ def test_cli_infinite_step_or_negative_seed_is_usage_error(tmp_path, capsys, fla
     out, err = capsys.readouterr()
     assert out == ""
     assert f"usage error: {message}" in err
+
+
+def test_cli_step_size_flag_is_rejected(iris_path, capsys):
+    # The individual solver picks its own step lengths.
+    argv = _iris_argv(
+        iris_path, "recourse", "--kind", "individual", "--epsilon", "0.3", "--step-size", "0.1"
+    )
+    assert cli_main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --step-size" in err
 
 
 @pytest.mark.parametrize("alpha", ["-0.1", "1.5", "nan"])

@@ -11,7 +11,6 @@ from collective_recourse.dataset import DatasetError, LabeledBatch
 from collective_recourse.model import (
     Centroids,
     _loss_and_grad,
-    _loss_and_grad_rows,
     class_scores,
     distances,
     fit,
@@ -194,30 +193,6 @@ def test_fused_loss_and_grad_equals_public_pair_bitwise(point):
     loss, grad = _loss_and_grad(x, target, theta.mu)
     assert np.float64(loss).tobytes() == np.float64(nll_loss(x, target, theta)).tobytes()
     assert grad.tobytes() == grad_input(x, target, theta).tobytes()
-
-
-@st.composite
-def _kernel_rows(draw):
-    k, d, b = draw(st.integers(2, 12)), draw(st.integers(1, 40)), draw(st.integers(1, 12))
-    reals = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
-    mu = draw(arrays(float, (k, d), elements=reals))
-    points = draw(arrays(float, (b, d), elements=reals))
-    # Some rows sit exactly on a centroid, where GRAD_NORM_FLOOR applies.
-    for row, on in enumerate(draw(st.lists(st.integers(-k, k - 1), min_size=b, max_size=b))):
-        if on >= 0:
-            points[row] = mu[on]
-    return points, draw(st.integers(0, k - 1)), mu
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(_kernel_rows())
-def test_row_kernel_equals_one_point_kernel_bitwise(case):
-    points, target, mu = case
-    losses, grads = _loss_and_grad_rows(points, target, mu)
-    for x, loss, grad in zip(points, losses, grads):
-        one_loss, one_grad = _loss_and_grad(x, target, mu)
-        assert loss.tobytes() == np.float64(one_loss).tobytes()
-        assert grad.tobytes() == one_grad.tobytes()
 
 
 def test_grad_input_matches_finite_differences():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,15 +7,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collective_recourse.dataset import LabeledBatch, SyntheticSpec, load_embeddings, synth_blobs
-from collective_recourse.model import distances, fit, grad_input, nll_loss, predict
-from collective_recourse.oracle import GridSpec, grid_collective, lipschitz_slack
+from collective_recourse.harness import make_query
+from collective_recourse.model import (
+    Centroids,
+    distances,
+    fit,
+    grad_input,
+    nll_from_distances,
+    nll_loss,
+    predict,
+)
+from collective_recourse.oracle import (
+    GridSpec,
+    ball_grid,
+    grid_collective,
+    grid_individual,
+    lipschitz_slack,
+)
 from collective_recourse.recourse import (
     EpsilonBudget,
     PerturbationMatrix,
     QuerySpec,
     SolverConfig,
-    _project,
-    _project_rows,
     collective_recourse,
     individual_recourse,
     normalize_sphere,
@@ -53,38 +67,19 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(steps=0)
     with pytest.raises(ValueError):
-        SolverConfig(step_size=-1.0)
-    with pytest.raises(ValueError):
         SolverConfig(projection_mode="cube")
     with pytest.raises(ValueError):
         SolverConfig(init="ones")
-    cfg = SolverConfig()
-    assert cfg.resolved_step_size(0.4) == pytest.approx(0.02)
-    assert cfg.resolved_step_size(0.0) == 1e-3
-    assert SolverConfig(step_size=0.5).resolved_step_size(0.4) == 0.5
 
 
 @pytest.mark.parametrize("init", ["zero", "random"])
 def test_solver_config_rejects_infinite_step_and_negative_seed(init):
-    for step_size in (math.inf, -math.inf, math.nan):
-        with pytest.raises(ValueError, match="step_size must be positive and finite"):
+    # No step size can be set at all: the solver picks its own step lengths.
+    for step_size in (math.inf, 0.5):
+        with pytest.raises(TypeError, match="step_size"):
             SolverConfig(step_size=step_size, init=init)
     with pytest.raises(ValueError, match="seed must be nonnegative"):
         SolverConfig(seed=-1, init=init)
-
-
-@pytest.mark.parametrize("mode", ["ball", "sphere"])
-def test_project_rows_equals_one_row_projection_bitwise(mode):
-    rng = np.random.default_rng(2)
-    rows = np.vstack([
-        rng.standard_normal((40, 6)) * 10.0 ** rng.integers(-14, 3, size=(40, 1)),
-        -np.zeros((2, 6)),  # signed zeros: sphere mode returns +0.0
-        np.full((2, 6), -1e-14),  # under the 1e-12 zero-norm floor
-    ])
-    eps = rng.choice([0.0, 1e-13, 0.3, 2.0], size=len(rows))
-    projected = _project_rows(rows, eps, mode)
-    for row, e, got in zip(rows, eps, projected):
-        assert got.tobytes() == _project(row, e, mode).tobytes()
 
 
 def test_project_ball():
@@ -192,35 +187,51 @@ def test_individual_dimension_errors(collinear_pair):
 
 
 def _reference_individual(query, theta, budget, cfg, extra_candidates=()):
-    """Individual PGD written with the public, argument-checking calls: one
-    grad_input and one nll_loss evaluation per step."""
-    x_q, goal, eps = query.features, query.goal_class, budget.epsilon
-    project = project_ball if cfg.projection_mode == "ball" else normalize_sphere
-    eta0 = cfg.resolved_step_size(eps)
-    best_loss = nll_loss(x_q, goal, theta)
-    best_delta = np.zeros_like(x_q)
-    trace = [best_loss]
-    for candidate in extra_candidates:
-        cand = project(candidate, eps)
-        trace.append(nll_loss(x_q + cand, goal, theta))
-        if trace[-1] < best_loss:
-            best_loss, best_delta = trace[-1], cand
-    delta = np.zeros_like(x_q)
+    """The individual solver written with the public, argument-checking calls:
+    one nll_loss and one grad_input evaluation per point."""
+    x_q, goal, eps, mode = query.features, query.goal_class, budget.epsilon, cfg.projection_mode
+    project = project_ball if mode == "ball" else normalize_sphere
+    trace, points = [], []
+
+    def evaluate(delta):
+        trace.append(nll_loss(x_q + delta, goal, theta))
+        points.append(delta)
+        return trace[-1], grad_input(x_q + delta, goal, theta)
+
+    starts = [np.zeros_like(x_q)] + [project(c, eps) for c in extra_candidates]
     if cfg.init == "random":
-        delta = project(np.random.default_rng(cfg.seed).standard_normal(x_q.shape) * eps, eps)
-        trace.append(nll_loss(x_q + delta, goal, theta))
-        if trace[-1] < best_loss:
-            best_loss, best_delta = trace[-1], delta.copy()
-    for step in range(cfg.steps):
-        g = grad_input(x_q + delta, goal, theta)
-        if np.linalg.norm(g) <= 1e-12:
-            break
-        eta = eta0 * (cfg.steps - step) / cfg.steps
-        delta = project(delta - eta * (g / np.linalg.norm(g)), eps)
-        trace.append(nll_loss(x_q + delta, goal, theta))
-        if trace[-1] < best_loss:
-            best_loss, best_delta = trace[-1], delta.copy()
-    return np.asarray(trace), best_delta, predict(x_q + best_delta, theta) == goal
+        noise = np.random.default_rng(cfg.seed).standard_normal(x_q.shape)
+        starts.append(project(noise * eps, eps))
+    to_goal = theta.mu[goal] - x_q
+    starts.append(project(to_goal, eps))
+    start = None
+    for delta in starts:
+        loss, grad = evaluate(delta)
+        if (mode == "ball" or delta.any()) and (start is None or loss < start[1]):
+            start = delta, loss, grad
+    if start is not None and not (mode == "ball" and np.linalg.norm(to_goal) <= eps):
+        delta, loss, grad = start
+        recent = [loss]
+        lam = min(1e30, eps / max(np.linalg.norm(grad), 1e-12))
+        for _ in range(cfg.steps):
+            direction = project(delta - lam * grad, eps) - delta
+            length, alpha = np.linalg.norm(direction), 1.0
+            accepted = False
+            while alpha * length > 1e-13 * max(1.0, eps):
+                trial = project(delta + alpha * direction, eps)
+                loss, trial_grad = evaluate(trial)
+                if loss <= max(recent[-10:]) + 1e-4 * grad.dot(trial - delta):
+                    accepted = True
+                    break
+                alpha /= 2
+            if not accepted:
+                break
+            s, y = trial - delta, trial_grad - grad
+            lam = min(1e30, max(1e-30, s.dot(s) / s.dot(y))) if s.dot(y) > 0 else 1e30
+            delta, grad = trial, trial_grad
+            recent.append(loss)
+    best = int(np.argmin(trace))
+    return np.asarray(trace), points[best], predict(x_q + points[best], theta) == goal
 
 
 @pytest.mark.parametrize("data", ["iris", "embeddings"])
@@ -236,9 +247,9 @@ def test_individual_matches_per_step_reference_bitwise(iris_batch, embeddings_pa
     for query in queries:
         warm = None
         # Each larger budget is warm-started from the previous answer and from
-        # an infeasible candidate, which must be projected; after 3 short
-        # steps the warm start is still the best iterate.
-        for eps, steps in ((0.3, 500), (1.0, 500), (1.5, 3)):
+        # an infeasible candidate, which must be projected; the last budget
+        # runs one iteration.
+        for eps, steps in ((0.3, 500), (1.0, 500), (1.5, 1)):
             budget = EpsilonBudget(eps)
             cfg = SolverConfig(steps=steps, projection_mode=mode, init=init, seed=7)
             cands = () if warm is None else (warm, np.full(batch.dim, 3.0))
@@ -248,6 +259,146 @@ def test_individual_matches_per_step_reference_bitwise(iris_batch, embeddings_pa
             assert res.perturbation.tobytes() == delta.tobytes()
             assert res.flipped == flipped
             warm = res.perturbation
+
+
+@pytest.mark.parametrize("mode", ["ball", "sphere"])
+@pytest.mark.parametrize("init", ["zero", "random"])
+def test_individual_huge_budget_stays_finite(iris_batch, mode, init):
+    # Squared norms overflow past about 1e154, so points that far out
+    # evaluate to inf or NaN; they must be passed over, without a warning.
+    theta = fit(iris_batch)
+    query = make_query(theta, 1, 2, 0.25)
+    cfg = SolverConfig(projection_mode=mode, init=init, seed=3)
+    baseline = nll_loss(query.features, 1, theta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        moderate = individual_recourse(query, theta, EpsilonBudget(1e6), cfg)
+        huge = individual_recourse(query, theta, EpsilonBudget(1e308), cfg)
+    assert math.isfinite(huge.achieved_loss)
+    assert huge.achieved_loss <= baseline
+    assert np.all(np.isfinite(huge.perturbation))
+    if mode == "ball":
+        # Both budgets reach the goal centroid, where the loss is lowest.
+        assert huge.achieved_loss <= moderate.achieved_loss
+        assert huge.flipped
+        assert np.array_equal(huge.perturbation, theta.mu[1] - query.features)
+
+
+@pytest.mark.parametrize("mode", ["ball", "sphere"])
+def test_individual_query_on_goal_centroid_stays(three_blob_pair, mode):
+    # The loss is lowest at the goal centroid, so no budget improves on it.
+    batch, _ = three_blob_pair
+    theta = fit(batch)
+    query = QuerySpec(theta.mu[0], 0)
+    res = individual_recourse(query, theta, EpsilonBudget(0.4), SolverConfig(projection_mode=mode))
+    assert res.perturbation.tobytes() == np.zeros(2).tobytes()
+    assert res.achieved_loss == nll_loss(query.features, 0, theta)
+
+
+@pytest.mark.parametrize("mode", ["ball", "sphere"])
+def test_individual_query_on_competitor_centroid(three_blob_pair, mode):
+    # The competitor's distance has a kink at the query; the grid oracle
+    # bounds the answer all the same.
+    batch, _ = three_blob_pair
+    theta = fit(batch)
+    query = QuerySpec(theta.mu[1], 0)
+    spec = GridSpec(0.01)
+    res = individual_recourse(query, theta, EpsilonBudget(0.4), SolverConfig(projection_mode=mode))
+    norm = np.linalg.norm(res.perturbation)
+    assert norm <= 0.4 + 1e-12 and (mode == "ball" or abs(norm - 0.4) <= 1e-12)
+    assert res.achieved_loss < nll_loss(query.features, 0, theta)
+    oracle = _span_oracle(query, theta, 0.4, mode, spec)
+    assert abs(res.achieved_loss - oracle) <= lipschitz_slack(3, spec.resolution)
+
+
+@pytest.mark.parametrize("eps", [3.0, 4.0])
+def test_individual_sphere_search_runs_on_the_sphere(eps):
+    # The step toward the goal centroid overshoots it and loses to the
+    # baseline, yet another sphere point beats the baseline. The search must
+    # start from the sphere, since from delta = 0 every step lands on one point.
+    theta = Centroids(np.array([[-0.5, 0.0], [-2.0, 1.0], [1.7, -1.0]]))
+    query = QuerySpec(np.array([0.8, 0.0]), 0)
+    spec = GridSpec(0.01)
+    res = individual_recourse(query, theta, EpsilonBudget(eps), SolverConfig(projection_mode="sphere"))
+    assert res.loss_trace[1] > res.loss_trace[0]  # the goal step
+    assert abs(np.linalg.norm(res.perturbation) - eps) <= 1e-12
+    oracle = _span_oracle(query, theta, eps, "sphere", spec)
+    assert oracle < res.loss_trace[0] - 0.1
+    assert abs(res.achieved_loss - oracle) <= lipschitz_slack(3, spec.resolution)
+
+
+@pytest.mark.parametrize("mode", ["ball", "sphere"])
+@pytest.mark.parametrize("init", ["zero", "random"])
+def test_individual_zero_budget_is_exactly_zero(three_blob_pair, mode, init):
+    batch, query = three_blob_pair
+    theta = fit(batch)
+    cfg = SolverConfig(projection_mode=mode, init=init, seed=5)
+    res = individual_recourse(
+        query, theta, EpsilonBudget(0.0), cfg, extra_candidates=(np.array([-3.0, 1.0]),)
+    )
+    assert res.perturbation.tobytes() == np.zeros(2).tobytes()
+    assert res.achieved_loss == nll_loss(query.features, 0, theta)
+    assert not res.flipped
+
+
+@pytest.mark.parametrize("mode", ["ball", "sphere"])
+def test_individual_steps_cap_the_iterations(iris_batch, mode):
+    # One iteration evaluates a prefix of what the full run evaluates.
+    theta = fit(iris_batch)
+    query = make_query(theta, 1, 2, 0.25)
+    full = individual_recourse(query, theta, EpsilonBudget(1.0), SolverConfig(projection_mode=mode))
+    one = individual_recourse(
+        query, theta, EpsilonBudget(1.0), SolverConfig(steps=1, projection_mode=mode)
+    )
+    assert 2 < len(one.loss_trace) < len(full.loss_trace)
+    assert one.loss_trace.tobytes() == full.loss_trace[: len(one.loss_trace)].tobytes()
+    assert one.achieved_loss >= full.achieved_loss
+
+
+def _span_oracle(query, theta, eps, mode, spec):
+    """Grid optimum of a two-class individual problem in any dimension.
+
+    At a KKT point delta lies in the span of the mu_y - x_q, so the problem
+    on a plane through that span has the same optimum, and the 2-D grid
+    oracle solves it there. The first two columns of a complete QR factor
+    span a plane through the offsets, even when they are parallel or zero.
+    """
+    offsets = theta.mu - query.features
+    basis = np.linalg.qr(offsets.T, mode="complete")[0][:, :2]
+    plane = Centroids(offsets @ basis)
+    assert np.allclose(plane.mu @ basis.T, offsets, atol=1e-12 * np.abs(offsets).max())
+    if mode == "ball":
+        return grid_individual(QuerySpec(np.zeros(2), query.goal_class), plane, eps, spec)[1]
+    grid = ball_grid(eps, spec.resolution)
+    sphere = np.vstack([np.zeros((1, 2)), grid[np.linalg.norm(grid, axis=1) >= eps - 1e-12]])
+    return float(nll_from_distances(distances(sphere, plane), query.goal_class).min())
+
+
+@pytest.mark.parametrize("mode", ["ball", "sphere"])
+@pytest.mark.parametrize("data", ["iris", "embeddings", "synth"])
+def test_individual_matches_span_oracle_in_any_dimension(iris_batch, embeddings_path, data, mode):
+    if data == "synth":
+        centers = 0.5 * np.random.default_rng(4).standard_normal((2, 64))
+        pair = synth_blobs(SyntheticSpec(centers, 20, 1.0, seed=4))
+    else:
+        # The most confused class pair of each file.
+        if data == "iris":
+            batch, (a, b) = iris_batch, (1, 2)
+        else:
+            batch, (a, b) = load_embeddings(embeddings_path), (2, 4)
+        keep = (batch.labels == a) | (batch.labels == b)
+        pair = LabeledBatch(batch.features[keep], (batch.labels[keep] == b).astype(int), 2)
+    theta = fit(pair)
+    wrong = np.flatnonzero(distances(pair.features, theta).argmin(axis=1) != pair.labels)[:2]
+    queries = [make_query(theta, 0, 1, 0.25), QuerySpec(pair.features[0], 1)]
+    queries += [QuerySpec(pair.features[r], pair.labels[r]) for r in wrong]
+    spec = GridSpec(0.01)
+    slack = lipschitz_slack(2, spec.resolution)
+    cfg = SolverConfig(projection_mode=mode)
+    for query in queries:
+        for eps in (0.3, 1.0, 3.0):
+            res = individual_recourse(query, theta, EpsilonBudget(eps), cfg)
+            assert abs(res.achieved_loss - _span_oracle(query, theta, eps, mode, spec)) <= slack
 
 
 def test_collective_zero_budget(collinear_pair):
