@@ -8,13 +8,16 @@ whose label column already holds integer class indices.
 
 This module is the package's only CSV reader and writer: centroid files,
 sweep reports and perturbation files also go through :func:`read_rows`,
-:func:`read_reals` and :func:`write_rows`.
+:func:`read_reals` and :func:`write_rows`. :func:`load_embeddings` first tries
+numpy's C reader, and falls back to those two to report a bad file.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -104,23 +107,42 @@ class SyntheticSpec:
         object.__setattr__(self, "centers", _frozen(centers))
 
 
+def _blank(row: list[str]) -> bool:
+    return not any(cell.strip() for cell in row)
+
+
 def read_rows(path) -> tuple[list[list[str]], list[int]]:
     """Every non-blank row of a comma-separated file, header row included,
     and the file line number of each (blank lines are counted, not returned).
 
     A leading UTF-8 byte order mark is dropped, so it cannot become part of
-    the first cell.
+    the first cell. A file that is not UTF-8 is rejected with the line of its
+    first bad byte.
     """
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"missing file: {path}")
     rows, lines = [], []
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        for row in reader:
-            if any(cell.strip() for cell in row):
-                rows.append(row)
-                lines.append(reader.line_num)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle)
+            for row in reader:
+                if not _blank(row):
+                    rows.append(row)
+                    lines.append(reader.line_num)
+    except UnicodeDecodeError:
+        # The decoder counts its position from the start of its current
+        # chunk, so find the first bad byte in the whole file and name its line.
+        data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as err:
+            head = data[: err.start]
+            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+            raise DatasetError(
+                f"{path}: byte 0x{data[err.start]:02x} at line {line} is not UTF-8"
+            ) from None
+        raise
     if not rows:
         raise DatasetError(f"{path}: no rows")
     return rows, lines
@@ -165,6 +187,44 @@ def read_reals(path, rows, lines, header=None, columns=None) -> np.ndarray:
             raise DatasetError(f"{path}: line {line} has {len(row)} cells, expected {len(names)}")
         values.append([_parse_cell(row[j], line, names[j], path) for j in picked])
     return np.array(values).reshape(len(rows), len(picked))
+
+
+# ASCII separators that numpy's reader strips from a cell as whitespace,
+# while float() rejects a cell that holds one.
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
+def _lines_without_separators(lines):
+    for line in lines:
+        if any(char in line for char in _SEPARATORS):
+            raise ValueError("separator character in a cell")
+        yield line
+
+
+def _read_numeric(path) -> np.ndarray | None:
+    """The rows below the header as numpy's C reader parses them, or None.
+
+    The header is the first non-blank row, as for :func:`read_rows`. None
+    means the reader raised or warned (a file without data rows warns), a
+    row's cell count differs from the header's, or a value is non-finite:
+    only :func:`read_rows` and :func:`read_reals` then say what is wrong,
+    and where. Where it returns values, they are bit for bit those of
+    :func:`read_reals`.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            header = next((row for row in csv.reader(handle) if not _blank(row)), [])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                # comments=None: the default would drop a row such as "#3,4,1".
+                values = np.loadtxt(
+                    _lines_without_separators(handle), delimiter=",", comments=None, ndmin=2
+                )
+    except (OSError, ValueError, Warning):
+        return None
+    if values.shape[1] != len(header) or not np.all(np.isfinite(values)):
+        return None
+    return values
 
 
 def _format_cell(value) -> str:
@@ -237,21 +297,27 @@ def load_embeddings(path) -> LabeledBatch:
 
     The label column holds literal class indices; every index 0..max must be
     occupied (a skipped index means an empty class and is rejected).
+
+    numpy's C reader parses the file. A file it rejects, or one with a label
+    that is not a nonnegative integer, is read again cell by cell, which
+    names the first bad line and column.
     """
-    (header, *data_rows), (_, *data_lines) = read_rows(path)
-    if len(header) < 2:
-        raise DatasetError(f"{path}: need at least one embedding column plus a label column")
-    if not data_rows:
-        raise DatasetError(f"{path}: no rows")
-    values = read_reals(path, data_rows, data_lines, header)
+    values = _read_numeric(path)
+    if values is None or values.shape[1] < 2 or np.any(_bad_labels(values[:, -1])):
+        (header, *data_rows), (_, *data_lines) = read_rows(path)
+        if len(header) < 2:
+            raise DatasetError(f"{path}: need at least one embedding column plus a label column")
+        if not data_rows:
+            raise DatasetError(f"{path}: no rows")
+        values = read_reals(path, data_rows, data_lines, header)
+        bad = _bad_labels(values[:, -1])
+        if np.any(bad):
+            row = int(np.argmax(bad))
+            raise DatasetError(
+                f"{path}: label must be a nonnegative integer at line {data_lines[row]}, "
+                f"got {data_rows[row][-1]!r}"
+            )
     labels = values[:, -1]
-    bad = (labels < 0) | (labels != np.floor(labels))
-    if np.any(bad):
-        row = int(np.argmax(bad))
-        raise DatasetError(
-            f"{path}: label must be a nonnegative integer at line {data_lines[row]}, "
-            f"got {data_rows[row][-1]!r}"
-        )
     # N rows occupy at most N classes, so a label >= N leaves one of 0..N-1
     # empty: counting labels clipped to N finds it without sizing the count
     # by the label's value.
@@ -259,6 +325,10 @@ def load_embeddings(path) -> LabeledBatch:
     if np.any(counts == 0):
         raise DatasetError(f"{path}: empty class: no rows with label {int(np.argmin(counts))}")
     return LabeledBatch(values[:, :-1], labels, len(counts))
+
+
+def _bad_labels(labels: np.ndarray) -> np.ndarray:
+    return (labels < 0) | (labels != np.floor(labels))
 
 
 def save_csv(batch: LabeledBatch, path) -> None:

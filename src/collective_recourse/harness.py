@@ -20,7 +20,7 @@ from .recourse import (
     EpsilonBudget,
     QuerySpec,
     SolverConfig,
-    collective_recourse,
+    _collective_centroids,
     individual_recourse,
 )
 
@@ -118,6 +118,11 @@ def sweep_epsilon(
     share ``cfg``; each individual run evaluates the previous budget's
     solution as a warm-start candidate and the collective solver is exact,
     so the reported losses cannot increase with the budget (ball mode).
+
+    The batch is fitted once. Each budget's collective answer moves the k x d
+    centroids directly, with every row participating; its loss and flip are
+    bit for bit those of :func:`~collective_recourse.recourse.collective_recourse`
+    at that budget, which also builds the N x d perturbation.
     """
     epsilons = [float(e) for e in epsilons]
     if not epsilons:
@@ -128,13 +133,17 @@ def sweep_epsilon(
         raise ValueError(f"epsilons must be strictly ascending, got {epsilons}")
 
     theta = fit(batch)
+    sizes = np.bincount(batch.labels, minlength=batch.num_classes)
+    x_q, goal = query.features, query.goal_class
     rows = []
     warm = ()
     for eps in epsilons:
         try:
             budget = EpsilonBudget(eps)
             ind = individual_recourse(query, theta, budget, cfg, extra_candidates=warm)
-            col = collective_recourse(batch, query, budget, cfg)
+            post, _ = _collective_centroids(
+                theta, sizes, sizes, x_q, goal, eps, cfg.projection_mode
+            )
         except ValueError as err:
             raise ValueError(f"sweep failed at epsilon={eps}: {err}") from err
         warm = (ind.perturbation,)
@@ -143,9 +152,9 @@ def sweep_epsilon(
                 epsilon=eps,
                 baseline_loss=float(ind.loss_trace[0]),
                 individual_loss=ind.achieved_loss,
-                collective_loss=col.achieved_loss,
+                collective_loss=nll_loss(x_q, goal, post),
                 individual_flipped=ind.flipped,
-                collective_flipped=col.flipped,
+                collective_flipped=predict(x_q, post) == goal,
             )
         )
     return SweepReport(tuple(rows))

@@ -35,7 +35,8 @@ from .model import (
     fit,
     nll_loss,
     predict,
-    refit_with_perturbation,
+    # Not called here; bench/test_bench.py looks the refit reference up on this module.
+    refit_with_perturbation,  # noqa: F401
 )
 
 _ZERO_NORM = 1e-12
@@ -294,6 +295,49 @@ def individual_recourse(
     )
 
 
+def _collective_centroids(theta, sizes, movers, x_q, goal, eps, mode):
+    """Refit centroids under the exact collective answer, and each class's row move.
+
+    ``sizes`` and ``movers`` count each class's rows and its participating
+    rows. Every participating row of class y moves by row y of the returned
+    k x d moves (zero where the class does not move), so centroid y moves by
+    the mean of its class's moved rows. numpy adds those rows one after
+    another, as it adds the rows of the N x d perturbation in
+    :func:`refit_with_perturbation`, where a mask's zero rows add exactly
+    nothing: the centroids are the refit's bit for bit. The exception is
+    d = 1 with a partial mask: there numpy sums the refit's single column
+    pairwise, zeros included, and the last bit may differ.
+    """
+    away = theta.mu - x_q
+    dists = np.linalg.norm(away, axis=1)
+    units = np.zeros_like(away)
+    units[:, 0] = 1.0
+    off = dists > GRAD_NORM_FLOOR
+    units[off] = away[off] / dists[off, None]
+
+    # A budget near the float range overflows eps * m_g and the class sums
+    # to inf: the sphere test below then keeps the goal rows still, and an
+    # infinite centroid is rejected by Centroids.
+    with np.errstate(over="ignore"):
+        # Signed distance each participating row of a class moves along its unit.
+        steps = np.full(theta.num_classes, eps)
+        d_g, n_g, m_g = dists[goal], sizes[goal], movers[goal]
+        if m_g == 0:
+            steps[goal] = 0.0
+        elif mode == "ball":
+            steps[goal] = -min(eps, d_g * n_g / m_g)
+        else:
+            steps[goal] = -eps if abs(d_g - eps * m_g / n_g) < d_g else 0.0
+
+        moves = np.zeros_like(units)
+        moving = steps != 0.0
+        moves[moving] = steps[moving, None] * units[moving]
+        mu = theta.mu.copy()
+        for y in range(theta.num_classes):
+            mu[y] += np.broadcast_to(moves[y], (movers[y], theta.dim)).sum(axis=0) / sizes[y]
+    return Centroids(mu), moves
+
+
 def collective_recourse(
     batch: LabeledBatch,
     query: QuerySpec,
@@ -325,6 +369,11 @@ def collective_recourse(
     ``mask`` selects participating rows (default: all). Masked-out rows stay
     exactly zero; a fully masked-out class simply leaves that centroid fixed.
     Of ``cfg`` only ``projection_mode`` is read.
+
+    The refit centroids are computed from the k x d centroids and the class
+    sizes alone, bit for bit those of :func:`refit_with_perturbation` of the
+    returned perturbation (for d = 1 with a partial mask, to the last bit);
+    the N x d perturbation is built only to be returned.
     """
     theta = fit(batch)
     _check_query(query, theta)
@@ -335,33 +384,15 @@ def collective_recourse(
         if mask.shape != (batch.num_rows,):
             raise ValueError(f"mask shape {mask.shape} does not match {batch.num_rows} rows")
     x_q, goal = query.features, query.goal_class
-    eps = budget.epsilon
-
-    away = theta.mu - x_q
-    dists = np.linalg.norm(away, axis=1)
-    units = np.zeros_like(away)
-    units[:, 0] = 1.0
-    off = dists > GRAD_NORM_FLOOR
-    units[off] = away[off] / dists[off, None]
-
-    # Signed distance each participating row of a class moves along its unit.
-    steps = np.full(batch.num_classes, eps)
     sizes = np.bincount(batch.labels, minlength=batch.num_classes)
     movers = np.bincount(batch.labels[mask], minlength=batch.num_classes)
-    d_g, n_g, m_g = dists[goal], sizes[goal], movers[goal]
-    if m_g == 0:
-        steps[goal] = 0.0
-    elif cfg.projection_mode == "ball":
-        steps[goal] = -min(eps, d_g * n_g / m_g)
-    else:
-        steps[goal] = -eps if abs(d_g - eps * m_g / n_g) < d_g else 0.0
-
+    post, moves = _collective_centroids(
+        theta, sizes, movers, x_q, goal, budget.epsilon, cfg.projection_mode
+    )
     delta = np.zeros_like(batch.features)
-    moving = mask & (steps[batch.labels] != 0.0)
-    delta[moving] = (steps[:, None] * units)[batch.labels[moving]]
+    delta[mask] = moves[batch.labels[mask]]
 
     baseline = nll_loss(x_q, goal, theta)
-    post = refit_with_perturbation(batch, delta)
     achieved = nll_loss(x_q, goal, post)
     return RecourseResult(
         perturbation=PerturbationMatrix(delta, mask),

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from collective_recourse.dataset import LabeledBatch, load_csv
+from collective_recourse.dataset import LabeledBatch, SyntheticSpec, load_csv, synth_blobs
 from collective_recourse.recourse import QuerySpec
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -22,6 +22,13 @@ def embeddings_path():
 @pytest.fixture(scope="session")
 def iris_batch(iris_path):
     return load_csv(iris_path, "species")
+
+
+@pytest.fixture(scope="session")
+def synth_20k_batch():
+    """A seeded 20000 x 64, 10-class synth_blobs batch: the scale of the large sweeps."""
+    centers = 0.5 * np.random.default_rng(2024).standard_normal((10, 64))
+    return synth_blobs(SyntheticSpec(centers, 2000, 1.0, seed=2024))
 
 
 @pytest.fixture

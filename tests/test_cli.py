@@ -334,3 +334,10 @@ def test_cli_huge_label_is_data_error(tmp_path, capsys):
     path.write_text("e0,label\n1.0,0\n2.0,1e300\n")
     assert cli_main(["fit", "--data", str(path)]) == 2
     assert "empty class: no rows with label 1" in capsys.readouterr().err
+
+
+def test_cli_non_utf8_file_is_data_error_naming_its_line(tmp_path, capsys):
+    path = tmp_path / "x.csv"
+    path.write_bytes(b"e0,label\n1.0,0\n2.0,1\ncaf\xe9,1\n")
+    assert cli_main(["fit", "--data", str(path)]) == 2
+    assert f"error: {path}: byte 0xe9 at line 4 is not UTF-8" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -6,12 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from collective_recourse import dataset
 from collective_recourse.dataset import (
     DatasetError,
     LabeledBatch,
     SyntheticSpec,
     load_csv,
     load_embeddings,
+    read_reals,
+    read_rows,
     save_csv,
     synth_blobs,
 )
@@ -270,3 +274,122 @@ def test_save_load_round_trip_keeps_every_bit(tmp_path_factory, batch):
     back = load_embeddings(path)
     assert back.features.tobytes() == batch.features.tobytes()
     assert np.array_equal(back.labels, batch.labels)
+
+
+def _load_embeddings_by_cells(path):
+    """load_embeddings from read_rows and read_reals alone: the reference for its fast path."""
+    (header, *rows), (_, *lines) = read_rows(path)
+    if len(header) < 2:
+        raise DatasetError(f"{path}: need at least one embedding column plus a label column")
+    if not rows:
+        raise DatasetError(f"{path}: no rows")
+    values = read_reals(path, rows, lines, header)
+    labels = values[:, -1]
+    for row, label in enumerate(labels):
+        if label < 0 or label != np.floor(label):
+            raise DatasetError(
+                f"{path}: label must be a nonnegative integer at line {lines[row]}, "
+                f"got {rows[row][-1]!r}"
+            )
+    counts = np.bincount(np.minimum(labels, len(labels)).astype(int))
+    if np.any(counts == 0):
+        raise DatasetError(f"{path}: empty class: no rows with label {int(np.argmin(counts))}")
+    batch = LabeledBatch(values[:, :-1], labels, len(counts))
+    return batch.features, batch.labels
+
+
+# (file bytes, whether numpy's C reader parses it; load_embeddings still
+# reads a parsed file again when a label or the column count is wrong)
+_PARSE_CASES = {
+    "plain": (b"e0,e1,label\n1,2,0\n3.5,-4e-3,1\n", True),
+    "bom": (b"\xef\xbb\xbfe0,label\n1,0\n2,1\n", True),
+    "crlf": (b"e0,label\r\n1,0\r\n2,1\r\n", True),
+    "lone-cr": (b"e0,label\r1,0\r2,1\r", True),
+    "no-final-newline": (b"e0,label\n1,0\n2,1", True),
+    "blank-lines": (b"\n\ne0,label\n1,0\n\n2,1\n\n", True),
+    "spaces-around-values": (b"e0,label\n 1 ,0\n\t2,1 \n", True),
+    "no-break-space": ("e0,label\n\xa01,0\n2,1\n".encode(), True),
+    "whitespace-row": (b"e0,label\n1,0\n   \n2,1\n", False),
+    "commas-row": (b"e0,e1,label\n1,2,0\n,,\n3,4,1\n", False),
+    "quoted-cells": (b'e0,label\n"1",0\n2,"1"\n', False),
+    "quoted-multiline-cell": (b'e0,label\n"1\n",0\n2,1\n', False),
+    "underscore-digits": (b"e0,label\n1_000,0\n2,1\n", False),
+    "fullwidth-digit": ("e0,label\n\uff11,0\n2,1\n".encode(), False),
+    "hash-cell": (b"e0,label\n#3,0\n2,1\n", False),
+    "hash-after-value": (b"e0,label\n0 # c,0\n2,1\n", False),
+    "fortran-exponent": (b"e0,label\n1D2,0\n2,1\n", False),
+    "hex": (b"e0,label\n0x10,0\n2,1\n", False),
+    "two-numbers": (b"e0,label\n1 2,0\n2,1\n", False),
+    "empty-cell": (b"e0,e1,label\n1,,0\n2,3,1\n", False),
+    "separator-char": (b"e0,label\n1\x1c,0\n2,1\n", False),
+    "nul-char": (b"e0,label\n1\x00,0\n2,1\n", False),
+    "nan": (b"e0,label\n1,0\nnan,1\n", False),
+    "infinity": (b"e0,label\nInfinity,0\n2,1\n", False),
+    "overflow": (b"e0,label\n1,0\n1e400,1\n", False),
+    "long-row": (b"e0,label\n1,0\n2,1,5\n", False),
+    "short-row": (b"e0,e1,label\n1,2,0\n3,1\n", False),
+    "every-row-short": (b"e0,e1,label\n1,0\n3,1\n", False),
+    "every-row-long": (b"e0,label\n1,2,0\n3,4,1\n", False),
+    "trailing-comma": (b"e0,label\n1,0,\n2,1,\n", False),
+    "fractional-label": (b"e0,label\n1,0\n2,1.5\n", True),
+    "negative-label": (b"e0,label\n1,-1\n2,0\n", True),
+    "skipped-class": (b"e0,label\n1,0\n2,2\n", True),
+    "one-class": (b"e0,label\n1,0\n2,0\n", True),
+    "header-only": (b"e0,label\n", False),
+    "single-column": (b"label\n0\n1\n", True),
+    "empty-file": (b"", False),
+    "not-utf8": (b"e0,label\n1,0\n\xe9,1\n", False),
+}
+
+
+def _outcome(load, path):
+    try:
+        features, labels = load(path)
+    except DatasetError as err:
+        return str(err)
+    return np.asarray(features).tobytes(), np.asarray(labels, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("name", list(_PARSE_CASES))
+def test_load_embeddings_parse_paths_agree(tmp_path, name):
+    content, fast = _PARSE_CASES[name]
+    path = tmp_path / "x.csv"
+    path.write_bytes(content)
+
+    def load(p):
+        batch = load_embeddings(p)
+        return batch.features, batch.labels
+
+    # No warning may reach the caller, such as numpy's on a file without data rows.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert (dataset._read_numeric(path) is not None) == fast
+        assert _outcome(load, path) == _outcome(_load_embeddings_by_cells, path)
+    assert not caught
+
+
+def test_load_embeddings_fast_path_keeps_every_bit(embeddings_path, tmp_path):
+    synth = tmp_path / "synth.csv"
+    centers = np.random.default_rng(5).standard_normal((4, 16))
+    save_csv(synth_blobs(SyntheticSpec(centers, 300, 1.0, seed=5)), synth)
+    for path in (embeddings_path, synth):
+        assert dataset._read_numeric(path) is not None
+        batch = load_embeddings(path)
+        features, labels = _load_embeddings_by_cells(path)
+        assert batch.features.tobytes() == features.tobytes()
+        assert batch.labels.tobytes() == labels.tobytes()
+
+
+@pytest.mark.parametrize("rows_before", [0, 3000])
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+def test_non_utf8_byte_is_named_by_file_line(tmp_path, rows_before, ending):
+    # 3000 rows put the bad byte past the decoder's first 8 KB chunk.
+    lines = ["e0,label"] + ["1.25,0"] * rows_before + ["2,1", "caf\u00e9,1"]
+    path = tmp_path / "x.csv"
+    data = ending.join(lines).encode("utf-8") + ending.encode()
+    path.write_bytes(b"\xef\xbb\xbf" + data.replace("\u00e9".encode(), b"\xe9"))
+    where = f"{path}: byte 0xe9 at line {rows_before + 3} is not UTF-8"
+    with pytest.raises(DatasetError, match=re.escape(where)):
+        load_embeddings(path)
+    with pytest.raises(DatasetError, match=re.escape(where)):
+        load_csv(path, "label")

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from collective_recourse.recourse import (
     EpsilonBudget,
     QuerySpec,
     SolverConfig,
+    collective_recourse,
     individual_recourse,
 )
 
@@ -173,6 +175,37 @@ def test_sweep_keeps_warm_start_on_a_tie(collinear_pair):
     cold = individual_recourse(query, theta, EpsilonBudget(0.21), cfg)
     assert cold.achieved_loss == reference[1].achieved_loss
     assert cold.perturbation.tobytes() != reference[1].perturbation.tobytes()
+
+
+@pytest.mark.parametrize("data", ["iris", "embeddings", "synth"])
+@pytest.mark.parametrize("mode", ["ball", "sphere"])
+def test_sweep_collective_column_matches_collective_recourse_bitwise(
+    iris_batch, embeddings_path, synth_20k_batch, data, mode
+):
+    if data == "embeddings":
+        batch = load_embeddings(embeddings_path)
+    else:
+        batch = iris_batch if data == "iris" else synth_20k_batch
+    query = make_query(fit(batch), 1, 2, 0.25)
+    cfg = SolverConfig(steps=50, projection_mode=mode)
+    for row in sweep_epsilon(batch, query, [0.1 * i for i in range(11)], cfg).rows:
+        col = collective_recourse(batch, query, EpsilonBudget(row.epsilon), cfg)
+        assert np.float64(row.collective_loss).tobytes() == np.float64(col.achieved_loss).tobytes()
+        assert row.collective_flipped == col.flipped
+
+
+@pytest.mark.parametrize("mode", ["ball", "sphere"])
+def test_overflowing_collective_budget_is_a_solver_error_without_warnings(iris_batch, mode):
+    query = make_query(fit(iris_batch), 1, 2, 0.25)
+    cfg = SolverConfig(projection_mode=mode)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^centroids contain non-finite values$"):
+            collective_recourse(iris_batch, query, EpsilonBudget(1e308), cfg)
+        with pytest.raises(
+            ValueError, match=r"^sweep failed at epsilon=1e\+308: centroids contain non-finite"
+        ):
+            sweep_epsilon(iris_batch, query, [0.5, 1e308], cfg)
 
 
 def test_report_csv_empty(tmp_path):

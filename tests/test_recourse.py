@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -16,6 +17,7 @@ from collective_recourse.model import (
     nll_from_distances,
     nll_loss,
     predict,
+    refit_with_perturbation,
 )
 from collective_recourse.oracle import (
     GridSpec,
@@ -404,7 +406,8 @@ def test_individual_matches_span_oracle_in_any_dimension(iris_batch, embeddings_
 def test_collective_zero_budget(collinear_pair):
     batch, query = collinear_pair
     res = collective_recourse(batch, query, EpsilonBudget(0.0))
-    assert np.array_equal(res.perturbation.delta, np.zeros((2, 2)))
+    # Bytes, not values: a row that does not move is +0.0, never -0.0.
+    assert res.perturbation.delta.tobytes() == np.zeros((2, 2)).tobytes()
     assert np.array_equal(res.post_centroids.mu, fit(batch).mu)
     assert res.achieved_loss == nll_loss(query.features, 0, fit(batch))
 
@@ -446,6 +449,52 @@ def test_collective_mask_freezes_class(three_blob_pair):
     assert np.array_equal(res.post_centroids.mu[2], fit(batch).mu[2])
     # participating classes still move
     assert np.linalg.norm(res.perturbation.delta[mask]) > 0
+
+
+@pytest.mark.parametrize("data", ["iris", "embeddings", "synth"])
+@pytest.mark.parametrize("mode", ["ball", "sphere"])
+def test_collective_post_centroids_equal_refit_bitwise(
+    iris_batch, embeddings_path, synth_20k_batch, data, mode
+):
+    if data == "embeddings":
+        batch = load_embeddings(embeddings_path)
+    else:
+        batch = iris_batch if data == "iris" else synth_20k_batch
+    theta = fit(batch)
+    queries = {
+        "between": make_query(theta, 1, 2, 0.25),
+        "on-goal-centroid": QuerySpec(theta.mu[1], 1),
+        "on-competitor-centroid": QuerySpec(theta.mu[2], 1),
+    }
+    masks = {
+        "all": None,
+        "random": np.random.default_rng(4).random(batch.num_rows) < 0.5,
+        "goal-out": batch.labels != 1,
+    }
+    cfg = SolverConfig(projection_mode=mode)
+    for (where, query), (participation, mask) in itertools.product(queries.items(), masks.items()):
+        for eps in (0.0, 0.1, 0.5, 1.0, 3.0):
+            res = collective_recourse(batch, query, EpsilonBudget(eps), cfg, mask=mask)
+            refit = refit_with_perturbation(batch, res.perturbation.delta)
+            case = (where, participation, eps)
+            assert res.post_centroids.mu.tobytes() == refit.mu.tobytes(), case
+
+
+def test_collective_one_dimensional_partial_mask_agrees_with_refit_to_rounding():
+    # With d = 1 numpy sums the refit's single column pairwise, zeros of the
+    # masked-out rows included, while the centroid-space update adds the
+    # moved rows one after another: the two may round differently. With
+    # every row moving, both sum the same copies the same way.
+    batch = synth_blobs(SyntheticSpec(np.array([[-1.0], [0.5], [2.0]]), 300, 0.7, seed=3))
+    query = make_query(fit(batch), 0, 1, 0.25)
+    mask = np.random.default_rng(1).random(batch.num_rows) < 0.5
+    for eps in (0.1, 0.7, 3.0):
+        full = collective_recourse(batch, query, EpsilonBudget(eps))
+        refit = refit_with_perturbation(batch, full.perturbation.delta)
+        assert full.post_centroids.mu.tobytes() == refit.mu.tobytes()
+        part = collective_recourse(batch, query, EpsilonBudget(eps), mask=mask)
+        refit = refit_with_perturbation(batch, part.perturbation.delta)
+        assert np.allclose(part.post_centroids.mu, refit.mu, rtol=0, atol=1e-13 * eps)
 
 
 def test_collective_sphere_mode(three_blob_pair):
