@@ -18,17 +18,14 @@ import numpy as np
 
 from collective_recourse import (
     EpsilonBudget,
-    GridSpec,
     LabeledBatch,
     QuerySpec,
     collective_recourse,
     fit,
-    grid_collective,
-    grid_individual,
     individual_recourse,
-    lipschitz_slack,
     nll_loss,
 )
+from collective_recourse.oracle import GridSpec, grid_collective, grid_individual, lipschitz_slack
 
 # 1. The symmetric instance: one training point per class at (+1, 0) and
 #    (-1, 0), a query at (-0.5, 0) hoping for class 0. With eps = 0.3 the

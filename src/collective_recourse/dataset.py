@@ -38,9 +38,10 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 class LabeledBatch:
     """Feature matrix (N x d), integer labels (N,), and class count k.
 
-    Invariants enforced at construction: finite features, labels in
-    [0, k-1] with every class occupied, N >= k >= 2. Arrays are stored
-    read-only, so instances are safely shareable.
+    Invariants enforced at construction: finite features, integral labels
+    (integer or integral float) in [0, k-1] with every class occupied,
+    N >= k >= 2. Arrays are stored read-only, so instances are safely
+    shareable.
     """
 
     features: np.ndarray
@@ -49,7 +50,9 @@ class LabeledBatch:
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=float)
-        labels = np.asarray(self.labels, dtype=int)
+        labels = np.asarray(self.labels)
+        if labels.dtype.kind not in "biu":
+            labels = labels.astype(float)
         if feats.ndim != 2:
             raise DatasetError(f"features must be 2-D, got shape {feats.shape}")
         if labels.ndim != 1:
@@ -66,9 +69,14 @@ class LabeledBatch:
         if not np.all(np.isfinite(feats)):
             row, col = np.argwhere(~np.isfinite(feats))[0]
             raise DatasetError(f"non-finite feature value at row {row}, column {col}")
+        fractional = labels != np.floor(labels)
+        if np.any(fractional):
+            bad = int(np.argmax(fractional))
+            raise DatasetError(f"label {labels[bad]} at row {bad} is not an integer")
         if labels.size and (labels.min() < 0 or labels.max() >= k):
             bad = int(np.argmax((labels < 0) | (labels >= k)))
             raise DatasetError(f"label {labels[bad]} at row {bad} outside [0, {k - 1}]")
+        labels = labels.astype(int)
         counts = np.bincount(labels, minlength=k)
         if np.any(counts == 0):
             raise DatasetError(f"empty class: no rows with label {int(np.argmin(counts))}")

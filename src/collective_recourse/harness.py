@@ -15,7 +15,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .dataset import DatasetError, LabeledBatch, read_reals, read_rows, write_rows
-from .model import Centroids, fit, nll_loss, predict
+from .model import Centroids, _check_target, fit, nll_loss, predict
 from .recourse import (
     EpsilonBudget,
     QuerySpec,
@@ -97,13 +97,11 @@ def make_query(theta: Centroids, class_a: int, class_b: int, alpha: float) -> Qu
     deep inside class_b's region while asking for class_a, so reaching the
     goal requires flipping the prediction.
     """
-    k = theta.num_classes
-    for name, c in (("class_a", class_a), ("class_b", class_b)):
-        if not 0 <= int(c) < k:
-            raise ValueError(f"{name}={c} outside [0, {k - 1}]")
+    class_a = _check_target(class_a, theta.num_classes, "class_a")
+    class_b = _check_target(class_b, theta.num_classes, "class_b")
     check_query_args(class_a, class_b, alpha)
     x_q = alpha * theta.mu[class_a] + (1.0 - alpha) * theta.mu[class_b]
-    return QuerySpec(features=x_q, goal_class=int(class_a))
+    return QuerySpec(features=x_q, goal_class=class_a)
 
 
 def sweep_epsilon(
@@ -124,11 +122,10 @@ def sweep_epsilon(
     bit for bit those of :func:`~collective_recourse.recourse.collective_recourse`
     at that budget, which also builds the N x d perturbation.
     """
-    epsilons = [float(e) for e in epsilons]
-    if not epsilons:
+    budgets = [EpsilonBudget(e) for e in epsilons]
+    if not budgets:
         raise ValueError("epsilon list must be non-empty")
-    if any(not np.isfinite(e) or e < 0 for e in epsilons):
-        raise ValueError(f"epsilons must be nonnegative reals, got {epsilons}")
+    epsilons = [budget.epsilon for budget in budgets]
     if any(e2 <= e1 for e1, e2 in zip(epsilons, epsilons[1:])):
         raise ValueError(f"epsilons must be strictly ascending, got {epsilons}")
 
@@ -137,9 +134,8 @@ def sweep_epsilon(
     x_q, goal = query.features, query.goal_class
     rows = []
     warm = ()
-    for eps in epsilons:
+    for eps, budget in zip(epsilons, budgets):
         try:
-            budget = EpsilonBudget(eps)
             ind = individual_recourse(query, theta, budget, cfg, extra_candidates=warm)
             post, _ = _collective_centroids(
                 theta, sizes, sizes, x_q, goal, eps, cfg.projection_mode

@@ -8,6 +8,8 @@ parameters under a training-set perturbation available in closed form.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,11 +55,19 @@ def _check_point(x, theta: Centroids) -> np.ndarray:
     return x
 
 
-def _check_target(target: int, theta: Centroids) -> int:
-    target = int(target)
-    if not 0 <= target < theta.num_classes:
-        raise ValueError(f"target class {target} outside [0, {theta.num_classes - 1}]")
-    return target
+def _check_target(target, num_classes=math.inf, name="target class") -> int:
+    """``target`` as an int; a ValueError unless it is an integer in [0, num_classes).
+
+    The package's one class-index check. An integral float such as 1.0 is
+    rejected too, so a class is never silently truncated.
+    """
+    try:
+        index = operator.index(target)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {target!r}") from None
+    if not 0 <= index < num_classes:
+        raise ValueError(f"{name} {index} outside [0, {num_classes - 1}]")
+    return index
 
 
 def fit(batch: LabeledBatch) -> Centroids:
@@ -108,7 +118,7 @@ def nll_from_distances(dists: np.ndarray, target: int) -> np.ndarray:
 def nll_loss(x, target: int, theta: Centroids) -> float:
     """Negative log-likelihood of ``target`` at ``x``; always finite."""
     x = _check_point(x, theta)
-    target = _check_target(target, theta)
+    target = _check_target(target, theta.num_classes)
     return float(nll_from_distances(distances(x[None, :], theta), target)[0])
 
 
@@ -147,7 +157,7 @@ def grad_centroids(x, target: int, theta: Centroids) -> np.ndarray:
     Row y is (p_y - 1[y=target]) * (x - mu_y) / max(||x - mu_y||, floor).
     """
     x = _check_point(x, theta)
-    target = _check_target(target, theta)
+    target = _check_target(target, theta.num_classes)
     coef, units, _ = _coefficients_and_units(x, target, theta.mu)
     return coef[:, None] * units
 

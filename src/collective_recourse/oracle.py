@@ -21,16 +21,13 @@ from .model import Centroids, distances, fit, nll_from_distances
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Grid spacing for the exhaustive searches; only 2-D scans are allowed."""
+    """Grid spacing for the exhaustive 2-D searches."""
 
     resolution: float
-    dims: int = 2
 
     def __post_init__(self):
         if not self.resolution > 0:
             raise ValueError(f"resolution must be positive, got {self.resolution}")
-        if self.dims != 2:
-            raise ValueError(f"exhaustive grid search requires dims=2, got {self.dims}")
 
 
 def finite_diff_grad(objective, x, h: float) -> np.ndarray:

@@ -22,6 +22,7 @@ perturbation on the budget sphere.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -31,6 +32,8 @@ from .dataset import LabeledBatch
 from .model import (
     GRAD_NORM_FLOOR,
     Centroids,
+    _check_point,
+    _check_target,
     _loss_and_grad,
     fit,
     nll_loss,
@@ -61,29 +64,24 @@ class QuerySpec:
             raise ValueError(f"query features must be a vector, got shape {x.shape}")
         if not np.all(np.isfinite(x)):
             raise ValueError("query features contain non-finite values")
-        if int(self.goal_class) < 0:
-            raise ValueError(f"goal class must be nonnegative, got {self.goal_class}")
+        goal = _check_target(self.goal_class, name="goal class")
         frozen = np.array(x, copy=True)
         frozen.setflags(write=False)
         object.__setattr__(self, "features", frozen)
-        object.__setattr__(self, "goal_class", int(self.goal_class))
+        object.__setattr__(self, "goal_class", goal)
 
 
 @dataclass(frozen=True)
 class EpsilonBudget:
-    """Per-vector L2 budget. Only norm order 2 is supported."""
+    """Per-vector L2 budget: a finite, nonnegative radius."""
 
     epsilon: float
-    norm_order: int = 2
 
     def __post_init__(self):
-        if not np.isfinite(self.epsilon) or self.epsilon < 0:
-            raise ValueError(f"epsilon must be a nonnegative real, got {self.epsilon}")
-        if self.norm_order != 2:
-            raise ValueError(
-                f"only the L2 norm is supported (norm_order=2), got {self.norm_order}"
-            )
-        object.__setattr__(self, "epsilon", float(self.epsilon))
+        epsilon = float(self.epsilon)
+        if not (math.isfinite(epsilon) and epsilon >= 0):
+            raise ValueError(f"epsilon must be a nonnegative real, got {epsilon}")
+        object.__setattr__(self, "epsilon", epsilon)
 
 
 @dataclass(frozen=True)
@@ -135,6 +133,12 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("steps", "seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.projection_mode not in ("ball", "sphere"):
@@ -187,15 +191,10 @@ def normalize_sphere(v: np.ndarray, epsilon: float) -> np.ndarray:
     return _project(np.array(v, dtype=float), epsilon, "sphere")
 
 
-def _check_query(query: QuerySpec, theta: Centroids) -> None:
-    if query.features.shape != (theta.dim,):
-        raise ValueError(
-            f"query dimension {query.features.shape[0]} does not match model dim {theta.dim}"
-        )
-    if query.goal_class >= theta.num_classes:
-        raise ValueError(
-            f"goal class {query.goal_class} outside [0, {theta.num_classes - 1}]"
-        )
+def _check_query(query: QuerySpec, theta: Centroids):
+    """The query's features and goal class, checked against the model."""
+    x_q = _check_point(query.features, theta)
+    return x_q, _check_target(query.goal_class, theta.num_classes, "goal class")
 
 
 def _spg(x_q, goal, mu, delta, loss, grad, eps, mode, steps):
@@ -256,8 +255,8 @@ def individual_recourse(
     these bounds hold with equality. So in ball mode a budget that reaches
     the goal centroid returns the step onto it without iterating.
     """
-    _check_query(query, theta)
-    x_q, goal, mu = query.features, query.goal_class, theta.mu
+    x_q, goal = _check_query(query, theta)
+    mu = theta.mu
     eps, mode = budget.epsilon, cfg.projection_mode
     to_goal = mu[goal] - x_q
     reaches_goal = mode == "ball" and math.sqrt(to_goal.dot(to_goal)) <= eps
@@ -376,14 +375,13 @@ def collective_recourse(
     the N x d perturbation is built only to be returned.
     """
     theta = fit(batch)
-    _check_query(query, theta)
+    x_q, goal = _check_query(query, theta)
     if mask is None:
         mask = np.ones(batch.num_rows, dtype=bool)
     else:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (batch.num_rows,):
             raise ValueError(f"mask shape {mask.shape} does not match {batch.num_rows} rows")
-    x_q, goal = query.features, query.goal_class
     sizes = np.bincount(batch.labels, minlength=batch.num_classes)
     movers = np.bincount(batch.labels[mask], minlength=batch.num_classes)
     post, moves = _collective_centroids(

@@ -19,28 +19,29 @@ import numpy as np
 from collective_recourse import (
     Centroids,
     EpsilonBudget,
-    GridSpec,
     LabeledBatch,
     QuerySpec,
     SyntheticSpec,
     cli_main,
     collective_recourse,
     fit,
-    finite_diff_grad,
-    grad_centroids,
-    grad_input,
-    grid_collective,
-    grid_individual,
     individual_recourse,
-    lipschitz_slack,
     load_embeddings,
     make_query,
     nll_loss,
-    read_report_csv,
     refit_with_perturbation,
     sweep_epsilon,
     synth_blobs,
     training_accuracy,
+)
+from collective_recourse.harness import read_report_csv
+from collective_recourse.model import grad_centroids, grad_input
+from collective_recourse.oracle import (
+    GridSpec,
+    finite_diff_grad,
+    grid_collective,
+    grid_individual,
+    lipschitz_slack,
 )
 
 

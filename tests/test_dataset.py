@@ -172,6 +172,17 @@ def test_batch_invariants():
         LabeledBatch(np.array([[0.0, 0.0], [np.nan, 0.0]]), np.array([0, 1]), 2)
 
 
+def test_batch_rejects_non_integral_labels():
+    with pytest.raises(DatasetError, match=r"^label 1\.7 at row 1 is not an integer$"):
+        LabeledBatch(np.zeros((3, 2)), [0, 1.7, 1.2], 2)
+    with pytest.raises(DatasetError, match="label nan at row 2 is not an integer"):
+        LabeledBatch(np.zeros((3, 2)), [0.0, 1.0, np.nan], 2)
+    # Integral floats, as load_embeddings passes them, load as integers.
+    batch = LabeledBatch(np.zeros((3, 2)), np.array([0.0, 1.0, 1.0]), 2)
+    assert batch.labels.tolist() == [0, 1, 1]
+    assert batch.labels.dtype.kind == "i"
+
+
 def test_batch_is_immutable(iris_batch):
     with pytest.raises(ValueError):
         iris_batch.features[0, 0] = 99.0

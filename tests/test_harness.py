@@ -56,6 +56,10 @@ def test_make_query_validation(collinear_pair):
         make_query(theta, 0, 5, 0.25)
     with pytest.raises(ValueError):
         make_query(theta, 0, 1, 1.5)
+    with pytest.raises(ValueError, match=r"^class_a must be an integer, got 1\.5$"):
+        make_query(theta, 1.5, 0, 0.25)
+    with pytest.raises(ValueError, match=r"^class_b 5 outside \[0, 1\]$"):
+        make_query(theta, 0, 5, 0.25)
 
 
 def test_iris_query_needs_flip(iris_batch):

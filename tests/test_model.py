@@ -140,6 +140,10 @@ def test_nll_loss_validation():
         nll_loss(np.zeros(3), 0, TWO)
     with pytest.raises(ValueError):
         nll_loss(np.zeros(2), 2, TWO)
+    with pytest.raises(ValueError, match=r"^target class must be an integer, got 1\.7$"):
+        nll_loss(np.zeros(2), 1.7, TWO)
+    with pytest.raises(ValueError, match="target class must be an integer"):
+        grad_input(np.zeros(2), 1.0, TWO)
 
 
 def test_grad_input_hand_value():

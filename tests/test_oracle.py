@@ -21,7 +21,7 @@ def test_grid_spec_validation():
         GridSpec(0.0)
     with pytest.raises(ValueError):
         GridSpec(-0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match="dims"):
         GridSpec(0.01, dims=3)
 
 

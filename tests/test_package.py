@@ -1,0 +1,34 @@
+import re
+import types
+from pathlib import Path
+
+import collective_recourse
+from collective_recourse import oracle
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_all_lists_exactly_the_public_names_at_the_root():
+    names = collective_recourse.__all__
+    assert len(names) == len(set(names))
+    bound = {
+        name
+        for name, value in vars(collective_recourse).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(names) == bound
+    homes = {getattr(collective_recourse, name).__module__ for name in names}
+    assert oracle.__name__ not in homes
+    # bench/tracer.py loads the cli module through the package import.
+    assert "cli_main" in names
+
+
+def test_readme_library_quickstart_runs(monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quickstart", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    monkeypatch.chdir(ROOT)
+    exec(compile(code, "README.md", "exec"), {})
+    ind_loss, col_loss, flipped = capsys.readouterr().out.split()
+    assert float(col_loss) < float(ind_loss)
+    assert flipped in ("True", "False")

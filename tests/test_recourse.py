@@ -47,13 +47,16 @@ def test_query_spec_validation():
         QuerySpec(np.zeros((2, 2)), 0)
     with pytest.raises(ValueError):
         QuerySpec(np.zeros(2), -1)
+    with pytest.raises(ValueError, match=r"^goal class must be an integer, got 1\.9$"):
+        QuerySpec(np.zeros(2), 1.9)
+    assert QuerySpec(np.zeros(2), np.int64(1)).goal_class == 1
 
 
 def test_budget_validation():
     assert EpsilonBudget(0.0).epsilon == 0.0
     with pytest.raises(ValueError):
         EpsilonBudget(-0.1)
-    with pytest.raises(ValueError, match="L2"):
+    with pytest.raises(TypeError, match="norm_order"):
         EpsilonBudget(1.0, norm_order=1)
 
 
@@ -82,6 +85,24 @@ def test_solver_config_rejects_infinite_step_and_negative_seed(init):
             SolverConfig(step_size=step_size, init=init)
     with pytest.raises(ValueError, match="seed must be nonnegative"):
         SolverConfig(seed=-1, init=init)
+
+
+def test_solver_config_rejects_non_integral_steps_and_seed():
+    with pytest.raises(ValueError, match=r"^steps must be an integer, got 2\.5$"):
+        SolverConfig(steps=2.5)
+    with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.5$"):
+        SolverConfig(init="random", seed=1.5)
+    cfg = SolverConfig(steps=np.int64(3), seed=np.int64(2))
+    assert (type(cfg.steps), type(cfg.seed)) == (int, int)
+
+
+def test_out_of_range_goal_class_is_rejected_by_both_solvers(collinear_pair):
+    batch, _ = collinear_pair
+    query = QuerySpec(np.zeros(2), 2)
+    with pytest.raises(ValueError, match=r"^goal class 2 outside \[0, 1\]$"):
+        individual_recourse(query, fit(batch), EpsilonBudget(0.1))
+    with pytest.raises(ValueError, match=r"^goal class 2 outside \[0, 1\]$"):
+        collective_recourse(batch, query, EpsilonBudget(0.1))
 
 
 def test_project_ball():
