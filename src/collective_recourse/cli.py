@@ -5,7 +5,9 @@ builds and describes an interpolated query point, ``recourse`` runs one solver
 at a single budget, and ``sweep`` runs both solvers over a budget grid and
 writes the CSV report (plus an optional SVG plot). Exit codes: 0 success,
 1 usage error, 2 data or solver error. Every run prints a one-line config
-echo so results can be reproduced from logs alone.
+echo so results can be reproduced from logs alone. Reals and flags are
+printed as in the CSV files the package writes: 17 significant digits, which
+round-trip any float64, and ``true``/``false``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .dataset import DatasetError, LabeledBatch, load_csv, load_embeddings, write_rows
+from .dataset import LabeledBatch, _format_cell, load_csv, load_embeddings, write_rows
 from .harness import (
     check_query_args,
     describe_query,
@@ -35,11 +37,6 @@ from .recourse import (
 
 _GRID_SNAP = 1e-12
 MAX_GRID_POINTS = 10_000
-
-
-def _format_real(value: float) -> str:
-    # 17 significant digits round-trips any float64 exactly.
-    return format(float(value), ".17g")
 
 
 def parse_eps_grid(text: str) -> list[float]:
@@ -162,10 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _echo_value(value) -> str:
     if value is None:
         return "auto"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return _format_real(value)
+    if isinstance(value, (bool, float)):
+        return _format_cell(value)
     return str(value)
 
 
@@ -199,22 +194,13 @@ def _load_batch(args) -> LabeledBatch:
     return batch
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        steps=args.steps,
-        projection_mode=args.mode,
-        init=args.init,
-        seed=args.seed,
-    )
-
-
 def _run_fit(args) -> int:
     batch = _load_batch(args)
     theta = fit(batch)
     print(f"rows={batch.num_rows} dim={batch.dim} classes={batch.num_classes}")
     for y in range(theta.num_classes):
-        print(f"centroid[{y}]=" + ",".join(_format_real(v) for v in theta.mu[y]))
-    print(f"training_accuracy={_format_real(training_accuracy(batch, theta))}")
+        print(f"centroid[{y}]=" + ",".join(map(_format_cell, theta.mu[y])))
+    print(f"training_accuracy={_format_cell(training_accuracy(batch, theta))}")
     if args.out is not None:
         save_centroids_csv(theta, args.out)
         print(f"wrote centroids: {args.out}")
@@ -226,11 +212,11 @@ def _run_query(args) -> int:
     theta = fit(batch)
     query = make_query(theta, args.goal_class, args.base_class, args.alpha)
     facts = describe_query(batch, query)
-    print("query_features=" + ",".join(_format_real(v) for v in query.features))
+    print("query_features=" + ",".join(map(_format_cell, query.features)))
     print(f"goal_class={facts['goal_class']}")
     print(f"base_prediction={facts['base_prediction']}")
-    print("needs_flip=" + ("true" if facts["needs_flip"] else "false"))
-    print(f"baseline_loss={_format_real(facts['baseline_loss'])}")
+    print(f"needs_flip={_format_cell(facts['needs_flip'])}")
+    print(f"baseline_loss={_format_cell(facts['baseline_loss'])}")
     return 0
 
 
@@ -238,17 +224,17 @@ def _run_recourse(args) -> int:
     batch = _load_batch(args)
     theta = fit(batch)
     query = make_query(theta, args.goal_class, args.base_class, args.alpha)
-    print(f"baseline_loss={_format_real(nll_loss(query.features, query.goal_class, theta))}")
+    print(f"baseline_loss={_format_cell(nll_loss(query.features, query.goal_class, theta))}")
     if args.kind == "individual":
         result = individual_recourse(query, theta, args.budget, args.cfg)
         delta = result.perturbation[None, :]
-        print(f"perturbation_norm={_format_real(float(np.linalg.norm(result.perturbation)))}")
+        print(f"perturbation_norm={_format_cell(np.linalg.norm(result.perturbation))}")
     else:
         result = collective_recourse(batch, query, args.budget, args.cfg)
         delta = result.perturbation.delta
-        print(f"max_row_norm={_format_real(float(result.perturbation.row_norms().max()))}")
-    print(f"achieved_loss={_format_real(result.achieved_loss)}")
-    print("flipped=" + ("true" if result.flipped else "false"))
+        print(f"max_row_norm={_format_cell(result.perturbation.row_norms().max())}")
+    print(f"achieved_loss={_format_cell(result.achieved_loss)}")
+    print(f"flipped={_format_cell(result.flipped)}")
     if args.out is not None:
         write_rows(args.out, delta, [f"d{j}" for j in range(delta.shape[1])])
         print(f"wrote perturbation: {args.out}")
@@ -262,11 +248,11 @@ def _run_sweep(args) -> int:
     report = sweep_epsilon(batch, query, args.eps_values, cfg=args.cfg)
     for row in report.rows:
         print(
-            f"epsilon={_format_real(row.epsilon)}"
-            f" individual={_format_real(row.individual_loss)}"
-            f" collective={_format_real(row.collective_loss)}"
-            f" flipped={'true' if row.individual_flipped else 'false'}"
-            f"/{'true' if row.collective_flipped else 'false'}"
+            f"epsilon={_format_cell(row.epsilon)}"
+            f" individual={_format_cell(row.individual_loss)}"
+            f" collective={_format_cell(row.collective_loss)}"
+            f" flipped={_format_cell(row.individual_flipped)}"
+            f"/{_format_cell(row.collective_flipped)}"
         )
     write_report_csv(report, args.out)
     print(f"wrote report: {args.out}")
@@ -284,7 +270,9 @@ def _validate_flags(args) -> None:
     if args.command != "fit":
         check_query_args(args.goal_class, args.base_class, args.alpha)
     if args.command in ("recourse", "sweep"):
-        args.cfg = _solver_config(args)
+        args.cfg = SolverConfig(
+            steps=args.steps, projection_mode=args.mode, init=args.init, seed=args.seed
+        )
     if args.command == "recourse":
         args.budget = EpsilonBudget(args.epsilon)
     if args.command == "sweep":
@@ -312,10 +300,7 @@ def cli_main(argv=None) -> int:
     _print_config(args)
     try:
         return _RUNNERS[args.command](args)
-    except (DatasetError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
+    except (OSError, ValueError) as err:  # DatasetError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -10,7 +10,7 @@ non-increasing in the budget. Reports serialize to CSV with
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -24,15 +24,6 @@ from .recourse import (
     individual_recourse,
 )
 
-REPORT_COLUMNS = (
-    "epsilon",
-    "baseline_loss",
-    "individual_loss",
-    "collective_loss",
-    "individual_flipped",
-    "collective_flipped",
-)
-
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -42,6 +33,9 @@ class SweepRow:
     collective_loss: float
     individual_flipped: bool
     collective_flipped: bool
+
+
+REPORT_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 @dataclass(frozen=True)
@@ -182,8 +176,6 @@ _SERIES = (("individual", "individual_loss", "#d62728"), ("collective", "collect
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
-        return [lo]
     step = (hi - lo) / (count - 1)
     return [lo + i * step for i in range(count)]
 

@@ -1,9 +1,14 @@
 """Nearest-centroid classifier with analytic gradients and closed-form refit.
 
 The model keeps one centroid per class and scores a point by its negative
-Euclidean distance to each centroid; class probabilities are the softmax of
-those scores. Fitting is the per-class mean, which makes the post-update
-parameters under a training-set perturbation available in closed form.
+Euclidean distance to each centroid (``-distances(x[None], theta)[0]``);
+class probabilities are the softmax of those scores. Fitting is the
+per-class mean, which makes the post-update parameters under a training-set
+perturbation available in closed form.
+
+Every answer about a single point (probabilities, prediction, loss and both
+gradients) is read from one evaluation of its distances to the centroids.
+:func:`distances` and :func:`nll_from_distances` are the batch forms.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import LabeledBatch, read_reals, read_rows, write_rows
+from .dataset import LabeledBatch, _frozen, read_reals, read_rows, write_rows
 
 # Shared floor for distance denominators: keeps gradients bounded at a
 # centroid and makes the input/centroid gradient identity exact.
@@ -35,9 +40,7 @@ class Centroids:
             raise ValueError(f"need k >= 2 and d >= 1, got shape {mu.shape}")
         if not np.all(np.isfinite(mu)):
             raise ValueError("centroids contain non-finite values")
-        frozen = np.array(mu, copy=True)
-        frozen.setflags(write=False)
-        object.__setattr__(self, "mu", frozen)
+        object.__setattr__(self, "mu", _frozen(mu))
 
     @property
     def num_classes(self) -> int:
@@ -52,6 +55,8 @@ def _check_point(x, theta: Centroids) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (theta.dim,):
         raise ValueError(f"expected a vector of dimension {theta.dim}, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("point contains non-finite values")
     return x
 
 
@@ -85,17 +90,23 @@ def distances(points: np.ndarray, theta: Centroids) -> np.ndarray:
     return np.sqrt(np.sum(diffs * diffs, axis=2))
 
 
-def class_scores(x, theta: Centroids) -> np.ndarray:
-    """Per-class scores: negative Euclidean distance to each centroid."""
-    x = _check_point(x, theta)
-    return -np.linalg.norm(x - theta.mu, axis=1)
+def _evaluate(x, mu):
+    """The model at one point: x - mu_y, the distances d_y = ||x - mu_y||,
+    their minimum, the max-shifted softmax weights exp(min(d) - d_y) and
+    their sum. Every single-point answer of this module is read from these.
+    """
+    diffs = x - mu
+    # The value np.linalg.norm(diffs, axis=1) computes, without its call overhead.
+    dists = np.sqrt(np.add.reduce(diffs * diffs, axis=1))
+    nearest = np.minimum.reduce(dists)
+    weights = np.exp(nearest - dists)
+    return diffs, dists, nearest, weights, np.add.reduce(weights)
 
 
 def predict_proba(x, theta: Centroids) -> np.ndarray:
-    """Class probabilities: softmax of the scores, max-shifted for stability."""
-    scores = class_scores(x, theta)
-    shifted = np.exp(scores - scores.max())
-    return shifted / shifted.sum()
+    """Class probabilities: softmax of the negative distances, max-shifted for stability."""
+    _, _, _, weights, total = _evaluate(_check_point(x, theta), theta.mu)
+    return weights / total
 
 
 def predict(x, theta: Centroids) -> int:
@@ -115,40 +126,30 @@ def nll_from_distances(dists: np.ndarray, target: int) -> np.ndarray:
     return lse - scores[:, target]
 
 
+def _loss_and_grad_rows(x, target, mu):
+    """The loss at ``x`` and the rows of :func:`grad_centroids`, unchecked.
+
+    The loss is the log-sum-exp of :func:`nll_from_distances`, bit for bit:
+    its scores - max(scores) is exactly min(dists) - dists.
+    """
+    diffs, dists, nearest, weights, total = _evaluate(x, mu)
+    coef = weights / total
+    coef[target] -= 1.0
+    units = diffs / np.maximum(dists, GRAD_NORM_FLOOR)[:, None]
+    return np.log(total) - nearest + dists[target], coef[:, None] * units
+
+
+def _loss_and_grad(x, target: int, mu: np.ndarray) -> tuple[float, np.ndarray]:
+    """:func:`nll_loss` and :func:`grad_input` at ``x``, without their argument checks."""
+    loss, rows = _loss_and_grad_rows(x, target, mu)
+    return float(loss), -np.add.reduce(rows, axis=0)
+
+
 def nll_loss(x, target: int, theta: Centroids) -> float:
     """Negative log-likelihood of ``target`` at ``x``; always finite."""
     x = _check_point(x, theta)
     target = _check_target(target, theta.num_classes)
-    return float(nll_from_distances(distances(x[None, :], theta), target)[0])
-
-
-def _coefficients_and_units(x, target, mu):
-    """Softmax coefficients (p_y - 1[y=target]), unit vectors toward x, and
-    the loss, all from one evaluation of the distances ||x - mu_y||.
-
-    The loss is the log-sum-exp of :func:`nll_from_distances`, bit for bit:
-    its scores - max(scores) is exactly min(norms) - norms.
-    """
-    diffs = x - mu
-    # The value np.linalg.norm(diffs, axis=1) computes, without its call overhead.
-    norms = np.sqrt(np.add.reduce(diffs * diffs, axis=1))
-    nearest = np.minimum.reduce(norms)
-    units = diffs / np.maximum(norms, GRAD_NORM_FLOOR)[:, None]
-    shifted = np.exp(nearest - norms)
-    total = np.add.reduce(shifted)
-    coef = shifted / total
-    coef[target] -= 1.0
-    return coef, units, np.log(total) - nearest + norms[target]
-
-
-def _loss_and_grad(x, target: int, mu: np.ndarray) -> tuple[float, np.ndarray]:
-    """:func:`nll_loss` and :func:`grad_input` at ``x`` from one distance evaluation.
-
-    Bit for bit the values of the public pair, which stay the checked
-    entry points: arguments are not validated here.
-    """
-    coef, units, loss = _coefficients_and_units(x, target, mu)
-    return float(loss), -np.add.reduce(coef[:, None] * units, axis=0)
+    return _loss_and_grad(x, target, theta.mu)[0]
 
 
 def grad_centroids(x, target: int, theta: Centroids) -> np.ndarray:
@@ -158,8 +159,7 @@ def grad_centroids(x, target: int, theta: Centroids) -> np.ndarray:
     """
     x = _check_point(x, theta)
     target = _check_target(target, theta.num_classes)
-    coef, units, _ = _coefficients_and_units(x, target, theta.mu)
-    return coef[:, None] * units
+    return _loss_and_grad_rows(x, target, theta.mu)[1]
 
 
 def grad_input(x, target: int, theta: Centroids) -> np.ndarray:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import LabeledBatch
+from .dataset import LabeledBatch, _frozen
 from .model import (
     GRAD_NORM_FLOOR,
     Centroids,
@@ -65,9 +65,7 @@ class QuerySpec:
         if not np.all(np.isfinite(x)):
             raise ValueError("query features contain non-finite values")
         goal = _check_target(self.goal_class, name="goal class")
-        frozen = np.array(x, copy=True)
-        frozen.setflags(write=False)
-        object.__setattr__(self, "features", frozen)
+        object.__setattr__(self, "features", _frozen(x))
         object.__setattr__(self, "goal_class", goal)
 
 
@@ -105,12 +103,8 @@ class PerturbationMatrix:
             )
         if np.any(delta[~mask] != 0.0):
             raise ValueError("non-participating rows must be exactly zero")
-        fd = np.array(delta, copy=True)
-        fd.setflags(write=False)
-        fm = np.array(mask, copy=True)
-        fm.setflags(write=False)
-        object.__setattr__(self, "delta", fd)
-        object.__setattr__(self, "participation_mask", fm)
+        object.__setattr__(self, "delta", _frozen(delta))
+        object.__setattr__(self, "participation_mask", _frozen(mask))
 
     def row_norms(self) -> np.ndarray:
         return np.linalg.norm(self.delta, axis=1)

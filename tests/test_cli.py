@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 
 from collective_recourse.cli import MAX_GRID_POINTS, cli_main, parse_eps_grid
-from collective_recourse.harness import read_report_csv
-from collective_recourse.model import load_centroids_csv
+from collective_recourse.dataset import _format_cell
+from collective_recourse.harness import make_query, read_report_csv
+from collective_recourse.model import fit, load_centroids_csv
+from collective_recourse.recourse import (
+    EpsilonBudget,
+    SolverConfig,
+    collective_recourse,
+    individual_recourse,
+)
 
 
 def test_parse_eps_grid_inclusive_endpoints():
@@ -138,6 +145,31 @@ def test_cli_recourse_deterministic_stdout(iris_path, capsys):
     assert "flipped=" in first
 
 
+@pytest.mark.parametrize("kind", ["individual", "collective"])
+def test_cli_recourse_stdout_matches_result(iris_path, iris_batch, capsys, kind):
+    argv = [
+        "recourse",
+        "--data", str(iris_path),
+        "--label-col", "species",
+        "--goal-class", "1",
+        "--base-class", "2",
+        "--kind", kind,
+        "--epsilon", "0.3",
+    ]
+    assert cli_main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    theta = fit(iris_batch)
+    query = make_query(theta, 1, 2, 0.25)
+    if kind == "individual":
+        result = individual_recourse(query, theta, EpsilonBudget(0.3), SolverConfig())
+    else:
+        result = collective_recourse(iris_batch, query, EpsilonBudget(0.3), SolverConfig())
+    assert lines[-2:] == [
+        f"achieved_loss={_format_cell(result.achieved_loss)}",
+        f"flipped={_format_cell(result.flipped)}",
+    ]
+
+
 def test_cli_recourse_individual_writes_delta(iris_path, tmp_path, capsys):
     out = tmp_path / "delta.csv"
     argv = [
@@ -184,7 +216,11 @@ def test_cli_sweep_writes_report_and_plot(iris_path, tmp_path, capsys):
         "--plot", str(plot),
     ]
     assert cli_main(argv) == 0
-    capsys.readouterr()
+    printed = capsys.readouterr().out.splitlines()[1:4]
+    cells = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert printed == [
+        f"epsilon={c[0]} individual={c[2]} collective={c[3]} flipped={c[4]}/{c[5]}" for c in cells
+    ]
     report = read_report_csv(out)
     assert report.epsilons() == [0.0, 0.2, 0.4]
     zero = report.rows[0]

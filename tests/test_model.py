@@ -11,7 +11,6 @@ from collective_recourse.dataset import DatasetError, LabeledBatch
 from collective_recourse.model import (
     Centroids,
     _loss_and_grad,
-    class_scores,
     distances,
     fit,
     grad_centroids,
@@ -59,15 +58,6 @@ def test_centroids_validation():
         Centroids(np.array([[np.nan, 0.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         Centroids(np.zeros(3))
-
-
-def test_class_scores():
-    assert np.array_equal(class_scores(np.array([-1.0, 0.0]), TWO), np.array([-2.0, 0.0]))
-    assert np.array_equal(class_scores(np.array([0.0, 0.0]), TWO), np.array([-1.0, -1.0]))
-    assert np.array_equal(class_scores(np.array([0.5, 0.0]), TWO), np.array([-0.5, -1.5]))
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        assert np.all(class_scores(rng.standard_normal(2), TWO) <= 0)
 
 
 def test_predict_proba_symmetry():
@@ -146,6 +136,23 @@ def test_nll_loss_validation():
         grad_input(np.zeros(2), 1.0, TWO)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: nll_loss(x, 0, TWO),
+        lambda x: predict(x, TWO),
+        lambda x: predict_proba(x, TWO),
+        lambda x: grad_input(x, 0, TWO),
+        lambda x: grad_centroids(x, 0, TWO),
+    ],
+    ids=["nll_loss", "predict", "predict_proba", "grad_input", "grad_centroids"],
+)
+def test_non_finite_point_is_rejected(call, bad):
+    with pytest.raises(ValueError, match="^point contains non-finite values$"):
+        call(np.array([bad, 0.0]))
+
+
 def test_grad_input_hand_value():
     g = grad_input(np.array([0.0, 0.0]), 0, TWO)
     assert np.allclose(g, [-1.0, 0.0], atol=1e-15)
@@ -197,6 +204,9 @@ def test_fused_loss_and_grad_equals_public_pair_bitwise(point):
     loss, grad = _loss_and_grad(x, target, theta.mu)
     assert np.float64(loss).tobytes() == np.float64(nll_loss(x, target, theta)).tobytes()
     assert grad.tobytes() == grad_input(x, target, theta).tobytes()
+    d = np.linalg.norm(x - theta.mu, axis=1)
+    weights = np.exp(np.min(d) - d)
+    assert predict_proba(x, theta).tobytes() == (weights / weights.sum()).tobytes()
 
 
 def test_grad_input_matches_finite_differences():
@@ -297,6 +307,8 @@ def test_distances_matrix(iris_batch):
     assert np.all(d >= 0)
     one = np.linalg.norm(iris_batch.features[7] - theta.mu[2])
     assert abs(d[7, 2] - one) < 1e-12
+    points = np.array([[-1.0, 0.0], [0.0, 0.0], [0.5, 0.0]])
+    assert np.array_equal(distances(points, TWO), [[2.0, 0.0], [1.0, 1.0], [0.5, 1.5]])
 
 
 def test_centroids_csv_round_trip(tmp_path, iris_batch):
