@@ -168,7 +168,9 @@ def grad_input(x, target: int, theta: Centroids) -> np.ndarray:
     Computed as the negated column sum of :func:`grad_centroids`, so the
     identity grad_input + sum_y grad_centroids[y] == 0 holds exactly.
     """
-    return -grad_centroids(x, target, theta).sum(axis=0)
+    x = _check_point(x, theta)
+    target = _check_target(target, theta.num_classes)
+    return _loss_and_grad(x, target, theta.mu)[1]
 
 
 def refit_with_perturbation(batch: LabeledBatch, delta: np.ndarray) -> Centroids:

@@ -16,6 +16,7 @@ from collective_recourse.model import (
     grad_centroids,
     grad_input,
     load_centroids_csv,
+    nll_from_distances,
     nll_loss,
     predict,
     predict_proba,
@@ -202,7 +203,12 @@ def _kernel_points(draw):
 def test_fused_loss_and_grad_equals_public_pair_bitwise(point):
     x, target, theta = point
     loss, grad = _loss_and_grad(x, target, theta.mu)
+    # References outside the single-point kernel: the batch loss form and the
+    # negated column sum of the centroid gradient.
+    reference = nll_from_distances(distances(x[None], theta), target)[0]
+    assert np.float64(loss).tobytes() == np.float64(reference).tobytes()
     assert np.float64(loss).tobytes() == np.float64(nll_loss(x, target, theta)).tobytes()
+    assert grad.tobytes() == (-grad_centroids(x, target, theta).sum(axis=0)).tobytes()
     assert grad.tobytes() == grad_input(x, target, theta).tobytes()
     d = np.linalg.norm(x - theta.mu, axis=1)
     weights = np.exp(np.min(d) - d)
