@@ -44,8 +44,10 @@ def parse_eps_grid(text: str) -> list[float]:
 
     The last point snaps to ``stop`` when it lands within 1e-12 of it, so
     grids like ``0:1:0.1`` include exactly 1.0 despite float accumulation.
-    Grids of more than ``MAX_GRID_POINTS`` points are rejected before any
-    point is built.
+    Grids of more than ``MAX_GRID_POINTS`` points are rejected, and so is a
+    step too small to move ``start + i * step`` at the grid's scale, which
+    would repeat budgets; no more than ``MAX_GRID_POINTS + 1`` points are
+    built either way.
     """
     parts = text.split(":")
     if len(parts) != 3:
@@ -62,16 +64,16 @@ def parse_eps_grid(text: str) -> list[float]:
         raise ValueError(f"grid step must be positive, got {step}")
     if stop < start:
         raise ValueError(f"grid stop {stop} below start {start}")
-    if (stop - start + _GRID_SNAP) / step >= MAX_GRID_POINTS:
-        raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
     values = []
-    i = 0
-    while True:
+    for i in range(MAX_GRID_POINTS + 1):
         value = start + i * step
         if value > stop + _GRID_SNAP:
             break
+        if values and value <= values[-1]:
+            raise ValueError(f"grid step {step} is too small to move a budget of {value}")
         values.append(value)
-        i += 1
+    else:
+        raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
     if values and abs(values[-1] - stop) <= _GRID_SNAP:
         values[-1] = stop
     return values

@@ -10,6 +10,7 @@ non-increasing in the budget. Reports serialize to CSV with
 
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
@@ -175,6 +176,16 @@ _ML, _MR, _MT, _MB = 70, 20, 20, 50
 _SERIES = (("individual", "individual_loss", "#d62728"), ("collective", "collective_loss", "#1f77b4"))
 
 
+def _span(values) -> tuple[float, float]:
+    """The range of ``values``, widened around a single value v to v ± 0.5, or
+    to v ± ulp(v) where rounding absorbs the 0.5 (possible from |v| = 2^52 on)."""
+    lo, hi = min(values), max(values)
+    if hi > lo:
+        return lo, hi
+    half = 0.5 if lo - 0.5 < lo + 0.5 else math.ulp(lo)
+    return lo - half, hi + half
+
+
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     step = (hi - lo) / (count - 1)
     return [lo + i * step for i in range(count)]
@@ -190,12 +201,8 @@ def render_plot_svg(report: SweepReport, path) -> None:
         raise ValueError("cannot plot an empty report")
     xs = [row.epsilon for row in report.rows]
     ys = [getattr(row, col) for _, col, _ in _SERIES for row in report.rows]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    x_lo, x_hi = _span(xs)
+    y_lo, y_hi = _span(ys)
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 

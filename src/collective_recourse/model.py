@@ -52,11 +52,24 @@ class Centroids:
 
 
 def _check_point(x, theta: Centroids) -> np.ndarray:
+    """``x`` as a float vector; a ValueError unless it has the model's
+    dimension and finite squared distances to every centroid.
+
+    The one check of each public single-point function: a NaN or infinite
+    feature fails it, and so does a finite point far enough out (about 1e154)
+    that a squared distance overflows and the loss would be NaN. The solvers'
+    unchecked kernel evaluates such points inside the search, where they lose.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape != (theta.dim,):
         raise ValueError(f"expected a vector of dimension {theta.dim}, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("point contains non-finite values")
+    with np.errstate(over="ignore"):
+        diffs = x - theta.mu
+        farthest = np.maximum.reduce(np.add.reduce(diffs * diffs, axis=1))
+    if not math.isfinite(farthest):
+        if not np.isfinite(x).all():
+            raise ValueError("point contains non-finite values")
+        raise ValueError("point lies so far from the centroids that its squared distances overflow")
     return x
 
 

@@ -44,10 +44,13 @@ from .model import (
 
 _ZERO_NORM = 1e-12
 # Spectral projected gradient: non-monotone memory, Armijo constant, stop
-# threshold (times max(1, eps)) and Barzilai-Borwein step safeguards.
+# threshold (times eps) and Barzilai-Borwein step safeguards. Once steps are
+# below sqrt(machine epsilon) of the budget, the loss has settled to rounding
+# (the usual step tolerance of Gill, Murray & Wright, Practical Optimization,
+# 1981, section 8.2.3); scaling by eps alone keeps small budgets iterating.
 _MEMORY = 10
 _ARMIJO = 1e-4
-_STOP = 1e-13
+_STOP = 2**-26
 _LAMBDA_MIN, _LAMBDA_MAX = 1e-30, 1e30
 
 
@@ -198,9 +201,11 @@ def _spg(x_q, goal, mu, delta, loss, grad, eps, mode, steps):
     iteration projects a Barzilai-Borwein step, then halves the way to that
     point until a point passes a non-monotone Armijo test against the worst
     of the last ``_MEMORY`` accepted losses. It stops once the step falls to
-    1e-13 * max(1, eps) or below, or after ``steps`` iterations.
+    2**-26 * eps or below (the square root of float64's machine epsilon,
+    relative to the budget: the loss has settled to rounding by then), or
+    after ``steps`` iterations.
     """
-    tol = _STOP * max(1.0, eps)
+    tol = _STOP * eps
     recent = deque([loss], maxlen=_MEMORY)
     lam = min(_LAMBDA_MAX, eps / max(math.sqrt(grad.dot(grad)), _ZERO_NORM))
     for _ in range(steps):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ def test_parse_eps_grid_inclusive_endpoints():
     assert grid[0] == 0.0
     assert grid[-1] == 1.0  # snapped to the stop endpoint exactly
     assert all(b > a for a, b in zip(grid, grid[1:]))
+    assert grid == [0.0, 0.1, 0.2, 0.30000000000000004, 0.4, 0.5, 0.6000000000000001,
+                    0.7000000000000001, 0.8, 0.9, 1.0]
 
 
 def test_parse_eps_grid_single_point():
@@ -36,6 +40,13 @@ def test_parse_eps_grid_rejects_huge_grid():
     for bad in (f"0:{MAX_GRID_POINTS}:1", "0:1e6:1e-6", "0:1:5e-324"):
         with pytest.raises(ValueError, match="more than"):
             parse_eps_grid(bad)
+
+
+@pytest.mark.parametrize("text", ["1e17:1e17:1", "1e21:1e21:1", "1e300:1e300:1"])
+def test_parse_eps_grid_rejects_a_step_that_repeats_budgets(text):
+    # start + i * step rounds back to start: the budget would repeat without end.
+    with pytest.raises(ValueError, match="^grid step 1.0 is too small to move a budget of 1e"):
+        parse_eps_grid(text)
 
 
 def test_cli_help_exits_zero(capsys):
@@ -279,6 +290,28 @@ def test_cli_sweep_huge_grid_is_usage_error(iris_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+def test_cli_sweep_repeating_grid_is_usage_error(iris_path, tmp_path, capsys):
+    argv = _iris_argv(
+        iris_path, "sweep", "--eps-grid", "1e17:1e17:1", "--out", str(tmp_path / "never.csv")
+    )
+    assert cli_main(argv) == 1
+    assert "usage error: grid step 1.0 is too small" in capsys.readouterr().err
+    assert not (tmp_path / "never.csv").exists()
+
+
+def test_cli_sweep_plots_a_single_huge_budget(iris_path, tmp_path, capsys):
+    plot = tmp_path / "h.svg"
+    argv = _iris_argv(
+        iris_path, "sweep", "--eps-grid", "1e17:1e17:1e3",
+        "--out", str(tmp_path / "h.csv"), "--plot", str(plot),
+    )
+    assert cli_main(argv) == 0
+    svg = plot.read_text()
+    coords = re.findall(r'\s(?:x|y|x1|y1|x2|y2|cx|cy)="([^"]+)"', svg)
+    assert coords and all(np.isfinite(float(c)) for c in coords)
+    assert f"wrote plot: {plot}" in capsys.readouterr().out
+
+
 def test_cli_zero_steps_is_usage_error(iris_path, capsys):
     argv = _iris_argv(
         iris_path, "recourse", "--kind", "individual", "--epsilon", "0.3", "--steps", "0"
@@ -370,6 +403,16 @@ def test_cli_huge_label_is_data_error(tmp_path, capsys):
     path.write_text("e0,label\n1.0,0\n2.0,1e300\n")
     assert cli_main(["fit", "--data", str(path)]) == 2
     assert "empty class: no rows with label 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["individual", "collective"])
+def test_cli_query_too_far_for_the_model_is_data_error(tmp_path, capsys, kind):
+    path = tmp_path / "x.csv"
+    path.write_text("e0,e1,label\n1e160,0,0\n-1e160,0,1\n")
+    argv = ["recourse", "--data", str(path), "--goal-class", "0", "--base-class", "1",
+            "--kind", kind, "--epsilon", "1"]
+    assert cli_main(argv) == 2
+    assert "error: point lies so far from the centroids" in capsys.readouterr().err
 
 
 def test_cli_non_utf8_file_is_data_error_naming_its_line(tmp_path, capsys):

@@ -287,6 +287,22 @@ def test_render_plot_single_row(tmp_path):
     assert svg.count("<circle") == 2
 
 
+def _coordinates(svg: str):
+    numbers = re.findall(r'\s(?:x|y|x1|y1|x2|y2|cx|cy|points)="([^"]+)"', svg)
+    return [float(v) for text in numbers for pair in text.split() for v in pair.split(",")]
+
+
+@pytest.mark.parametrize("eps", [0.3, 2.0**52 + 2, 1e17])
+def test_render_plot_single_budget_is_centred(tmp_path, eps):
+    # A single budget is widened by 0.5 each way, or by one unit in the last
+    # place where rounding would absorb the 0.5 and leave an empty range.
+    path = tmp_path / "plot.svg"
+    render_plot_svg(SweepReport((_row(eps, 1.0, 1.0, 1.0),)), path)
+    svg = path.read_text()
+    assert re.findall(r'cx="([^"]+)"', svg) == ["345.000", "345.000"]
+    assert all(np.isfinite(_coordinates(svg)))
+
+
 def test_render_plot_rejects_empty(tmp_path):
     with pytest.raises(ValueError, match="empty"):
         render_plot_svg(SweepReport(()), tmp_path / "x.svg")

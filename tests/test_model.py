@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,12 @@ from collective_recourse.model import (
     refit_with_perturbation,
     save_centroids_csv,
     training_accuracy,
+)
+from collective_recourse.recourse import (
+    EpsilonBudget,
+    QuerySpec,
+    collective_recourse,
+    individual_recourse,
 )
 
 TWO = Centroids(np.array([[1.0, 0.0], [-1.0, 0.0]]))
@@ -152,6 +159,36 @@ def test_nll_loss_validation():
 def test_non_finite_point_is_rejected(call, bad):
     with pytest.raises(ValueError, match="^point contains non-finite values$"):
         call(np.array([bad, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: nll_loss(x, 0, TWO),
+        lambda x: predict(x, TWO),
+        lambda x: predict_proba(x, TWO),
+        lambda x: grad_input(x, 0, TWO),
+        lambda x: grad_centroids(x, 0, TWO),
+        lambda x: individual_recourse(QuerySpec(x, 0), TWO, EpsilonBudget(1.0)),
+        lambda x: collective_recourse(
+            LabeledBatch(TWO.mu, np.array([0, 1]), 2), QuerySpec(x, 0), EpsilonBudget(1.0)
+        ),
+    ],
+    ids=[
+        "nll_loss", "predict", "predict_proba", "grad_input", "grad_centroids",
+        "individual_recourse", "collective_recourse",
+    ],
+)
+def test_point_whose_squared_distances_overflow_is_rejected(call):
+    # Both points are finite; only the second one's squared distances pass
+    # the float range, where the loss would be NaN.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        call(np.array([1e153, 0.0]))
+        with pytest.raises(
+            ValueError, match="^point lies so far from the centroids that its squared distances overflow$"
+        ):
+            call(np.array([1e160, 0.0]))
 
 
 def test_grad_input_hand_value():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collective_recourse import recourse
 from collective_recourse.dataset import LabeledBatch, SyntheticSpec, load_embeddings, synth_blobs
 from collective_recourse.harness import make_query
 from collective_recourse.model import (
@@ -240,7 +241,7 @@ def _reference_individual(query, theta, budget, cfg, extra_candidates=()):
             direction = project(delta - lam * grad, eps) - delta
             length, alpha = np.linalg.norm(direction), 1.0
             accepted = False
-            while alpha * length > 1e-13 * max(1.0, eps):
+            while alpha * length > 2**-26 * eps:
                 trial = project(delta + alpha * direction, eps)
                 loss, trial_grad = evaluate(trial)
                 if loss <= max(recent[-10:]) + 1e-4 * grad.dot(trial - delta):
@@ -282,6 +283,43 @@ def test_individual_matches_per_step_reference_bitwise(iris_batch, embeddings_pa
             assert res.perturbation.tobytes() == delta.tobytes()
             assert res.flipped == flipped
             warm = res.perturbation
+
+
+
+class _PreviousStop(float):
+    """The stop threshold 1e-13 * max(1, eps) that the solver used before, as
+    a ``_STOP`` whose product with eps gives it."""
+
+    def __mul__(self, eps):
+        return float(self) * max(1.0, eps)
+
+
+def test_individual_stop_rule_saves_evaluations_without_losing_loss(embeddings_path, monkeypatch):
+    # A budget-relative step tolerance stops earlier on the same iterates:
+    # one trace is a prefix of the other, and the loss it gives up is rounding.
+    batch = load_embeddings(embeddings_path)
+    theta = fit(batch)
+    rows = np.flatnonzero(distances(batch.features, theta).argmin(axis=1) != batch.labels)
+    cases = [
+        (QuerySpec(batch.features[r], batch.labels[r]), eps, SolverConfig(projection_mode=m))
+        for r in rows
+        for eps in (0.1, 0.3, 1.0)
+        for m in ("ball", "sphere")
+    ]
+
+    def solve_all():
+        return [individual_recourse(q, theta, EpsilonBudget(e), cfg) for q, e, cfg in cases]
+
+    shipped = solve_all()
+    monkeypatch.setattr(recourse, "_STOP", _PreviousStop(1e-13))
+    previous = solve_all()
+    for new, old in zip(shipped, previous):
+        short, long = sorted((new.loss_trace.tobytes(), old.loss_trace.tobytes()), key=len)
+        assert long.startswith(short)
+        assert abs(new.achieved_loss - old.achieved_loss) <= 1e-14
+        assert new.flipped == old.flipped
+    evaluations = [sum(len(r.loss_trace) for r in results) for results in (shipped, previous)]
+    assert evaluations[0] < evaluations[1]
 
 
 @pytest.mark.parametrize("mode", ["ball", "sphere"])
