@@ -42,8 +42,10 @@ MAX_GRID_POINTS = 10_000
 def parse_eps_grid(text: str) -> list[float]:
     """Parse ``start:stop:step`` into an ascending grid, endpoints inclusive.
 
-    The last point snaps to ``stop`` when it lands within 1e-12 of it, so
-    grids like ``0:1:0.1`` include exactly 1.0 despite float accumulation.
+    The grid ends at its first point at or past ``stop``. That last point
+    snaps to ``stop`` when it lands past it or within 1e-12 below it, so
+    grids like ``0:1:0.1`` include exactly 1.0 despite float accumulation,
+    and a step below 1e-12 cannot carry the grid past ``stop``.
     Grids of more than ``MAX_GRID_POINTS`` points are rejected, and so is a
     step too small to move ``start + i * step`` at the grid's scale, which
     would repeat budgets; no more than ``MAX_GRID_POINTS + 1`` points are
@@ -71,10 +73,12 @@ def parse_eps_grid(text: str) -> list[float]:
             break
         if values and value <= values[-1]:
             raise ValueError(f"grid step {step} is too small to move a budget of {value}")
+        if values and values[-1] >= stop:
+            break
         values.append(value)
     else:
         raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
-    if values and abs(values[-1] - stop) <= _GRID_SNAP:
+    if values and stop - values[-1] <= _GRID_SNAP:
         values[-1] = stop
     return values
 

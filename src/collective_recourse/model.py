@@ -109,10 +109,13 @@ def _evaluate(x, mu):
     their sum. Every single-point answer of this module is read from these.
     """
     diffs = x - mu
-    # The value np.linalg.norm(diffs, axis=1) computes, without its call overhead.
-    dists = np.sqrt(np.add.reduce(diffs * diffs, axis=1))
+    # The value np.linalg.norm(diffs, axis=1) computes, without its call
+    # overhead; sqrt and exp write into the arrays just made for them.
+    dists = np.add.reduce(diffs * diffs, axis=1)
+    np.sqrt(dists, out=dists)
     nearest = np.minimum.reduce(dists)
-    weights = np.exp(nearest - dists)
+    weights = np.subtract(nearest, dists)
+    np.exp(weights, out=weights)
     return diffs, dists, nearest, weights, np.add.reduce(weights)
 
 
@@ -122,9 +125,15 @@ def predict_proba(x, theta: Centroids) -> np.ndarray:
     return weights / total
 
 
+def _predict(x, mu) -> int:
+    """:func:`predict` at an already checked point, or at one whose loss is finite."""
+    _, _, _, weights, total = _evaluate(x, mu)
+    return int(np.argmax(weights / total))
+
+
 def predict(x, theta: Centroids) -> int:
     """Most probable class, i.e. the nearest centroid; ties go to the lowest index."""
-    return int(np.argmax(predict_proba(x, theta)))
+    return _predict(_check_point(x, theta), theta.mu)
 
 
 def nll_from_distances(dists: np.ndarray, target: int) -> np.ndarray:
@@ -143,13 +152,17 @@ def _loss_and_grad_rows(x, target, mu):
     """The loss at ``x`` and the rows of :func:`grad_centroids`, unchecked.
 
     The loss is the log-sum-exp of :func:`nll_from_distances`, bit for bit:
-    its scores - max(scores) is exactly min(dists) - dists.
+    its scores - max(scores) is exactly min(dists) - dists. The rows are
+    built in place in ``diffs``; the floor is applied only when the nearest
+    distance is at or below it, since elsewhere it changes no value.
     """
-    diffs, dists, nearest, weights, total = _evaluate(x, mu)
-    coef = weights / total
+    diffs, dists, nearest, coef, total = _evaluate(x, mu)
+    coef /= total
     coef[target] -= 1.0
-    units = diffs / np.maximum(dists, GRAD_NORM_FLOOR)[:, None]
-    return np.log(total) - nearest + dists[target], coef[:, None] * units
+    norms = dists if nearest > GRAD_NORM_FLOOR else np.maximum(dists, GRAD_NORM_FLOOR)
+    diffs /= norms[:, None]
+    diffs *= coef[:, None]
+    return np.log(total) - nearest + dists[target], diffs
 
 
 def _loss_and_grad(x, target: int, mu: np.ndarray) -> tuple[float, np.ndarray]:

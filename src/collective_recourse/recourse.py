@@ -35,9 +35,9 @@ from .model import (
     _check_point,
     _check_target,
     _loss_and_grad,
+    _predict,
     fit,
     nll_loss,
-    predict,
     # Not called here; bench/test_bench.py looks the refit reference up on this module.
     refit_with_perturbation,  # noqa: F401
 )
@@ -212,15 +212,17 @@ def _spg(x_q, goal, mu, delta, loss, grad, eps, mode, steps):
         direction = _project(delta - lam * grad, eps, mode) - delta
         length, ceiling, alpha = math.sqrt(direction.dot(direction)), max(recent), 1.0
         while alpha * length > tol:
-            trial = _project(delta + alpha * direction, eps, mode)
+            # The full step needs no product: 1.0 * direction is direction.
+            trial = _project(delta + (direction if alpha == 1.0 else alpha * direction), eps, mode)
             loss, trial_grad = _loss_and_grad(x_q + trial, goal, mu)
             yield trial, loss
-            if loss <= ceiling + _ARMIJO * grad.dot(trial - delta):
+            s = trial - delta
+            if loss <= ceiling + _ARMIJO * float(grad.dot(s)):
                 break
             alpha *= 0.5
         else:
             return
-        s, y = trial - delta, trial_grad - grad
+        y = trial_grad - grad
         sy = s.dot(y)
         lam = min(_LAMBDA_MAX, max(_LAMBDA_MIN, s.dot(s) / sy)) if sy > 0 else _LAMBDA_MAX
         delta, grad = trial, trial_grad
@@ -253,6 +255,12 @@ def individual_recourse(
     from a point than the goal centroid is, and at the goal centroid all of
     these bounds hold with equality. So in ball mode a budget that reaches
     the goal centroid returns the step onto it without iterating.
+
+    Sphere mode has a limit at huge budgets: beyond about 1.3e154 (the square
+    root of the largest float, plus the query's distance to the centroids)
+    every point of the sphere has squared distances that overflow, so none
+    of them has a finite loss, and the solver returns delta = 0 at the
+    baseline loss.
     """
     x_q, goal = _check_query(query, theta)
     mu = theta.mu
@@ -283,11 +291,15 @@ def individual_recourse(
                 trace.append(loss)
                 if loss < best_loss:
                     best_loss, best_delta = loss, delta
+        # Unchecked: the winner is the checked query or has a finite loss, so
+        # its goal and nearest distances are finite (a centroid whose squared
+        # distance overflows there just gets probability 0).
+        flipped = _predict(x_q + best_delta, mu) == goal
 
     return RecourseResult(
         perturbation=best_delta,
         achieved_loss=best_loss,
-        flipped=predict(x_q + best_delta, theta) == goal,
+        flipped=flipped,
         loss_trace=np.asarray(trace),
         post_centroids=theta,
     )
@@ -390,11 +402,12 @@ def collective_recourse(
     delta[mask] = moves[batch.labels[mask]]
 
     baseline = nll_loss(x_q, goal, theta)
+    # Checks x_q against the refit centroids, which _predict below does not.
     achieved = nll_loss(x_q, goal, post)
     return RecourseResult(
         perturbation=PerturbationMatrix(delta, mask),
         achieved_loss=achieved,
-        flipped=predict(x_q, post) == goal,
+        flipped=_predict(x_q, post.mu) == goal,
         loss_trace=np.array([baseline, achieved]),
         post_centroids=post,
     )

@@ -42,6 +42,23 @@ def test_parse_eps_grid_rejects_huge_grid():
             parse_eps_grid(bad)
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # A step below the 1e-12 snap used to carry the grid past stop
+        # (21 points ending 1.9e-12, 1e-12), or repeat it (3e-12 twice).
+        ("0:1e-12:1e-13", [i * 1e-13 for i in range(10)] + [1e-12]),
+        ("0:3e-12:1e-12", [0.0, 1e-12, 2e-12, 3e-12]),
+        # Grids that always worked keep their values.
+        ("0:0.3:0.1", [0.0, 0.1, 0.2, 0.3]),
+        ("0:1:0.3", [0.0, 0.3, 0.6, 0.8999999999999999]),
+        ("0.2:0.4:0.2", [0.2, 0.4]),
+    ],
+)
+def test_parse_eps_grid_ends_at_stop(text, expected):
+    assert parse_eps_grid(text) == expected
+
+
 @pytest.mark.parametrize("text", ["1e17:1e17:1", "1e21:1e21:1", "1e300:1e300:1"])
 def test_parse_eps_grid_rejects_a_step_that_repeats_budgets(text):
     # start + i * step rounds back to start: the budget would repeat without end.
@@ -297,6 +314,16 @@ def test_cli_sweep_repeating_grid_is_usage_error(iris_path, tmp_path, capsys):
     assert cli_main(argv) == 1
     assert "usage error: grid step 1.0 is too small" in capsys.readouterr().err
     assert not (tmp_path / "never.csv").exists()
+
+
+def test_cli_sweep_grid_with_a_step_below_the_snap(iris_path, tmp_path, capsys):
+    out = tmp_path / "tiny.csv"
+    argv = _iris_argv(iris_path, "sweep", "--eps-grid", "0:1e-12:1e-13", "--out", str(out))
+    assert cli_main(argv) == 0
+    capsys.readouterr()
+    rows = read_report_csv(out).rows
+    assert len(rows) == 11
+    assert [row.epsilon for row in rows] == parse_eps_grid("0:1e-12:1e-13")
 
 
 def test_cli_sweep_plots_a_single_huge_budget(iris_path, tmp_path, capsys):

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from collective_recourse.dataset import DatasetError, LabeledBatch
 from collective_recourse.model import (
+    GRAD_NORM_FLOOR,
     Centroids,
     _loss_and_grad,
     distances,
@@ -229,9 +230,21 @@ def _kernel_points(draw):
     k, d = draw(st.integers(2, 6)), draw(st.integers(1, 12))
     reals = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
     mu = draw(arrays(float, (k, d), elements=reals))
-    # Half the points sit exactly on a centroid, where GRAD_NORM_FLOOR applies.
+    # Half the points sit on a centroid or within GRAD_NORM_FLOOR of one,
+    # where the floor applies; the others are anywhere, where it is skipped.
     on = draw(st.one_of(st.none(), st.integers(0, k - 1)))
-    x = mu[on].copy() if on is not None else draw(arrays(float, d, elements=reals))
+    if on is None:
+        return draw(arrays(float, d, elements=reals)), draw(st.integers(0, k - 1)), Centroids(mu)
+    if draw(st.booleans()):
+        # A first coordinate of at most 1 in size moves by an offset of
+        # 1e-14..1e-13 with a rounding error below 2.3e-16: a distance
+        # strictly between 0 and the floor.
+        mu[on, 0] = draw(st.floats(-1.0, 1.0))
+        x = mu[on].copy()
+        x[0] += draw(st.floats(1e-14, 1e-13))
+        assert 0.0 < np.linalg.norm(x - mu[on]) < GRAD_NORM_FLOOR
+    else:
+        x = mu[on].copy()
     return x, draw(st.integers(0, k - 1)), Centroids(mu)
 
 
@@ -249,7 +262,14 @@ def test_fused_loss_and_grad_equals_public_pair_bitwise(point):
     assert grad.tobytes() == grad_input(x, target, theta).tobytes()
     d = np.linalg.norm(x - theta.mu, axis=1)
     weights = np.exp(np.min(d) - d)
-    assert predict_proba(x, theta).tobytes() == (weights / weights.sum()).tobytes()
+    p = weights / weights.sum()
+    assert predict_proba(x, theta).tobytes() == p.tobytes()
+    # The gradient written out here, with the floor always applied: unit
+    # offsets weighted by p - onehot, negated column sum for the input.
+    units = (x - theta.mu) / np.maximum(d, 1e-12)[:, None]
+    rows = (p - np.eye(theta.num_classes)[target])[:, None] * units
+    assert grad_centroids(x, target, theta).tobytes() == rows.tobytes()
+    assert grad.tobytes() == (-rows.sum(axis=0)).tobytes()
 
 
 def test_grad_input_matches_finite_differences():

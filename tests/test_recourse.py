@@ -338,11 +338,68 @@ def test_individual_huge_budget_stays_finite(iris_batch, mode, init):
     assert math.isfinite(huge.achieved_loss)
     assert huge.achieved_loss <= baseline
     assert np.all(np.isfinite(huge.perturbation))
+    for res in (moderate, huge):
+        assert res.flipped == (predict(query.features + res.perturbation, theta) == 1)
     if mode == "ball":
         # Both budgets reach the goal centroid, where the loss is lowest.
         assert huge.achieved_loss <= moderate.achieved_loss
         assert huge.flipped
         assert np.array_equal(huge.perturbation, theta.mu[1] - query.features)
+
+
+@pytest.mark.parametrize("eps", [1e155, 1e200, 1e307])
+def test_individual_sphere_mode_beyond_overflow_returns_baseline(iris_batch, eps):
+    # Every point of a sphere this large has squared distances that overflow,
+    # so no point on it has a finite loss: the answer is delta = 0.
+    theta = fit(iris_batch)
+    query = make_query(theta, 1, 2, 0.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = individual_recourse(
+            query, theta, EpsilonBudget(eps), SolverConfig(projection_mode="sphere")
+        )
+    assert not res.perturbation.any()
+    assert res.achieved_loss == res.loss_trace[0] == nll_loss(query.features, 1, theta)
+    assert not res.flipped
+
+
+@pytest.mark.parametrize("mode", ["ball", "sphere"])
+def test_individual_answers_where_a_far_centroid_overflows(mode):
+    # The query's squared distances are finite, but at the answer the one to
+    # the far third centroid overflows. The loss there is still finite (that
+    # centroid gets probability 0), so the solver reports its answer.
+    mu = np.array([[2e150, 0.0], [-1e150, 0.0], [-1.34065e154, 0.0]])
+    query = QuerySpec(np.array([-0.9e150, 0.0]), 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = individual_recourse(
+            query, Centroids(mu), EpsilonBudget(2.5e150), SolverConfig(projection_mode=mode)
+        )
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.sum((query.features + res.perturbation - mu[2]) ** 2))
+    assert res.achieved_loss == 0.0
+    assert res.flipped
+
+
+@pytest.mark.parametrize("mode", ["ball", "sphere"])
+def test_flipped_matches_public_predict(embeddings_path, mode):
+    # Both solvers read flipped without the public argument check; it must
+    # agree with predict on every misclassified row.
+    batch = load_embeddings(embeddings_path)
+    theta = fit(batch)
+    rows = np.flatnonzero(distances(batch.features, theta).argmin(axis=1) != batch.labels)
+    cfg = SolverConfig(projection_mode=mode)
+    flips = []
+    for r in rows:
+        x_q, goal = batch.features[r], int(batch.labels[r])
+        query = QuerySpec(x_q, goal)
+        for eps in (0.1, 0.3, 1.0):
+            ind = individual_recourse(query, theta, EpsilonBudget(eps), cfg)
+            assert ind.flipped == (predict(x_q + ind.perturbation, theta) == goal)
+            col = collective_recourse(batch, query, EpsilonBudget(eps), cfg)
+            assert col.flipped == (predict(x_q, col.post_centroids) == goal)
+            flips += [ind.flipped, col.flipped]
+    assert any(flips) and not all(flips)
 
 
 @pytest.mark.parametrize("mode", ["ball", "sphere"])
