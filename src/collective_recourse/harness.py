@@ -16,7 +16,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .dataset import DatasetError, LabeledBatch, read_reals, read_rows, write_rows
-from .model import Centroids, _check_target, fit, nll_loss, predict
+from .model import Centroids, _check_target, _predict, fit, nll_loss, predict
 from .recourse import (
     EpsilonBudget,
     QuerySpec,
@@ -143,9 +143,10 @@ def sweep_epsilon(
                 epsilon=eps,
                 baseline_loss=float(ind.loss_trace[0]),
                 individual_loss=ind.achieved_loss,
+                # nll_loss has just checked x_q against these centroids.
                 collective_loss=nll_loss(x_q, goal, post),
                 individual_flipped=ind.flipped,
-                collective_flipped=predict(x_q, post) == goal,
+                collective_flipped=_predict(x_q, post.mu) == goal,
             )
         )
     return SweepReport(tuple(rows))

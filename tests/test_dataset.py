@@ -1,4 +1,7 @@
+import faulthandler
+import os
 import re
+import threading
 import warnings
 
 import numpy as np
@@ -7,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from collective_recourse import dataset
+from collective_recourse import _split_read, dataset
 from collective_recourse.dataset import (
     DatasetError,
     LabeledBatch,
@@ -404,3 +407,189 @@ def test_non_utf8_byte_is_named_by_file_line(tmp_path, rows_before, ending):
         load_embeddings(path)
     with pytest.raises(DatasetError, match=re.escape(where)):
         load_csv(path, "label")
+
+
+# Files for a forced split (see _split_forced), as in _PARSE_CASES. The
+# row that matters lies in the first range, which a forked child parses,
+# but for split-short-row-late, where it ends the last range, which the
+# parent parses. Two give only one range: the single row, and rows followed by so many
+# blank lines that every later cut falls at the end of the file.
+_ONE_RANGE = {"split-one-row", "split-blank-tail"}
+_SPLIT_CASES = {
+    "split-bom": (b"\xef\xbb\xbfe0,e1,label\n" + b"1,2,0\n3,4,1\n" * 4, True),
+    # The data start after the header's line break, the byte order mark counted.
+    "split-bom-short-header": (b"\xef\xbb\xbf\r\nl\r\n" + b"0\r\n1\r\n" * 4, True),
+    "split-crlf": (b"e0,e1,label\r\n" + b"1,2,0\r\n3,4,1\r\n" * 4, True),
+    "split-lone-cr": (b"e0,e1,label\r" + b"1,2,0\r3,4,1\r" * 4, True),
+    "split-mixed-breaks": (b"e0,label\r\n" + b"1,0\r2,1\n3,1\r\n" * 3, True),
+    "split-blank-lines": (b"e0,label\n\n\n" + b"1,0\n\n\r\n2,1\r\r\n" * 4 + b"\n" * 40, True),
+    "split-blank-tail": (b"e0,label\n1,0\n2,1\n" + b"\n" * 200, True),
+    "split-bad-cell": (b"e0,e1,label\n1,oops,0\n" + b"3,4,1\n" * 8, False),
+    "split-separator": (b"e0,e1,label\n1\x1d,2,0\n" + b"3,4,1\n" * 8, False),
+    # Past the first 8 KB, which the header's read already decodes.
+    "split-not-utf8": (
+        b"e0,e1,label\n" + b"3,4,1\n" * 1500 + b"1,\xe9,0\n" + b"3,4,1\n" * 2000, False
+    ),
+    "split-short-row-late": (b"e0,e1,label\n" + b"1,2,0\n" * 8 + b"3,1\n", False),
+    "split-one-row": (b"e0,label\n1,0\n", True),
+    "split-two-rows": (b"e0,label\n1,0\n2,1", True),
+}
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids os.fork returned in this process."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def _split_forced(monkeypatch, workers):
+    monkeypatch.setattr(dataset, "_RANGE_BYTES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("name", list(_PARSE_CASES) + list(_SPLIT_CASES))
+def test_split_read_equals_serial_read(tmp_path, monkeypatch, forks, name, workers):
+    content, fast = _PARSE_CASES.get(name) or _SPLIT_CASES[name]
+    path = tmp_path / "x.csv"
+    path.write_bytes(content)
+
+    def load(p):
+        batch = load_embeddings(p)
+        return batch.features, batch.labels
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        serial = dataset._read_numeric(path)
+        assert (serial is not None) == fast
+        serial_outcome = _outcome(load, path)
+        assert not forks
+        fds = _open_fds()
+        _split_forced(monkeypatch, workers)
+        split = dataset._read_numeric(path)
+        assert (split is None) == (serial is None)
+        if serial is not None:
+            assert split.shape == serial.shape and split.tobytes() == serial.tobytes()
+        assert _outcome(load, path) == serial_outcome
+        assert _open_fds() == fds
+    assert not caught
+    assert _no_children_left()
+    if name in _SPLIT_CASES:
+        assert bool(forks) == (name not in _ONE_RANGE)
+
+
+@pytest.mark.parametrize(
+    "name, line", [("split-bad-cell", 2), ("split-separator", 2), ("split-not-utf8", 1502)]
+)
+def test_split_read_names_a_bad_line_in_a_child_range(tmp_path, monkeypatch, forks, name, line):
+    path = tmp_path / "x.csv"
+    path.write_bytes(_SPLIT_CASES[name][0])
+    _split_forced(monkeypatch, 2)
+    seen = []
+    parse_range = _split_read._parse_range
+
+    def recorded(p, start, stop):
+        seen.append((start, stop))
+        return parse_range(p, start, stop)
+
+    monkeypatch.setattr(_split_read, "_parse_range", recorded)
+    assert dataset._read_numeric(path) is None
+    # This process parsed only the last range, which starts after the bad line.
+    assert len(forks) == 1 and len(seen) == 1
+    assert path.read_bytes()[: seen[0][0]].count(b"\n") >= line
+    with pytest.raises(DatasetError, match=re.escape(f"{path}: ") + f".* line {line}\\b"):
+        load_embeddings(path)
+    assert _no_children_left()
+
+
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_failed_split_worker_gives_the_cell_by_cell_answer(tmp_path, monkeypatch, forks, where):
+    path = tmp_path / "x.csv"
+    save_csv(synth_blobs(SyntheticSpec(np.eye(3), 40, 1.0, seed=3)), path)
+    serial = load_embeddings(path)
+    parent = os.getpid()
+    parse_range = _split_read._parse_range
+
+    def failing(p, start, stop):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise ValueError("worker failed")
+        return parse_range(p, start, stop)
+
+    _split_forced(monkeypatch, 3)
+    monkeypatch.setattr(_split_read, "_parse_range", failing)
+    fds = _open_fds()
+    # A read that waits for ever on a child ends the run with a traceback.
+    faulthandler.dump_traceback_later(60, exit=True)
+    try:
+        assert dataset._read_numeric(path) is None
+        batch = load_embeddings(path)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert len(forks) == 4  # two per split read
+    assert batch.features.tobytes() == serial.features.tobytes()
+    assert batch.labels.tobytes() == serial.labels.tobytes()
+    assert _open_fds() == fds
+    assert _no_children_left()
+
+
+def test_large_file_loads_by_split_bit_for_bit(tmp_path, monkeypatch, forks):
+    # About 4.6 MB of rows: two ranges of at least _RANGE_BYTES.
+    path = tmp_path / "synth.csv"
+    centers = np.random.default_rng(8).standard_normal((4, 64))
+    save_csv(synth_blobs(SyntheticSpec(centers, 850, 1.0, seed=8)), path)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    batch = load_embeddings(path)
+    assert len(forks) == 1
+    monkeypatch.setattr(dataset, "_RANGE_BYTES", path.stat().st_size)
+    serial = load_embeddings(path)
+    assert len(forks) == 1
+    features, labels = _load_embeddings_by_cells(path)
+    for reference in (serial.features, features):
+        assert batch.features.tobytes() == reference.tobytes()
+    for reference in (serial.labels, labels):
+        assert batch.labels.tobytes() == reference.tobytes()
+    assert _no_children_left()
+
+
+@pytest.mark.parametrize("why", ["one-cpu", "no-affinity", "second-thread", "little-data"])
+def test_split_read_is_used_only_where_it_pays(tmp_path, monkeypatch, forks, why):
+    path = tmp_path / "x.csv"
+    path.write_bytes(_SPLIT_CASES["split-crlf"][0])
+    _split_forced(monkeypatch, 2)
+    if why == "one-cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    elif why == "no-affinity":
+        monkeypatch.delattr(os, "sched_getaffinity")
+    elif why == "little-data":
+        monkeypatch.setattr(dataset, "_RANGE_BYTES", len(path.read_bytes()))
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if why == "second-thread":
+        thread.start()
+    try:
+        values = dataset._read_numeric(path)
+    finally:
+        stop.set()
+        if thread.is_alive():
+            thread.join()
+    assert values.shape == (8, 3)
+    assert not forks

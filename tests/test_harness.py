@@ -198,6 +198,26 @@ def test_sweep_collective_column_matches_collective_recourse_bitwise(
         assert row.collective_flipped == col.flipped
 
 
+@pytest.mark.parametrize("data", ["iris", "embeddings"])
+@pytest.mark.parametrize("mode", ["ball", "sphere"])
+def test_sweep_flags_match_public_predict(iris_batch, embeddings_path, data, mode):
+    # The sweep reads both flags without the public argument check.
+    batch = iris_batch if data == "iris" else load_embeddings(embeddings_path)
+    theta = fit(batch)
+    query = make_query(theta, 1, 2, 0.25)
+    x_q, goal = query.features, query.goal_class
+    epsilons = [0.1 * i for i in range(21)]
+    cfg = SolverConfig(projection_mode=mode)
+    reference = _sequential_individual(query, theta, epsilons, cfg)
+    rows = sweep_epsilon(batch, query, epsilons, cfg).rows
+    for row, ind in zip(rows, reference):
+        post = collective_recourse(batch, query, EpsilonBudget(row.epsilon), cfg).post_centroids
+        assert row.collective_flipped == (predict(x_q, post) == goal)
+        assert row.individual_flipped == (predict(x_q + ind.perturbation, theta) == goal)
+    for flags in ([r.collective_flipped for r in rows], [r.individual_flipped for r in rows]):
+        assert any(flags) and not all(flags)
+
+
 @pytest.mark.parametrize("mode", ["ball", "sphere"])
 def test_overflowing_collective_budget_is_a_solver_error_without_warnings(iris_batch, mode):
     query = make_query(fit(iris_batch), 1, 2, 0.25)
