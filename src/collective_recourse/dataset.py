@@ -137,7 +137,8 @@ def read_rows(path) -> tuple[list[list[str]], list[int]]:
 
     A leading UTF-8 byte order mark is dropped, so it cannot become part of
     the first cell. A file that is not UTF-8 is rejected with the line of its
-    first bad byte.
+    first bad byte, and one the csv module cannot split (such as a cell over
+    its field size limit) with the line it stopped at.
     """
     path = Path(path)
     if not path.exists():
@@ -150,6 +151,8 @@ def read_rows(path) -> tuple[list[list[str]], list[int]]:
                 if not _blank(row):
                     rows.append(row)
                     lines.append(reader.line_num)
+    except csv.Error as err:
+        raise DatasetError(f"{path}: line {reader.line_num}: {err}") from None
     except UnicodeDecodeError:
         # The decoder counts its position from the start of its current
         # chunk, so find the first bad byte in the whole file and name its line.
@@ -270,7 +273,7 @@ def _read_numeric(path) -> np.ndarray | None:
                 from ._split_read import read_split
 
                 values = read_split(path, start, stop, workers)
-    except (OSError, ValueError, Warning):
+    except (OSError, ValueError, Warning, csv.Error):
         return None
     if values is None or values.shape[1] != len(header) or not np.all(np.isfinite(values)):
         return None

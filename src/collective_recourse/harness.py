@@ -125,16 +125,17 @@ def sweep_epsilon(
         raise ValueError(f"epsilons must be strictly ascending, got {epsilons}")
 
     theta = fit(batch)
-    sizes = np.bincount(batch.labels, minlength=batch.num_classes)
+    everyone = np.ones(batch.num_classes)
     x_q, goal = query.features, query.goal_class
     rows = []
     warm = ()
     for eps, budget in zip(epsilons, budgets):
         try:
             ind = individual_recourse(query, theta, budget, cfg, extra_candidates=warm)
-            post, _ = _collective_centroids(
-                theta, sizes, sizes, x_q, goal, eps, cfg.projection_mode
-            )
+            post, _ = _collective_centroids(theta, everyone, x_q, goal, eps, cfg.projection_mode)
+            collective_loss = nll_loss(x_q, goal, post)
+            # nll_loss has just checked x_q against these centroids.
+            collective_flipped = _predict(x_q, post.mu) == goal
         except ValueError as err:
             raise ValueError(f"sweep failed at epsilon={eps}: {err}") from err
         warm = (ind.perturbation,)
@@ -143,10 +144,9 @@ def sweep_epsilon(
                 epsilon=eps,
                 baseline_loss=float(ind.loss_trace[0]),
                 individual_loss=ind.achieved_loss,
-                # nll_loss has just checked x_q against these centroids.
-                collective_loss=nll_loss(x_q, goal, post),
+                collective_loss=collective_loss,
                 individual_flipped=ind.flipped,
-                collective_flipped=_predict(x_q, post.mu) == goal,
+                collective_flipped=collective_flipped,
             )
         )
     return SweepReport(tuple(rows))

@@ -14,9 +14,10 @@ convergence from the best of a few candidate points, one of them the step
 toward the goal centroid, and reports the best point it evaluated. Each
 evaluation is one query-to-centroid distance computation, which gives both
 the loss and the gradient there. The collective problem splits into one
-small problem per class and is solved exactly in closed form. Budgets are
-per-vector L2 balls; ``sphere`` mode instead puts every nonzero
-perturbation on the budget sphere.
+small problem per class and is solved exactly in closed form: with a share
+f_y of class y's rows each moving by move_y, centroid y refits to
+mu_y + f_y * move_y, all k at once. Budgets are per-vector L2 balls;
+``sphere`` mode instead puts every nonzero perturbation on the budget sphere.
 """
 
 from __future__ import annotations
@@ -305,18 +306,15 @@ def individual_recourse(
     )
 
 
-def _collective_centroids(theta, sizes, movers, x_q, goal, eps, mode):
+def _collective_centroids(theta, share, x_q, goal, eps, mode):
     """Refit centroids under the exact collective answer, and each class's row move.
 
-    ``sizes`` and ``movers`` count each class's rows and its participating
+    ``share`` holds each class's participating share f_y = m_y / n_y of its
     rows. Every participating row of class y moves by row y of the returned
     k x d moves (zero where the class does not move), so centroid y moves by
-    the mean of its class's moved rows. numpy adds those rows one after
-    another, as it adds the rows of the N x d perturbation in
-    :func:`refit_with_perturbation`, where a mask's zero rows add exactly
-    nothing: the centroids are the refit's bit for bit. The exception is
-    d = 1 with a partial mask: there numpy sums the refit's single column
-    pairwise, zeros included, and the last bit may differ.
+    the mean of its class's rows, f_y times that row: the refit centroids are
+    mu + f * moves. With full participation that is exact up to one rounding
+    of mu + move.
     """
     away = theta.mu - x_q
     dists = np.linalg.norm(away, axis=1)
@@ -325,26 +323,22 @@ def _collective_centroids(theta, sizes, movers, x_q, goal, eps, mode):
     off = dists > GRAD_NORM_FLOOR
     units[off] = away[off] / dists[off, None]
 
-    # A budget near the float range overflows eps * m_g and the class sums
-    # to inf: the sphere test below then keeps the goal rows still, and an
-    # infinite centroid is rejected by Centroids.
+    # Near the float range mu + f * moves can overflow to inf, which Centroids rejects.
     with np.errstate(over="ignore"):
         # Signed distance each participating row of a class moves along its unit.
         steps = np.full(theta.num_classes, eps)
-        d_g, n_g, m_g = dists[goal], sizes[goal], movers[goal]
-        if m_g == 0:
+        d_g, f_g = dists[goal], share[goal]
+        if f_g == 0:
             steps[goal] = 0.0
         elif mode == "ball":
-            steps[goal] = -min(eps, d_g * n_g / m_g)
+            steps[goal] = -min(eps, d_g / f_g)
         else:
-            steps[goal] = -eps if abs(d_g - eps * m_g / n_g) < d_g else 0.0
+            steps[goal] = -eps if abs(d_g - eps * f_g) < d_g else 0.0
 
         moves = np.zeros_like(units)
         moving = steps != 0.0
         moves[moving] = steps[moving, None] * units[moving]
-        mu = theta.mu.copy()
-        for y in range(theta.num_classes):
-            mu[y] += np.broadcast_to(moves[y], (movers[y], theta.dim)).sum(axis=0) / sizes[y]
+        mu = theta.mu + share[:, None] * moves
     return Centroids(mu), moves
 
 
@@ -380,10 +374,10 @@ def collective_recourse(
     exactly zero; a fully masked-out class simply leaves that centroid fixed.
     Of ``cfg`` only ``projection_mode`` is read.
 
-    The refit centroids are computed from the k x d centroids and the class
-    sizes alone, bit for bit those of :func:`refit_with_perturbation` of the
-    returned perturbation (for d = 1 with a partial mask, to the last bit);
-    the N x d perturbation is built only to be returned.
+    The refit centroids are computed from the k x d centroids and each
+    class's participating share f_y = m_y / n_y alone, as mu_y + f_y * move_y:
+    with full participation that is exact up to one rounding of mu + move.
+    The N x d perturbation is built only to be returned.
     """
     theta = fit(batch)
     x_q, goal = _check_query(query, theta)
@@ -393,13 +387,14 @@ def collective_recourse(
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (batch.num_rows,):
             raise ValueError(f"mask shape {mask.shape} does not match {batch.num_rows} rows")
-    sizes = np.bincount(batch.labels, minlength=batch.num_classes)
-    movers = np.bincount(batch.labels[mask], minlength=batch.num_classes)
+    # LabeledBatch guarantees that every class has a row to divide by.
+    k, labels = batch.num_classes, batch.labels
+    share = np.bincount(labels[mask], minlength=k) / np.bincount(labels, minlength=k)
     post, moves = _collective_centroids(
-        theta, sizes, movers, x_q, goal, budget.epsilon, cfg.projection_mode
+        theta, share, x_q, goal, budget.epsilon, cfg.projection_mode
     )
     delta = np.zeros_like(batch.features)
-    delta[mask] = moves[batch.labels[mask]]
+    delta[mask] = moves[labels[mask]]
 
     baseline = nll_loss(x_q, goal, theta)
     # Checks x_q against the refit centroids, which _predict below does not.

@@ -442,6 +442,14 @@ def test_cli_query_too_far_for_the_model_is_data_error(tmp_path, capsys, kind):
     assert "error: point lies so far from the centroids" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("label_flags", [[], ["--label-col", "label"]])
+def test_cli_cell_over_the_csv_field_limit_is_data_error(tmp_path, capsys, label_flags):
+    path = tmp_path / "x.csv"
+    path.write_text('e0,label\n"' + "1" * 200_000 + '",0\n2.0,1\n')
+    assert cli_main(["fit", "--data", str(path), *label_flags]) == 2
+    assert f"error: {path}: line 2: field larger than field limit" in capsys.readouterr().err
+
+
 def test_cli_non_utf8_file_is_data_error_naming_its_line(tmp_path, capsys):
     path = tmp_path / "x.csv"
     path.write_bytes(b"e0,label\n1.0,0\n2.0,1\ncaf\xe9,1\n")

@@ -409,6 +409,21 @@ def test_non_utf8_byte_is_named_by_file_line(tmp_path, rows_before, ending):
         load_csv(path, "label")
 
 
+@pytest.mark.parametrize("line", [1, 2])
+def test_cell_over_the_csv_field_limit_is_named_by_file_line(tmp_path, line):
+    # The csv module refuses a field over 131 072 characters; here the
+    # header or the first data row holds a quoted cell of 200 000.
+    lines = ["e0,e1,label", "1.5,2,0", "3,4,1"]
+    lines[line - 1] = '"' + "1" * 200_000 + '",' + lines[line - 1].split(",", 1)[1]
+    path = tmp_path / "x.csv"
+    path.write_text("\n".join(lines) + "\n")
+    where = f"{path}: line {line}: field larger than field limit (131072)"
+    with pytest.raises(DatasetError, match=f"^{re.escape(where)}$"):
+        load_embeddings(path)
+    with pytest.raises(DatasetError, match=f"^{re.escape(where)}$"):
+        load_csv(path, "label")
+
+
 # Files for a forced split (see _split_forced), as in _PARSE_CASES. The
 # row that matters lies in the first range, which a forked child parses,
 # but for split-short-row-late, where it ends the last range, which the

@@ -222,14 +222,16 @@ def test_sweep_flags_match_public_predict(iris_batch, embeddings_path, data, mod
 def test_overflowing_collective_budget_is_a_solver_error_without_warnings(iris_batch, mode):
     query = make_query(fit(iris_batch), 1, 2, 0.25)
     cfg = SolverConfig(projection_mode=mode)
+    # The refit centroids stay finite; the query's squared distances to them do not.
+    overflow = "point lies so far from the centroids that its squared distances overflow"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="^centroids contain non-finite values$"):
-            collective_recourse(iris_batch, query, EpsilonBudget(1e308), cfg)
-        with pytest.raises(
-            ValueError, match=r"^sweep failed at epsilon=1e\+308: centroids contain non-finite"
-        ):
-            sweep_epsilon(iris_batch, query, [0.5, 1e308], cfg)
+        for eps in (1e200, 1e308):
+            with pytest.raises(ValueError, match=f"^{overflow}$"):
+                collective_recourse(iris_batch, query, EpsilonBudget(eps), cfg)
+            failed = re.escape(f"sweep failed at epsilon={eps}: {overflow}")
+            with pytest.raises(ValueError, match=f"^{failed}$"):
+                sweep_epsilon(iris_batch, query, [0.5, eps], cfg)
 
 
 def test_report_csv_empty(tmp_path):

@@ -567,13 +567,32 @@ def test_collective_mask_freezes_class(three_blob_pair):
     assert np.linalg.norm(res.perturbation.delta[mask]) > 0
 
 
-@pytest.mark.parametrize("data", ["iris", "embeddings", "synth"])
+@pytest.mark.parametrize("data", ["iris", "embeddings", "synth", "blob1d"])
 @pytest.mark.parametrize("mode", ["ball", "sphere"])
-def test_collective_post_centroids_equal_refit_bitwise(
+def test_collective_post_centroids_are_closed_form_within_refit_rounding(
     iris_batch, embeddings_path, synth_20k_batch, data, mode
 ):
+    """The refit centroids are mu_y + f_y * v_y, and agree with the N x d refit to rounding.
+
+    Here f_y = m_y / n_y is class y's participating share and v_y the move of
+    each of its participating rows, read from the returned perturbation. The
+    solver must compute exactly that formula, bit for bit.
+
+    :func:`refit_with_perturbation` instead sums the n_y rows delta_i of class
+    y, m_y of them v_y and the rest zero. Per coordinate, with unit roundoff u
+    and gamma_k = k * u / (1 - k * u), any order of summing n_y terms errs by
+    at most gamma_{n_y - 1} * sum|delta_i| (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 2002, section 4.2): numpy adds rows one
+    after another for d > 1 and sums the single column pairwise for d = 1.
+    Dividing by n_y adds one rounding; on the closed-form side m_y / n_y and
+    f_y * v_y add one each. So the two means differ from each other by at most
+    gamma_{n_y + 2} * sum|delta_i| / n_y. The final mu + mean on each side
+    rounds once more, by at most u times its own result.
+    """
     if data == "embeddings":
         batch = load_embeddings(embeddings_path)
+    elif data == "blob1d":
+        batch = synth_blobs(SyntheticSpec(np.array([[-1.0], [0.5], [2.0]]), 300, 0.7, seed=3))
     else:
         batch = iris_batch if data == "iris" else synth_20k_batch
     theta = fit(batch)
@@ -587,30 +606,25 @@ def test_collective_post_centroids_equal_refit_bitwise(
         "random": np.random.default_rng(4).random(batch.num_rows) < 0.5,
         "goal-out": batch.labels != 1,
     }
+    u = np.finfo(float).eps / 2
     cfg = SolverConfig(projection_mode=mode)
     for (where, query), (participation, mask) in itertools.product(queries.items(), masks.items()):
         for eps in (0.0, 0.1, 0.5, 1.0, 3.0):
             res = collective_recourse(batch, query, EpsilonBudget(eps), cfg, mask=mask)
-            refit = refit_with_perturbation(batch, res.perturbation.delta)
+            delta, taking_part = res.perturbation.delta, res.perturbation.participation_mask
+            post = res.post_centroids.mu
+            refit = refit_with_perturbation(batch, delta).mu
             case = (where, participation, eps)
-            assert res.post_centroids.mu.tobytes() == refit.mu.tobytes(), case
-
-
-def test_collective_one_dimensional_partial_mask_agrees_with_refit_to_rounding():
-    # With d = 1 numpy sums the refit's single column pairwise, zeros of the
-    # masked-out rows included, while the centroid-space update adds the
-    # moved rows one after another: the two may round differently. With
-    # every row moving, both sum the same copies the same way.
-    batch = synth_blobs(SyntheticSpec(np.array([[-1.0], [0.5], [2.0]]), 300, 0.7, seed=3))
-    query = make_query(fit(batch), 0, 1, 0.25)
-    mask = np.random.default_rng(1).random(batch.num_rows) < 0.5
-    for eps in (0.1, 0.7, 3.0):
-        full = collective_recourse(batch, query, EpsilonBudget(eps))
-        refit = refit_with_perturbation(batch, full.perturbation.delta)
-        assert full.post_centroids.mu.tobytes() == refit.mu.tobytes()
-        part = collective_recourse(batch, query, EpsilonBudget(eps), mask=mask)
-        refit = refit_with_perturbation(batch, part.perturbation.delta)
-        assert np.allclose(part.post_centroids.mu, refit.mu, rtol=0, atol=1e-13 * eps)
+            for y in range(batch.num_classes):
+                rows = batch.labels == y
+                n, m = rows.sum(), (rows & taking_part).sum()
+                v = delta[rows & taking_part][0] if m else np.zeros(batch.dim)
+                assert np.all(delta[rows & taking_part] == v), case
+                expected = theta.mu[y] + (m / n) * v
+                assert post[y].tobytes() == expected.tobytes(), (case, y)
+                gamma = (n + 2) * u / (1 - (n + 2) * u)
+                bound = gamma * m * np.abs(v) / n + u * (np.abs(post[y]) + np.abs(refit[y]))
+                assert np.all(np.abs(post[y] - refit[y]) <= bound), (case, y)
 
 
 def test_collective_sphere_mode(three_blob_pair):
