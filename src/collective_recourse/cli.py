@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -87,6 +88,9 @@ def _parse_feature_list(text: str) -> list[str]:
     names = [cell.strip() for cell in text.split(",")]
     if any(not name for name in names):
         raise ValueError(f"empty feature name in {text!r}")
+    repeated = [name for name, count in Counter(names).items() if count > 1]
+    if repeated:
+        raise ValueError(f"repeated feature name(s) {repeated} in {text!r}")
     return names
 
 

@@ -15,8 +15,10 @@ The C reader holds the GIL, so a thread cannot share its work. Where the data
 rows fill at least 4 MiB, a usable second CPU exists (``os.sched_getaffinity``)
 and no other Python thread runs, the rows are cut at line breaks into one
 range per usable CPU (at least 2 MiB each), and each range but the last is
-parsed in a child made with ``os.fork()`` (module ``_split_read``). The parts
-are joined in file order, bit for bit the serial result. On a seeded
+parsed in a child made with ``os.fork()`` (module ``_split_read``). Every
+worker reads the file that was opened for the header, by offset, so a file
+replaced at its path during the read cannot mix two files. The parts are
+joined in file order, bit for bit the serial result. On a seeded
 20 000 x 64 ``synth_blobs`` file (26 MB) on a 2-vCPU VM, the load took 0.21 s
 instead of 0.37 s, and the CLI sweep on it 0.67 s instead of 0.93 s. If any
 worker fails, the file is read cell by cell, as after a failed serial read.
@@ -30,6 +32,7 @@ import math
 import os
 import threading
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -253,8 +256,8 @@ def _read_numeric(path) -> np.ndarray | None:
     and where. Where it returns values, they are bit for bit those of
     :func:`read_reals`.
 
-    Large data is parsed by ``_split_read.read_split``, one range of rows
-    per usable CPU, with the same result.
+    Large data is parsed by ``_split_read.read_split`` from the file opened
+    here, one range of rows per usable CPU, with the same result.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
@@ -263,8 +266,7 @@ def _read_numeric(path) -> np.ndarray | None:
                 (row for row in csv.reader(_recorded(handle, head)) if not _blank(row)), []
             )
             start = len("".join(head).encode())
-            stop = os.fstat(handle.fileno()).st_size
-            workers = _worker_count(stop - start)
+            workers = _worker_count(os.fstat(handle.fileno()).st_size - start)
             if workers < 2:
                 values = _parse_lines(handle)
             else:
@@ -272,7 +274,7 @@ def _read_numeric(path) -> np.ndarray | None:
                 # without a bytecode cache, compiling it raises peak memory.
                 from ._split_read import read_split
 
-                values = read_split(path, start, stop, workers)
+                values = read_split(handle.fileno(), start, workers)
     except (OSError, ValueError, Warning, csv.Error):
         return None
     if values is None or values.shape[1] != len(header) or not np.all(np.isfinite(values)):
@@ -321,14 +323,18 @@ def write_rows(path, rows, header=None) -> None:
 def load_csv(path, label_column: str, feature_columns=None) -> LabeledBatch:
     """Load a labeled CSV into a batch.
 
-    The file must have a header row; cells use ``.`` decimals and comma
-    separators. Distinct label strings are mapped to class indices in order
-    of first appearance (for the canonical Iris file this yields setosa=0,
-    versicolor=1, virginica=2). ``feature_columns`` restricts and orders the
-    feature set; by default every non-label column is used in file order.
-    No standardization is applied.
+    The file must have a header row that names each column once; cells use
+    ``.`` decimals and comma separators. Distinct label strings are mapped
+    to class indices in order of first appearance (for the canonical Iris
+    file this yields setosa=0, versicolor=1, virginica=2).
+    ``feature_columns`` restricts and orders the feature set; by default
+    every non-label column is used in file order. No standardization is
+    applied.
     """
     (header, *data_rows), (_, *data_lines) = read_rows(path)
+    repeated = [name for name, count in Counter(header).items() if count > 1]
+    if repeated:
+        raise DatasetError(f"{path}: header repeats column name(s) {repeated}")
     if label_column not in header:
         raise DatasetError(f"{path}: missing column {label_column!r} (header: {header})")
     if feature_columns is None:
@@ -363,11 +369,12 @@ def load_embeddings(path) -> LabeledBatch:
 
     numpy's C reader parses the file: a large file (4 MiB of rows or more) in
     parallel, one range of rows per usable CPU, each range but the last in a
-    forked child, when no other Python thread runs; the result is bit for
-    bit that of one reader (a 26 MB file: 0.21 s instead of 0.37 s on
-    2 vCPUs). A file it rejects, or one with a label that is
-    not a nonnegative integer, is read again cell by cell, which names the
-    first bad line and column.
+    forked child, when no other Python thread runs. All of them read the
+    one file opened here, so a file replaced during the read cannot mix two
+    files, and the result is bit for bit that of one reader (a 26 MB file:
+    0.21 s instead of 0.37 s on 2 vCPUs). A file it rejects, or one with a
+    label that is not a nonnegative integer, is read again cell by cell,
+    which names the first bad line and column.
     """
     values = _read_numeric(path)
     if values is None or values.shape[1] < 2 or np.any(_bad_labels(values[:, -1])):

@@ -166,6 +166,12 @@ def read_report_csv(path) -> SweepReport:
     if header != list(REPORT_COLUMNS):
         raise DatasetError(f"{path}: unexpected header {header}")
     reals = read_reals(path, rows, lines, header, range(4)).tolist()
+    for row, line in zip(rows, lines):
+        for name, cell in zip(header[4:], row[4:]):
+            if cell not in ("true", "false"):
+                raise DatasetError(
+                    f"{path}: flag {cell!r} at line {line}, column {name!r} is not true or false"
+                )
     flags = ([cell == "true" for cell in row[4:]] for row in rows)
     return SweepReport(tuple(SweepRow(*r, *f) for r, f in zip(reals, flags)))
 

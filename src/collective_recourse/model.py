@@ -97,10 +97,19 @@ def fit(batch: LabeledBatch) -> Centroids:
 
 
 def distances(points: np.ndarray, theta: Centroids) -> np.ndarray:
-    """Euclidean distances from each row of ``points`` to each centroid (n x k)."""
+    """Euclidean distances from each row of ``points`` to each centroid (n x k).
+
+    Filled one centroid at a time through one n x d buffer, not an
+    n x k x d tensor; each distance sums the same squares in the same order.
+    """
     points = np.asarray(points, dtype=float)
-    diffs = points[:, None, :] - theta.mu[None, :, :]
-    return np.sqrt(np.sum(diffs * diffs, axis=2))
+    out = np.empty((points.shape[0], theta.num_classes))
+    diffs = np.empty_like(points)
+    for y, centroid in enumerate(theta.mu):
+        np.subtract(points, centroid, out=diffs)
+        np.multiply(diffs, diffs, out=diffs)
+        np.add.reduce(diffs, axis=1, out=out[:, y])
+    return np.sqrt(out, out=out)
 
 
 def _evaluate(x, mu):

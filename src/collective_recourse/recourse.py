@@ -241,9 +241,10 @@ def individual_recourse(
 
     Evaluates these candidates in turn: delta = 0, each of
     ``extra_candidates`` (for example the answer under a smaller budget,
-    which is what makes loss-versus-budget sweeps monotone) projected onto
-    the budget, the seeded random point when ``cfg.init`` is ``"random"``,
-    and the step toward the goal centroid. From the best of them it runs the
+    which is what makes loss-versus-budget sweeps monotone; each must be a
+    finite vector of the query's dimension) projected onto the budget, the
+    seeded random point when ``cfg.init`` is ``"random"``, and the step
+    toward the goal centroid. From the best of them it runs the
     spectral projected gradient method (Birgin, Martinez & Raydan, SIAM J.
     Optim. 2000) for at most ``cfg.steps`` iterations; in sphere mode it
     starts from the best candidate on the sphere, since delta = 0 is an
@@ -264,6 +265,10 @@ def individual_recourse(
     baseline loss.
     """
     x_q, goal = _check_query(query, theta)
+    candidates = [np.array(c, dtype=float) for c in extra_candidates]
+    for i, candidate in enumerate(candidates):
+        if candidate.shape != x_q.shape or not np.isfinite(candidate).all():
+            raise ValueError(f"extra candidate {i} is not a finite vector of dimension {x_q.size}")
     mu = theta.mu
     eps, mode = budget.epsilon, cfg.projection_mode
     to_goal = mu[goal] - x_q
@@ -274,7 +279,7 @@ def individual_recourse(
     # evaluates to inf or NaN, and so never wins or passes the Armijo test.
     with np.errstate(over="ignore", invalid="ignore"):
         starts = [np.zeros_like(x_q)]
-        starts += [_project(np.array(c, dtype=float), eps, mode) for c in extra_candidates]
+        starts += [_project(candidate, eps, mode) for candidate in candidates]
         if cfg.init == "random":
             noise = np.random.default_rng(cfg.seed).standard_normal(x_q.shape)
             starts.append(_project(noise * eps, eps, mode))

@@ -30,7 +30,8 @@ def test_parse_eps_grid_single_point():
 
 
 def test_parse_eps_grid_rejects_garbage():
-    for bad in ("0:1", "0:1:0", "a:1:0.1", "0:-1:0.1", "-0.2:1:0.1", "1:0:0.1"):
+    for bad in ("0:1", "0:1:0", "a:1:0.1", "0:-1:0.1", "-0.2:1:0.1", "1:0:0.1",
+                "0:inf:0.1", "nan:1:0.1"):
         with pytest.raises(ValueError):
             parse_eps_grid(bad)
 
@@ -423,6 +424,23 @@ def test_cli_empty_feature_name_is_usage_error(iris_path, capsys, features):
     out, err = capsys.readouterr()
     assert out == ""
     assert "usage error: empty feature name" in err
+
+
+def test_cli_repeated_feature_name_is_usage_error(iris_path, capsys):
+    argv = ["fit", "--data", str(iris_path), "--label-col", "species",
+            "--features", "sepal_length,petal_width,sepal_length"]
+    assert cli_main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "usage error: repeated feature name(s) ['sepal_length'] in" in err
+
+
+def test_cli_repeated_header_name_is_data_error(tmp_path, capsys):
+    # The second column named a used to be read as a copy of the first.
+    path = tmp_path / "x.csv"
+    path.write_text("a,a,label\n1,10,u\n2,20,v\n3,30,v\n")
+    assert cli_main(["fit", "--data", str(path), "--label-col", "label"]) == 2
+    assert f"error: {path}: header repeats column name(s) ['a']" in capsys.readouterr().err
 
 
 def test_cli_huge_label_is_data_error(tmp_path, capsys):

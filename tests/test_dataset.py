@@ -105,6 +105,22 @@ def test_ragged_row(tmp_path):
         load_csv(path, "label")
 
 
+@pytest.mark.parametrize(
+    "text, why",
+    [
+        ("a,a,label\n1,10,u\n2,20,v\n3,30,v\n", "header repeats column name(s) ['a']"),
+        ("label,b,label\nu,1,v\nv,2,u\n", "header repeats column name(s) ['label']"),
+        ("label\nu\nv\n", "no feature columns selected"),
+        ("a,label\n", "no data rows"),
+    ],
+)
+def test_load_csv_rejects_layout(tmp_path, text, why):
+    path = tmp_path / "x.csv"
+    path.write_text(text)
+    with pytest.raises(DatasetError, match=f"^{re.escape(f'{path}: {why}')}$"):
+        load_csv(path, "label")
+
+
 def test_single_label_rejected(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("a,label\n1,u\n2,u\n")
@@ -173,6 +189,12 @@ def test_batch_invariants():
         LabeledBatch(np.zeros((3, 2)), np.array([0, 0, 0]), 2)
     with pytest.raises(DatasetError, match="non-finite feature value at row 1, column 0"):
         LabeledBatch(np.array([[0.0, 0.0], [np.nan, 0.0]]), np.array([0, 1]), 2)
+    with pytest.raises(DatasetError, match=r"^features must be 2-D, got shape \(3,\)$"):
+        LabeledBatch(np.zeros(3), np.array([0, 1, 1]), 2)
+    with pytest.raises(DatasetError, match=r"^labels must be 1-D, got shape \(3, 1\)$"):
+        LabeledBatch(np.zeros((3, 2)), np.array([[0], [1], [1]]), 2)
+    with pytest.raises(DatasetError, match="^need at least 3 rows for 3 classes, got 2$"):
+        LabeledBatch(np.zeros((2, 2)), np.array([0, 1]), 3)
 
 
 def test_batch_rejects_non_integral_labels():
@@ -226,6 +248,8 @@ def test_synth_spec_validation():
         SyntheticSpec(centers, 3, -0.1, seed=0)
     with pytest.raises(DatasetError):
         SyntheticSpec(np.array([np.inf, 0.0])[None, :], 3, 0.1, seed=0)
+    with pytest.raises(DatasetError, match=r"^centers must be a k x d matrix, got shape \(2,\)$"):
+        SyntheticSpec(np.zeros(2), 3, 0.1, seed=0)
 
 
 @pytest.mark.parametrize("huge", ["1e300", "10000000"])
@@ -429,7 +453,7 @@ def test_cell_over_the_csv_field_limit_is_named_by_file_line(tmp_path, line):
 # but for split-short-row-late, where it ends the last range, which the
 # parent parses. Two give only one range: the single row, and rows followed by so many
 # blank lines that every later cut falls at the end of the file.
-_ONE_RANGE = {"split-one-row", "split-blank-tail"}
+_ONE_RANGE = {"split-one-row", "split-blank-tail", "split-long-blank-tail"}
 _SPLIT_CASES = {
     "split-bom": (b"\xef\xbb\xbfe0,e1,label\n" + b"1,2,0\n3,4,1\n" * 4, True),
     # The data start after the header's line break, the byte order mark counted.
@@ -439,6 +463,8 @@ _SPLIT_CASES = {
     "split-mixed-breaks": (b"e0,label\r\n" + b"1,0\r2,1\n3,1\r\n" * 3, True),
     "split-blank-lines": (b"e0,label\n\n\n" + b"1,0\n\n\r\n2,1\r\r\n" * 4 + b"\n" * 40, True),
     "split-blank-tail": (b"e0,label\n1,0\n2,1\n" + b"\n" * 200, True),
+    # A cut target inside a long run of breaks scans it once, not once per byte.
+    "split-long-blank-tail": (b"e0,label\n1,0\n2,1\n" + b"\r\n" * 50_000, True),
     "split-bad-cell": (b"e0,e1,label\n1,oops,0\n" + b"3,4,1\n" * 8, False),
     "split-separator": (b"e0,e1,label\n1\x1d,2,0\n" + b"3,4,1\n" * 8, False),
     # Past the first 8 KB, which the header's read already decodes.
@@ -562,6 +588,36 @@ def test_failed_split_worker_gives_the_cell_by_cell_answer(tmp_path, monkeypatch
     assert len(forks) == 4  # two per split read
     assert batch.features.tobytes() == serial.features.tobytes()
     assert batch.labels.tobytes() == serial.labels.tobytes()
+    assert _open_fds() == fds
+    assert _no_children_left()
+
+
+@pytest.mark.parametrize("tail", [b"", b"3,4,1"], ids=["line-break", "mid-row"])
+def test_split_read_of_a_file_shortened_after_its_size_was_read(
+    tmp_path, monkeypatch, forks, tail
+):
+    # The file is cut to a third between the size read and the split, so a
+    # cut placed by the old size would lie past the end of the file.
+    head = b"e0,e1,label\n" + b"1,2,0\n3,4,10\n" * 666 + b"1,2,0\n" + tail
+    path, short = tmp_path / "x.csv", tmp_path / "short.csv"
+    path.write_bytes(head + b"3,4,10\n1,2,0\n3,4,10\n" * 1334)
+    short.write_bytes(head)
+    serial = dataset._read_numeric(short)
+    assert serial is not None and serial[-1, -1] == (1 if tail else 0)
+
+    def shortened(size):
+        os.truncate(path, len(head))
+        return 2
+
+    monkeypatch.setattr(dataset, "_worker_count", shortened)
+    fds = _open_fds()
+    faulthandler.dump_traceback_later(60, exit=True)
+    try:
+        split = dataset._read_numeric(path)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert split.shape == serial.shape and split.tobytes() == serial.tobytes()
+    assert len(forks) == 1
     assert _open_fds() == fds
     assert _no_children_left()
 

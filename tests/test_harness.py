@@ -257,6 +257,15 @@ def test_report_csv_round_trip(tmp_path):
     assert back == report  # dataclass equality, bit-exact floats
 
 
+@pytest.mark.parametrize(
+    "write, what", [(write_report_csv, "report"), (render_plot_svg, "plot")]
+)
+def test_unwritable_output_names_its_path(tmp_path, write, what):
+    path = tmp_path / "missing" / "out"
+    with pytest.raises(OSError, match=f"^{re.escape(f'cannot write {what} to {path}: ')}"):
+        write(SweepReport((_row(0.0, 1.25, 1.25, 1.25),)), path)
+
+
 def test_report_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "r.csv"
     path.write_text("a,b\n1,2\n")
@@ -367,6 +376,9 @@ def test_report_csv_ignores_bom(tmp_path):
         ("0.5,1,1\n", "line 3 has 3 cells, expected 6"),
         ("0.5,x,1,1,false,false\n", "unparsable value 'x' at line 3, column 'baseline_loss'"),
         ("inf,1,1,1,false,false\n", "non-finite value at line 3, column 'epsilon'"),
+        ("0.5,1,1,1,True,false\n", "flag 'True' at line 3, column 'individual_flipped'"),
+        ("0.5,1,1,1,false,1\n", "flag '1' at line 3, column 'collective_flipped'"),
+        ("0.5,1,1,1,,false\n", "flag '' at line 3, column 'individual_flipped'"),
     ],
 )
 def test_report_csv_bad_row_names_location(tmp_path, row, where):

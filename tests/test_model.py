@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -372,6 +373,26 @@ def test_distances_matrix(iris_batch):
     assert abs(d[7, 2] - one) < 1e-12
     points = np.array([[-1.0, 0.0], [0.0, 0.0], [0.5, 0.0]])
     assert np.array_equal(distances(points, TWO), [[2.0, 0.0], [1.0, 1.0], [0.5, 1.5]])
+
+
+def test_distances_equal_the_broadcast_formula_without_its_memory():
+    rng = np.random.default_rng(14)
+    for n, k, d in [(1, 2, 1), (37, 3, 5), (200, 10, 64), (50, 4, 130)]:
+        points, theta = rng.standard_normal((n, d)), Centroids(rng.standard_normal((k, d)))
+        for layout in (points, np.asfortranarray(points), points[::-1, ::2]):
+            diffs = layout[:, None, :] - theta.mu[None, :, : layout.shape[1]]
+            reference = np.sqrt(np.sum(diffs * diffs, axis=2))
+            trimmed = Centroids(theta.mu[:, : layout.shape[1]])
+            assert distances(layout, trimmed).tobytes() == reference.tobytes()
+    # The n x k x d difference tensor alone would take 10 times the points' bytes.
+    points, theta = rng.standard_normal((4000, 64)), Centroids(rng.standard_normal((10, 64)))
+    tracemalloc.start()
+    try:
+        distances(points, theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * points.nbytes
 
 
 def test_centroids_csv_round_trip(tmp_path, iris_batch):

@@ -148,6 +148,28 @@ def test_oracle_monotone_in_epsilon(three_blob_pair):
         prev_i, prev_c = li, lc
 
 
+@pytest.mark.parametrize("solver", [grid_collective, grid_collective_product])
+@pytest.mark.parametrize(
+    "features, labels, why",
+    [
+        (np.eye(3), [0, 1, 2], "grid search requires 2-D features, got d=3"),
+        (
+            np.arange(8.0).reshape(4, 2),
+            [0, 1, 2, 3],
+            "grid search requires k <= 3 classes, got k=4",
+        ),
+    ],
+    ids=["d3", "k4"],
+)
+def test_grid_collective_oracles_reject_what_they_cannot_search(solver, features, labels, why):
+    from collective_recourse.dataset import LabeledBatch
+
+    batch = LabeledBatch(features, np.array(labels), len(labels))
+    query = QuerySpec(np.zeros(batch.dim), 0)
+    with pytest.raises(ValueError, match=f"^{why}$"):
+        solver(batch, query, 0.1, GridSpec(0.05))
+
+
 def test_grid_collective_guard_many_classes():
     from collective_recourse.dataset import LabeledBatch
 

@@ -67,6 +67,10 @@ def test_perturbation_matrix_mask():
     assert np.allclose(pm.row_norms(), [1.0, 0.0])
     with pytest.raises(ValueError, match="exactly zero"):
         PerturbationMatrix(delta, np.array([False, True]))
+    with pytest.raises(ValueError, match=r"^delta must be 2-D, got shape \(2,\)$"):
+        PerturbationMatrix(np.zeros(2), np.array([True, False]))
+    with pytest.raises(ValueError, match=r"^mask shape \(3,\) does not match 2 rows$"):
+        PerturbationMatrix(delta, np.array([True, False, False]))
 
 
 def test_solver_config_validation():
@@ -199,6 +203,21 @@ def test_individual_infeasible_candidate_is_projected(collinear_pair):
         extra_candidates=(np.array([5.0, 5.0]),),
     )
     assert np.linalg.norm(res.perturbation) <= 0.2 + 1e-9
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [-1.0, [np.nan, 0.0], [1.0, 0.0, 0.0], [[1.0, 0.0]]],
+    ids=["scalar", "nan", "wrong-length", "2-d"],
+)
+def test_individual_rejects_a_malformed_candidate_by_index(collinear_pair, bad):
+    # A scalar would broadcast into a move of every feature, past the budget.
+    batch, query = collinear_pair
+    message = r"^extra candidate 1 is not a finite vector of dimension 2$"
+    with pytest.raises(ValueError, match=message):
+        individual_recourse(
+            query, fit(batch), EpsilonBudget(0.2), extra_candidates=(np.array([0.1, 0.0]), bad)
+        )
 
 
 def test_individual_dimension_errors(collinear_pair):
