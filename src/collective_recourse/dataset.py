@@ -9,27 +9,34 @@ whose label column already holds integer class indices.
 This module is the package's only CSV reader and writer: centroid files,
 sweep reports and perturbation files also go through :func:`read_rows`,
 :func:`read_reals` and :func:`write_rows`. :func:`load_embeddings` first tries
-numpy's C reader, and falls back to those two to report a bad file.
+numpy's C reader on a regular file, and falls back to those two to report a
+bad file; a pipe or other non-regular file is read once, by them alone.
 
 The C reader holds the GIL, so a thread cannot share its work. Where the data
 rows fill at least 4 MiB, a usable second CPU exists (``os.sched_getaffinity``)
-and no other Python thread runs, the rows are cut at line breaks into one
-range per usable CPU (at least 2 MiB each), and each range but the last is
-parsed in a child made with ``os.fork()`` (module ``_split_read``). Every
-worker reads the file that was opened for the header, by offset, so a file
+and no other Python thread runs, :func:`read_split` cuts the rows at line
+breaks into one range per usable CPU (at least 2 MiB each), and each range
+but the last is parsed in a child made with ``os.fork()``. Every worker
+reads the file that was opened for the header, by offset, so a file
 replaced at its path during the read cannot mix two files. The parts are
 joined in file order, bit for bit the serial result. On a seeded
 20 000 x 64 ``synth_blobs`` file (26 MB) on a 2-vCPU VM, the load took 0.21 s
 instead of 0.37 s, and the CLI sweep on it 0.67 s instead of 0.93 s. If any
 worker fails, the file is read cell by cell, as after a failed serial read.
+Otherwise this process alone parses the rows, with :func:`_parse_lines`.
 """
 
 from __future__ import annotations
 
 import codecs
 import csv
+import io
 import math
+import mmap
+import operator
 import os
+import re
+import stat
 import threading
 import warnings
 from collections import Counter
@@ -123,10 +130,18 @@ class SyntheticSpec:
             raise DatasetError(f"centers must be a k x d matrix, got shape {centers.shape}")
         if not np.all(np.isfinite(centers)):
             raise DatasetError("centers contain non-finite values")
+        for name in ("points_per_class", "seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise DatasetError(f"{name} must be an integer, got {value!r}") from None
         if self.points_per_class < 1:
             raise DatasetError(f"points_per_class must be >= 1, got {self.points_per_class}")
-        if self.noise_scale < 0:
-            raise DatasetError(f"noise_scale must be >= 0, got {self.noise_scale}")
+        if self.seed < 0:
+            raise DatasetError(f"seed must be nonnegative, got {self.seed}")
+        if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0):
+            raise DatasetError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
         object.__setattr__(self, "centers", _frozen(centers))
 
 
@@ -250,16 +265,19 @@ def _read_numeric(path) -> np.ndarray | None:
     """The rows below the header as numpy's C reader parses them, or None.
 
     The header is the first non-blank row, as for :func:`read_rows`. None
-    means the reader raised or warned (a file without data rows warns), a
-    row's cell count differs from the header's, or a value is non-finite:
-    only :func:`read_rows` and :func:`read_reals` then say what is wrong,
-    and where. Where it returns values, they are bit for bit those of
-    :func:`read_reals`.
-
-    Large data is parsed by ``_split_read.read_split`` from the file opened
-    here, one range of rows per usable CPU, with the same result.
+    means the path is not a regular file, the reader raised or warned (a
+    file without data rows warns), a row's cell count differs from the
+    header's, or a value is non-finite: only :func:`read_rows` and
+    :func:`read_reals` then say what is wrong, and where. Where it returns
+    values, they are bit for bit those of :func:`read_reals`, also where
+    :func:`read_split` parses them.
     """
     try:
+        # A pipe is left unopened, for read_rows to read once: drained here,
+        # it would be empty there, and a FIFO opened and closed unread would
+        # cut off its writer.
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
         with open(path, newline="", encoding="utf-8-sig") as handle:
             head = []  # the lines up to the header, whose length locates the data
             header = next(
@@ -270,10 +288,6 @@ def _read_numeric(path) -> np.ndarray | None:
             if workers < 2:
                 values = _parse_lines(handle)
             else:
-                # Imported here, so that a run on small files never loads it:
-                # without a bytecode cache, compiling it raises peak memory.
-                from ._split_read import read_split
-
                 values = read_split(handle.fileno(), start, workers)
     except (OSError, ValueError, Warning, csv.Error):
         return None
@@ -290,6 +304,120 @@ def _worker_count(size: int) -> int:
     if not hasattr(os, "sched_getaffinity") or threading.active_count() != 1:
         return 1
     return min(len(os.sched_getaffinity(0)), size // _RANGE_BYTES)
+
+
+# A line break followed by a character: its end starts a line with data. One
+# character and a lookahead, not a run of breaks, so that a long run of
+# breaks at the end of a file is scanned once, without backtracking.
+_ROW_START = re.compile(rb"[\r\n](?=[^\r\n])")
+
+
+def read_split(fd: int, start: int, workers: int) -> np.ndarray | None:
+    """:func:`_parse_lines` over the bytes of an open file from ``start`` to
+    its end, in parallel.
+
+    ``start`` follows the header, as its length in UTF-8 without the byte
+    order mark. The bytes are cut into at most ``workers`` ranges, each
+    beginning on a line with at least one character, so that none is
+    without data rows. The cuts are found in a read-only map of the file,
+    whose length is the end of the data; a file shortened while they are
+    searched can still raise SIGBUS. A forked child parses each range but
+    the last, and sends back its shape and float64 values through a pipe;
+    this process parses the last range and joins the parts in file order.
+    None if a child failed, or if the parts' column counts differ.
+    """
+    with mmap.mmap(fd, 0, access=mmap.ACCESS_READ) as view:
+        if view[: len(codecs.BOM_UTF8)] == codecs.BOM_UTF8:
+            start += len(codecs.BOM_UTF8)
+        stop = len(view)
+        # start - 1 is the header's line break.
+        cuts = [
+            match.end() if (match := _ROW_START.search(view, target)) else stop
+            for target in (start + (stop - start) * i // workers - 1 for i in range(workers))
+        ]
+    ranges = [(lo, hi) for lo, hi in zip(cuts, cuts[1:] + [stop]) if lo < hi]
+    if not ranges:
+        return None  # no data rows: numpy's reader would warn
+    children, pipes = [], []
+    try:
+        for lo, hi in ranges[:-1]:
+            read_end, write_end = os.pipe()
+            pipes.append(read_end)
+            try:
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns on a fork whenever another OS thread
+                    # exists, such as numpy's BLAS pool. No other Python thread
+                    # runs (see _worker_count), and the child only parses,
+                    # writes to its pipe and exits.
+                    warnings.filterwarnings(
+                        "ignore", "This process .* is multi-threaded", DeprecationWarning
+                    )
+                    pid = os.fork()
+                if pid == 0:
+                    _send_range(fd, lo, hi, write_end)
+            finally:
+                os.close(write_end)
+            children.append(pid)
+        last = _parse_range(fd, *ranges[-1])
+        parts = [_receive(pipe) for pipe in pipes] + [last]
+    finally:
+        for pipe in pipes:
+            os.close(pipe)
+        failed = [os.waitpid(pid, 0)[1] != 0 for pid in children]
+    if any(failed) or any(part is None for part in parts):
+        return None
+    return np.concatenate(parts) if len({part.shape[1] for part in parts}) == 1 else None
+
+
+class _ByteRange(io.RawIOBase):
+    """The bytes ``start..stop`` of an open file, read by offset as a stream."""
+
+    def __init__(self, fd: int, start: int, stop: int):
+        self._fd, self._pos, self._stop = fd, start, stop
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        count = os.preadv(self._fd, [memoryview(buffer)[: self._stop - self._pos]], self._pos)
+        self._pos += count
+        return count
+
+
+def _parse_range(fd: int, start: int, stop: int) -> np.ndarray:
+    """:func:`_parse_lines` over the bytes ``start..stop`` of an open file,
+    read as a stream of strict UTF-8 with the line breaks that
+    :func:`_read_numeric` reads.
+    """
+    stream = io.BufferedReader(_ByteRange(fd, start, stop))
+    with io.TextIOWrapper(stream, encoding="utf-8", newline="") as lines:
+        return _parse_lines(lines)
+
+
+def _send_range(fd: int, start: int, stop: int, pipe: int):
+    """In a forked child: parse a range of the open file ``fd``, write its
+    shape and values to ``pipe``, and exit, with status 0 only if all of it
+    was sent.
+    """
+    status = 1
+    try:
+        values = _parse_range(fd, start, stop)
+        with open(pipe, "wb") as sink:
+            sink.write(np.array(values.shape, dtype=np.int64))
+            sink.write(values)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _receive(fd: int) -> np.ndarray | None:
+    """The matrix a child wrote to the pipe ``fd``, or None if it wrote less."""
+    with open(fd, "rb", closefd=False) as pipe:
+        shape = np.empty(2, dtype=np.int64)
+        if pipe.readinto(shape) != shape.nbytes:
+            return None
+        values = np.empty(tuple(shape))
+        return values if pipe.readinto(values) == values.nbytes else None
 
 
 def _format_cell(value) -> str:
@@ -327,9 +455,9 @@ def load_csv(path, label_column: str, feature_columns=None) -> LabeledBatch:
     ``.`` decimals and comma separators. Distinct label strings are mapped
     to class indices in order of first appearance (for the canonical Iris
     file this yields setosa=0, versicolor=1, virginica=2).
-    ``feature_columns`` restricts and orders the feature set; by default
-    every non-label column is used in file order. No standardization is
-    applied.
+    ``feature_columns`` restricts and orders the feature set, naming each
+    column once and never the label column; by default every non-label
+    column is used in file order. No standardization is applied.
     """
     (header, *data_rows), (_, *data_lines) = read_rows(path)
     repeated = [name for name, count in Counter(header).items() if count > 1]
@@ -342,6 +470,11 @@ def load_csv(path, label_column: str, feature_columns=None) -> LabeledBatch:
     missing = [name for name in feature_columns if name not in header]
     if missing:
         raise DatasetError(f"{path}: missing feature column(s) {missing}")
+    repeated = [name for name, count in Counter(feature_columns).items() if count > 1]
+    if repeated:
+        raise DatasetError(f"{path}: feature columns repeat name(s) {repeated}")
+    if label_column in feature_columns:
+        raise DatasetError(f"{path}: label column {label_column!r} is among the feature columns")
     if not feature_columns:
         raise DatasetError(f"{path}: no feature columns selected")
     if not data_rows:
@@ -367,14 +500,11 @@ def load_embeddings(path) -> LabeledBatch:
     The label column holds literal class indices; every index 0..max must be
     occupied (a skipped index means an empty class and is rejected).
 
-    numpy's C reader parses the file: a large file (4 MiB of rows or more) in
-    parallel, one range of rows per usable CPU, each range but the last in a
-    forked child, when no other Python thread runs. All of them read the
-    one file opened here, so a file replaced during the read cannot mix two
-    files, and the result is bit for bit that of one reader (a 26 MB file:
-    0.21 s instead of 0.37 s on 2 vCPUs). A file it rejects, or one with a
-    label that is not a nonnegative integer, is read again cell by cell,
-    which names the first bad line and column.
+    numpy's C reader parses a regular file, in parallel where it holds 4 MiB
+    of rows or more (see :func:`_read_numeric`). A file it rejects, or one
+    with a label that is not a nonnegative integer, is read again cell by
+    cell, which names the first bad line and column; a pipe is read cell by
+    cell only, and once.
     """
     values = _read_numeric(path)
     if values is None or values.shape[1] < 2 or np.any(_bad_labels(values[:, -1])):

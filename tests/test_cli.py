@@ -1,4 +1,6 @@
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -441,6 +443,34 @@ def test_cli_repeated_header_name_is_data_error(tmp_path, capsys):
     path.write_text("a,a,label\n1,10,u\n2,20,v\n3,30,v\n")
     assert cli_main(["fit", "--data", str(path), "--label-col", "label"]) == 2
     assert f"error: {path}: header repeats column name(s) ['a']" in capsys.readouterr().err
+
+
+def test_cli_label_among_features_is_data_error(tmp_path, capsys):
+    # A model fitted on its own labels would look perfect.
+    path = tmp_path / "x.csv"
+    path.write_text("a,label\n1,0\n2,1\n3,1\n")
+    argv = ["fit", "--data", str(path), "--label-col", "label", "--features", "a,label"]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: label column 'label' is among the feature columns" in err
+
+
+def _fit(data, stdin=None):
+    command = [sys.executable, "-m", "collective_recourse", "fit", "--data", str(data)]
+    return subprocess.run(command, input=stdin, capture_output=True)
+
+
+def test_cli_reads_a_pipe_once(embeddings_path):
+    # subprocess gives the child a pipe as stdin, which can be read only
+    # once: a bad file must be named from that one read.
+    piped = _fit("/dev/stdin", embeddings_path.read_bytes())
+    on_path = _fit(embeddings_path)
+    assert piped.returncode == on_path.returncode == 0
+    # Only the config echo, which names the path, differs.
+    assert piped.stdout.splitlines()[1:] == on_path.stdout.splitlines()[1:]
+    bad = _fit("/dev/stdin", b"e0,e1,label\n1,2,0\n3,x,1\n")
+    assert bad.returncode == 2
+    assert b"error: /dev/stdin: unparsable value 'x' at line 3, column 'e1'" in bad.stderr
 
 
 def test_cli_huge_label_is_data_error(tmp_path, capsys):

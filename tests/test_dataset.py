@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from collective_recourse import _split_read, dataset
+from collective_recourse import dataset
 from collective_recourse.dataset import (
     DatasetError,
     LabeledBatch,
@@ -112,13 +112,20 @@ def test_ragged_row(tmp_path):
         ("label,b,label\nu,1,v\nv,2,u\n", "header repeats column name(s) ['label']"),
         ("label\nu\nv\n", "no feature columns selected"),
         ("a,label\n", "no data rows"),
+        # A case may name the feature columns too, after the file's text.
+        (
+            ("a,label\n1,0\n2,1\n", ["a", "label"]),
+            "label column 'label' is among the feature columns",
+        ),
+        (("a,label\n1,0\n2,1\n", ["a", "a"]), "feature columns repeat name(s) ['a']"),
     ],
 )
 def test_load_csv_rejects_layout(tmp_path, text, why):
+    text, features = (text, None) if isinstance(text, str) else text
     path = tmp_path / "x.csv"
     path.write_text(text)
     with pytest.raises(DatasetError, match=f"^{re.escape(f'{path}: {why}')}$"):
-        load_csv(path, "label")
+        load_csv(path, "label", features)
 
 
 def test_single_label_rejected(tmp_path):
@@ -250,6 +257,20 @@ def test_synth_spec_validation():
         SyntheticSpec(np.array([np.inf, 0.0])[None, :], 3, 0.1, seed=0)
     with pytest.raises(DatasetError, match=r"^centers must be a k x d matrix, got shape \(2,\)$"):
         SyntheticSpec(np.zeros(2), 3, 0.1, seed=0)
+    # Each of these would fail later, inside numpy or in LabeledBatch.
+    with pytest.raises(DatasetError, match="^points_per_class must be an integer, got 2.5$"):
+        SyntheticSpec(centers, 2.5, 0.1, seed=0)
+    with pytest.raises(DatasetError, match="^seed must be an integer, got 1.0$"):
+        SyntheticSpec(centers, 3, 0.1, seed=1.0)
+    with pytest.raises(DatasetError, match="^seed must be nonnegative, got -1$"):
+        SyntheticSpec(centers, 3, 0.1, seed=-1)
+    for noise in (np.nan, np.inf):
+        why = f"^noise_scale must be finite and >= 0, got {noise}$"
+        with pytest.raises(DatasetError, match=why):
+            SyntheticSpec(centers, 3, noise, seed=0)
+    spec = SyntheticSpec(centers, np.int64(3), 0.1, seed=np.int64(4))
+    assert type(spec.points_per_class) is int and type(spec.seed) is int
+    assert synth_blobs(spec).num_rows == 6
 
 
 @pytest.mark.parametrize("huge", ["1e300", "10000000"])
@@ -546,13 +567,13 @@ def test_split_read_names_a_bad_line_in_a_child_range(tmp_path, monkeypatch, for
     path.write_bytes(_SPLIT_CASES[name][0])
     _split_forced(monkeypatch, 2)
     seen = []
-    parse_range = _split_read._parse_range
+    parse_range = dataset._parse_range
 
     def recorded(p, start, stop):
         seen.append((start, stop))
         return parse_range(p, start, stop)
 
-    monkeypatch.setattr(_split_read, "_parse_range", recorded)
+    monkeypatch.setattr(dataset, "_parse_range", recorded)
     assert dataset._read_numeric(path) is None
     # This process parsed only the last range, which starts after the bad line.
     assert len(forks) == 1 and len(seen) == 1
@@ -568,7 +589,7 @@ def test_failed_split_worker_gives_the_cell_by_cell_answer(tmp_path, monkeypatch
     save_csv(synth_blobs(SyntheticSpec(np.eye(3), 40, 1.0, seed=3)), path)
     serial = load_embeddings(path)
     parent = os.getpid()
-    parse_range = _split_read._parse_range
+    parse_range = dataset._parse_range
 
     def failing(p, start, stop):
         if (os.getpid() == parent) == (where == "parent"):
@@ -576,7 +597,7 @@ def test_failed_split_worker_gives_the_cell_by_cell_answer(tmp_path, monkeypatch
         return parse_range(p, start, stop)
 
     _split_forced(monkeypatch, 3)
-    monkeypatch.setattr(_split_read, "_parse_range", failing)
+    monkeypatch.setattr(dataset, "_parse_range", failing)
     fds = _open_fds()
     # A read that waits for ever on a child ends the run with a traceback.
     faulthandler.dump_traceback_later(60, exit=True)
@@ -590,6 +611,18 @@ def test_failed_split_worker_gives_the_cell_by_cell_answer(tmp_path, monkeypatch
     assert batch.labels.tobytes() == serial.labels.tobytes()
     assert _open_fds() == fds
     assert _no_children_left()
+
+
+def test_c_reader_leaves_a_fifo_unopened(tmp_path):
+    # Opening a FIFO blocks until a writer opens it, and closing it unread
+    # would cut that writer off before read_rows reads it.
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    faulthandler.dump_traceback_later(60, exit=True)
+    try:
+        assert dataset._read_numeric(fifo) is None
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.mark.parametrize("tail", [b"", b"3,4,1"], ids=["line-break", "mid-row"])
