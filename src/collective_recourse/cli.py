@@ -18,7 +18,7 @@ from collections import Counter
 
 import numpy as np
 
-from .dataset import LabeledBatch, _format_cell, load_csv, load_embeddings, write_rows
+from .dataset import LabeledBatch, _format_cell, _write_matrix, load_csv, load_embeddings
 from .harness import (
     check_query_args,
     describe_query,
@@ -246,7 +246,7 @@ def _run_recourse(args) -> int:
     print(f"achieved_loss={_format_cell(result.achieved_loss)}")
     print(f"flipped={_format_cell(result.flipped)}")
     if args.out is not None:
-        write_rows(args.out, delta, [f"d{j}" for j in range(delta.shape[1])])
+        _write_matrix(args.out, (delta,), [f"d{j}" for j in range(delta.shape[1])])
         print(f"wrote perturbation: {args.out}")
     return 0
 

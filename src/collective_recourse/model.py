@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import LabeledBatch, _frozen, read_reals, read_rows, write_rows
+from .dataset import LabeledBatch, _frozen, _write_matrix, read_reals, read_rows
 
 # Shared floor for distance denominators: keeps gradients bounded at a
 # centroid and makes the input/centroid gradient identity exact.
@@ -233,7 +233,7 @@ def training_accuracy(batch: LabeledBatch, theta: Centroids) -> float:
 
 def save_centroids_csv(theta: Centroids, path) -> None:
     """Write the centroid matrix as k rows x d comma-separated columns."""
-    write_rows(path, theta.mu)
+    _write_matrix(path, (theta.mu,))
 
 
 def load_centroids_csv(path) -> Centroids:

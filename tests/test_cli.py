@@ -455,8 +455,8 @@ def test_cli_label_among_features_is_data_error(tmp_path, capsys):
     assert f"error: {path}: label column 'label' is among the feature columns" in err
 
 
-def _fit(data, stdin=None):
-    command = [sys.executable, "-m", "collective_recourse", "fit", "--data", str(data)]
+def _fit(data, stdin=None, flags=()):
+    command = [sys.executable, "-m", "collective_recourse", "fit", "--data", str(data), *flags]
     return subprocess.run(command, input=stdin, capture_output=True)
 
 
@@ -471,6 +471,14 @@ def test_cli_reads_a_pipe_once(embeddings_path):
     bad = _fit("/dev/stdin", b"e0,e1,label\n1,2,0\n3,x,1\n")
     assert bad.returncode == 2
     assert b"error: /dev/stdin: unparsable value 'x' at line 3, column 'e1'" in bad.stderr
+
+
+@pytest.mark.parametrize("flags", [(), ("--label-col", "label")], ids=["embeddings", "label-col"])
+def test_cli_names_the_line_of_a_non_utf8_byte_in_a_pipe(flags):
+    # The pipe is read once, so the bad byte must be found in that read.
+    bad = _fit("/dev/stdin", b"e0,e1,label\n1,2,0\n3,\xff,1\n", flags)
+    assert bad.returncode == 2
+    assert b"error: /dev/stdin: byte 0xff at line 3 is not UTF-8" in bad.stderr
 
 
 def test_cli_huge_label_is_data_error(tmp_path, capsys):

@@ -22,7 +22,7 @@ from collective_recourse.dataset import (
     save_csv,
     synth_blobs,
 )
-from collective_recourse.model import fit
+from collective_recourse.model import fit, save_centroids_csv
 
 
 def test_iris_shape(iris_batch):
@@ -528,7 +528,7 @@ def _open_fds():
     return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
 
 
-@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("workers", [2, 3, 4, 8])
 @pytest.mark.parametrize("name", list(_PARSE_CASES) + list(_SPLIT_CASES))
 def test_split_read_equals_serial_read(tmp_path, monkeypatch, forks, name, workers):
     content, fast = _PARSE_CASES.get(name) or _SPLIT_CASES[name]
@@ -660,6 +660,7 @@ def test_large_file_loads_by_split_bit_for_bit(tmp_path, monkeypatch, forks):
     path = tmp_path / "synth.csv"
     centers = np.random.default_rng(8).standard_normal((4, 64))
     save_csv(synth_blobs(SyntheticSpec(centers, 850, 1.0, seed=8)), path)
+    forks.clear()  # the save's own split, where this host has a second CPU
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     batch = load_embeddings(path)
     assert len(forks) == 1
@@ -697,3 +698,132 @@ def test_split_read_is_used_only_where_it_pays(tmp_path, monkeypatch, forks, why
             thread.join()
     assert values.shape == (8, 3)
     assert not forks
+
+
+def _edge_batch(rows):
+    """A seeded two-class batch of ``rows`` rows over the whole float64 range,
+    the edge reals included."""
+    rng = np.random.default_rng(rows)
+    features = rng.standard_normal((rows, 5)) * 10.0 ** rng.integers(-320, 300, (rows, 5))
+    features.flat[: len(_EDGE_REALS)] = _EDGE_REALS[: features.size]
+    return LabeledBatch(features, np.arange(rows) % 2, 2)
+
+
+def _write_one_row(path):
+    dataset._write_matrix(path, (np.array([[1.5, -0.0, 5e-324]]),), ["d0", "d1", "d2"])
+
+
+def _write_centroids(path):
+    centers = np.random.default_rng(9).standard_normal((10, 7))
+    save_centroids_csv(fit(synth_blobs(SyntheticSpec(centers, 5, 1.0, seed=9))), path)
+
+
+# Writes for a forced split (see _split_forced): (rows, write to a path).
+_WRITES = {
+    "fewer-rows-than-workers": (3, lambda path: save_csv(_edge_batch(3), path)),
+    "one-row": (1, _write_one_row),
+    "centroids": (10, _write_centroids),
+    "batch": (120, lambda path: save_csv(_edge_batch(120), path)),
+}
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4, 8])
+@pytest.mark.parametrize("name", list(_WRITES))
+def test_split_write_equals_serial_write(tmp_path, monkeypatch, forks, name, workers):
+    rows, write = _WRITES[name]
+    serial, split = tmp_path / "serial.csv", tmp_path / "split.csv"
+    write(serial)
+    assert not forks
+    fds = _open_fds()
+    _split_forced(monkeypatch, workers)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        write(split)
+    assert not caught
+    assert split.read_bytes() == serial.read_bytes()
+    # One range per worker, but never an empty one; this process writes the first.
+    assert len(forks) == min(rows, workers) - 1
+    assert _open_fds() == fds
+    assert _no_children_left()
+
+
+def test_block_write_equals_the_row_write(tmp_path):
+    # save_csv as it was written before the block writer: one row at a time,
+    # each label a Python int.
+    batch = _edge_batch(120)
+    path = tmp_path / "x.csv"
+    save_csv(batch, path)
+    line = ",".join(["%.17g"] * (batch.dim + 1)) + "\n"
+    rows = zip(batch.features.tolist(), batch.labels.tolist())
+    expected = "".join(line % (*row, label) for row, label in rows)
+    header = ",".join(f"e{j}" for j in range(batch.dim)) + ",label\n"
+    assert path.read_bytes() == (header + expected).encode()
+
+
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_failed_split_write_is_rewritten_serially(tmp_path, monkeypatch, forks, where):
+    batch = _edge_batch(120)
+    serial, split = tmp_path / "serial.csv", tmp_path / "split.csv"
+    save_csv(batch, serial)
+    parent = os.getpid()
+    formatted = dataset._formatted
+
+    def failing(line, columns, start, stop):
+        blocks = formatted(line, columns, start, stop)
+        # A worker fails after its first block; the serial rewrite, which
+        # formats every row at once, works.
+        if (os.getpid() == parent) == (where == "parent") and stop - start < batch.num_rows:
+            yield next(blocks)
+            raise OSError("worker failed")
+        yield from blocks
+
+    _split_forced(monkeypatch, 3)
+    monkeypatch.setattr(dataset, "_formatted", failing)
+    fds = _open_fds()
+    # A write that waits for ever on a child ends the run with a traceback.
+    faulthandler.dump_traceback_later(60, exit=True)
+    try:
+        save_csv(batch, split)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert len(forks) == 2
+    assert split.read_bytes() == serial.read_bytes()
+    assert _open_fds() == fds
+    assert _no_children_left()
+
+
+@pytest.mark.parametrize("why", ["second-thread", "one-cpu", "device"])
+def test_split_write_is_used_only_where_it_pays(tmp_path, monkeypatch, forks, why):
+    batch = _edge_batch(120)
+    serial, path = tmp_path / "serial.csv", tmp_path / "x.csv"
+    save_csv(batch, serial)
+    _split_forced(monkeypatch, 2)
+    if why == "one-cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if why == "second-thread":
+        thread.start()
+    try:
+        # A device cannot be cut back for a serial rewrite, so it is never split.
+        save_csv(batch, os.devnull if why == "device" else path)
+    finally:
+        stop.set()
+        if thread.is_alive():
+            thread.join()
+    assert not forks
+    if why != "device":
+        assert path.read_bytes() == serial.read_bytes()
+
+
+def test_split_save_and_split_load_keep_every_bit(tmp_path, monkeypatch, forks):
+    batch = _edge_batch(120)
+    path = tmp_path / "x.csv"
+    _split_forced(monkeypatch, 3)
+    save_csv(batch, path)
+    assert len(forks) == 2
+    back = load_embeddings(path)
+    assert len(forks) == 4
+    assert back.features.tobytes() == batch.features.tobytes()
+    assert back.labels.tobytes() == batch.labels.tobytes()
+    assert _no_children_left()
