@@ -36,6 +36,7 @@ from .recourse import (
     individual_recourse,
 )
 
+# The snap of a grid's last point to its stop, relative to the stop.
 _GRID_SNAP = 1e-12
 MAX_GRID_POINTS = 10_000
 
@@ -44,9 +45,10 @@ def parse_eps_grid(text: str) -> list[float]:
     """Parse ``start:stop:step`` into an ascending grid, endpoints inclusive.
 
     The grid ends at its first point at or past ``stop``. That last point
-    snaps to ``stop`` when it lands past it or within 1e-12 below it, so
-    grids like ``0:1:0.1`` include exactly 1.0 despite float accumulation,
-    and a step below 1e-12 cannot carry the grid past ``stop``.
+    snaps to ``stop`` when it lands past it or within ``1e-12 * stop`` below
+    it, so grids like ``0:1:0.1`` include exactly 1.0 despite float
+    accumulation, and the snap scales with the grid: ``0:1.4e-12:1e-12``
+    ends at 1e-12, as ``0:1.4:1`` ends at 1.0.
     Grids of more than ``MAX_GRID_POINTS`` points are rejected, and so is a
     step too small to move ``start + i * step`` at the grid's scale, which
     would repeat budgets; no more than ``MAX_GRID_POINTS + 1`` points are
@@ -67,10 +69,11 @@ def parse_eps_grid(text: str) -> list[float]:
         raise ValueError(f"grid step must be positive, got {step}")
     if stop < start:
         raise ValueError(f"grid stop {stop} below start {start}")
+    snap = _GRID_SNAP * stop
     values = []
     for i in range(MAX_GRID_POINTS + 1):
         value = start + i * step
-        if value > stop + _GRID_SNAP:
+        if value > stop + snap:
             break
         if values and value <= values[-1]:
             raise ValueError(f"grid step {step} is too small to move a budget of {value}")
@@ -79,7 +82,7 @@ def parse_eps_grid(text: str) -> list[float]:
         values.append(value)
     else:
         raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
-    if values and stop - values[-1] <= _GRID_SNAP:
+    if values and stop - values[-1] <= snap:
         values[-1] = stop
     return values
 
@@ -246,6 +249,8 @@ def _run_recourse(args) -> int:
     print(f"achieved_loss={_format_cell(result.achieved_loss)}")
     print(f"flipped={_format_cell(result.flipped)}")
     if args.out is not None:
+        # Freed first, the batch is not shared with the write's forked workers.
+        del batch
         _write_matrix(args.out, (delta,), [f"d{j}" for j in range(delta.shape[1])])
         print(f"wrote perturbation: {args.out}")
     return 0

@@ -21,8 +21,11 @@ and no other Python thread runs, :func:`read_split` cuts the rows at line
 breaks into one range per usable CPU (at least 2 MiB each), and each range
 but the last is parsed in a child made with ``os.fork()``. Every worker
 reads the file that was opened for the header, by offset, so a file
-replaced at its path during the read cannot mix two files. The parts are
-joined in file order, bit for bit the serial result. On a seeded
+replaced at its path during the read cannot mix two files. The children's
+shapes are read first, then their values straight into the rows of the one
+result, bit for bit the serial result; this process's own range is copied
+in last. The load holds that matrix and one range, never two matrices, and
+the batch holds read-only views of it (see :func:`_frozen`). On a seeded
 20 000 x 64 ``synth_blobs`` file (26 MB) on a 2-vCPU VM, the load took 0.21 s
 instead of 0.37 s, and the CLI sweep on it 0.67 s instead of 0.93 s. If any
 worker fails, the file is read cell by cell, as after a failed serial read.
@@ -66,6 +69,19 @@ class DatasetError(ValueError):
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array`` read-only, copied only where a writable alias could remain.
+
+    It is copied if it is writable, if an array in its ``.base`` chain is
+    writable, or if that chain ends in a buffer that is not an ndarray (a
+    bytearray or a memory map, say). Otherwise, a read-only array that owns
+    its data or a read-only view of one, it is shared as it is. An owner can
+    still be made writable again with ``setflags(write=True)``, as a copy can.
+    """
+    base = array
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if base is None:
+        return array
     out = np.array(array, copy=True)
     out.setflags(write=False)
     return out
@@ -78,7 +94,10 @@ class LabeledBatch:
     Invariants enforced at construction: finite features, integral labels
     (integer or integral float) in [0, k-1] with every class occupied,
     N >= k >= 2. Arrays are stored read-only, so instances are safely
-    shareable.
+    shareable. A read-only array that owns its data, or a read-only view of
+    one, is stored as it is, without a copy; any other is copied (see
+    :func:`_frozen`). Like a copy, such an owner can still be made writable
+    again with ``setflags(write=True)``.
     """
 
     features: np.ndarray
@@ -98,7 +117,12 @@ class LabeledBatch:
             raise DatasetError(
                 f"label count {labels.shape[0]} does not match row count {feats.shape[0]}"
             )
-        k = int(self.num_classes)
+        try:
+            k = operator.index(self.num_classes)
+        except TypeError:
+            raise DatasetError(
+                f"num_classes must be an integer, got {self.num_classes!r}"
+            ) from None
         if k < 2:
             raise DatasetError(f"need at least 2 classes, got {k}")
         if feats.shape[0] < k:
@@ -155,8 +179,13 @@ class SyntheticSpec:
             raise DatasetError(f"points_per_class must be >= 1, got {self.points_per_class}")
         if self.seed < 0:
             raise DatasetError(f"seed must be nonnegative, got {self.seed}")
-        if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0):
-            raise DatasetError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
+        try:
+            noise_scale = float(self.noise_scale)
+        except (TypeError, ValueError):
+            raise DatasetError(f"noise_scale must be a real, got {self.noise_scale!r}") from None
+        if not (math.isfinite(noise_scale) and noise_scale >= 0):
+            raise DatasetError(f"noise_scale must be finite and >= 0, got {noise_scale}")
+        object.__setattr__(self, "noise_scale", noise_scale)
         object.__setattr__(self, "centers", _frozen(centers))
 
 
@@ -343,8 +372,9 @@ def read_split(fd: int, start: int, workers: int) -> np.ndarray | None:
     whose length is the end of the data; a file shortened while they are
     searched can still raise SIGBUS. A forked child parses each range but
     the last, and sends back its shape and float64 values through a pipe;
-    this process parses the last range and joins the parts in file order.
-    None if a child failed, or if the parts' column counts differ.
+    this process parses the last range, and :func:`_received` puts the parts
+    in file order into one matrix. None if the parts' column counts differ;
+    a ChildProcessError if a child failed.
     """
     with mmap.mmap(fd, 0, access=mmap.ACCESS_READ) as view:
         if view[: len(codecs.BOM_UTF8)] == codecs.BOM_UTF8:
@@ -358,29 +388,23 @@ def read_split(fd: int, start: int, workers: int) -> np.ndarray | None:
     ranges = [(lo, hi) for lo, hi in zip(cuts, cuts[1:] + [stop]) if lo < hi]
     if not ranges:
         return None  # no data rows: numpy's reader would warn
-    done = _forked(
+    return _forked(
         ranges[:-1],
         lambda lo, hi: _send_range(fd, lo, hi),
         lambda: _parse_range(fd, *ranges[-1]),
-        _receive,
+        _received,
     )
-    if done is None:
-        return None
-    last, parts = done
-    parts.append(last)
-    if any(part is None for part in parts):
-        return None
-    return np.concatenate(parts) if len({part.shape[1] for part in parts}) == 1 else None
 
 
 def _forked(ranges, child, here, receive):
     """Run ``child(lo, hi)`` for each range in a forked child, and ``here()``
-    in this process meanwhile; then ``receive`` each child's pipe, in order.
+    in this process meanwhile; then ``receive`` the result of ``here()`` and
+    the children's pipes, in order.
 
     A child writes the buffers that ``child`` returns to its pipe and exits,
     with status 0 only if all of them were sent. Every pipe is closed and
-    every child reaped before this returns or raises. Returns the result of
-    ``here()`` and the list of received parts, or None if a child failed.
+    every child reaped before this returns or raises. Returns what
+    ``receive`` returns, or raises a ChildProcessError if a child failed.
     """
     children, pipes = [], []
     try:
@@ -408,13 +432,14 @@ def _forked(ranges, child, here, receive):
             finally:
                 os.close(write_end)
             children.append(pid)
-        mine = here()
-        parts = [receive(pipe) for pipe in pipes]
+        received = receive(here(), pipes)
     finally:
         for pipe in pipes:
             os.close(pipe)
-        failed = [os.waitpid(pid, 0)[1] != 0 for pid in children]
-    return None if any(failed) else (mine, parts)
+        failed = sum(os.waitpid(pid, 0)[1] != 0 for pid in children)
+    if failed:
+        raise ChildProcessError(f"{failed} of {len(children)} forked workers failed")
+    return received
 
 
 class _ByteRange(io.RawIOBase):
@@ -444,20 +469,44 @@ def _parse_range(fd: int, start: int, stop: int) -> np.ndarray:
 
 def _send_range(fd: int, start: int, stop: int):
     """In a forked child: a range of the open file ``fd`` parsed, as the
-    buffers that :func:`_receive` reads, its shape and then its values.
+    buffers that :func:`_received` reads, its shape and then its values.
     """
     values = _parse_range(fd, start, stop)
     return np.array(values.shape, dtype=np.int64), values
 
 
-def _receive(fd: int) -> np.ndarray | None:
-    """The matrix a child wrote to the pipe ``fd``, or None if it wrote less."""
-    with open(fd, "rb", closefd=False) as pipe:
-        shape = np.empty(2, dtype=np.int64)
-        if pipe.readinto(shape) != shape.nbytes:
+def _received(last: np.ndarray, pipes) -> np.ndarray | None:
+    """The matrices the children wrote to ``pipes``, then ``last``, as the
+    rows of one matrix; None if a child wrote less than its shape, or if
+    the column counts differ.
+
+    Every child's shape is read first, so that the matrix is made once and
+    each child's values are read straight into its rows.
+    """
+    shapes = np.empty((len(pipes), 2), dtype=np.int64)
+    if not all(_filled(pipe, shape) for pipe, shape in zip(pipes, shapes)):
+        return None
+    if np.any(shapes[:, 1] != last.shape[1]):
+        return None
+    values = np.empty((int(shapes[:, 0].sum()) + len(last), last.shape[1]))
+    lo = 0
+    for pipe, rows in zip(pipes, shapes[:, 0]):
+        if not _filled(pipe, values[lo : lo + rows]):
             return None
-        values = np.empty(tuple(shape))
-        return values if pipe.readinto(values) == values.nbytes else None
+        lo += rows
+    values[lo:] = last
+    return values
+
+
+def _filled(fd: int, buffer) -> bool:
+    """Whether reading the pipe ``fd`` filled ``buffer`` before its end."""
+    view = memoryview(buffer).cast("B")
+    while view:
+        count = os.readv(fd, [view])
+        if not count:
+            return False
+        view = view[count:]
+    return True
 
 
 # An upper bound on the bytes of one cell as written, with its separator:
@@ -519,23 +568,25 @@ def _wrote_split(handle, line: str, columns, rows: int, workers: int) -> bool:
     cuts = [rows * i // workers for i in range(workers + 1)]
     ranges = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
     try:
-        done = _forked(
+        _forked(
             ranges[1:],
             lambda lo, hi: list(_formatted(line, columns, lo, hi)),
             lambda: handle.writelines(_formatted(line, columns, *ranges[0])),
-            lambda pipe: _copy(pipe, handle),
+            lambda _, pipes: _copy(pipes, handle),
         )
     except OSError:
-        done = None
-    if done is None:
         handle.seek(start)
-    return done is not None
+        return False
+    return True
 
 
-def _copy(pipe: int, sink) -> None:
-    """Copy what a child writes to ``pipe`` into ``sink``, a piece at a time."""
-    while piece := os.read(pipe, _PIECE_BYTES):
-        sink.write(piece)
+def _copy(pipes, sink) -> None:
+    """Copy what each child writes to its pipe into ``sink``, in order, a
+    piece at a time.
+    """
+    for pipe in pipes:
+        while piece := os.read(pipe, _PIECE_BYTES):
+            sink.write(piece)
 
 
 def _format_cell(value) -> str:
@@ -637,6 +688,8 @@ def load_embeddings(path) -> LabeledBatch:
     counts = np.bincount(np.minimum(labels, len(labels)).astype(int))
     if np.any(counts == 0):
         raise DatasetError(f"{path}: empty class: no rows with label {int(np.argmin(counts))}")
+    # Read-only, the parsed matrix is the batch's: its features are a view of it.
+    values.setflags(write=False)
     return LabeledBatch(values[:, :-1], labels, len(counts))
 
 
@@ -665,6 +718,9 @@ def synth_blobs(spec: SyntheticSpec) -> LabeledBatch:
     Uses numpy's PCG64 generator seeded with ``spec.seed``; class y rows are
     ``centers[y] + noise_scale * standard_normal`` drawn in class order, so a
     fixed spec reproduces the same batch on every run.
+
+    Each class is drawn, scaled and shifted in its own rows of the one
+    feature matrix, which the batch then holds without a copy.
     """
     centers = spec.centers
     k, d = centers.shape
@@ -672,7 +728,10 @@ def synth_blobs(spec: SyntheticSpec) -> LabeledBatch:
     per = spec.points_per_class
     features = np.empty((k * per, d))
     for y in range(k):
-        noise = spec.noise_scale * rng.standard_normal((per, d))
-        features[y * per : (y + 1) * per] = centers[y] + noise
+        rows = features[y * per : (y + 1) * per]
+        rng.standard_normal(out=rows)
+        rows *= spec.noise_scale
+        rows += centers[y]
+    features.setflags(write=False)
     labels = np.repeat(np.arange(k), per)
     return LabeledBatch(features, labels, k)

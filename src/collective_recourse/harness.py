@@ -66,15 +66,17 @@ class SweepReport:
 
 
 def standardize_features(batch: LabeledBatch) -> LabeledBatch:
-    """Z-score each feature column; constant columns are left unscaled."""
+    """Z-score each feature column; constant columns are left unscaled.
+
+    The scores are computed in one new array, which the batch holds as it is.
+    """
     mean = batch.features.mean(axis=0)
     std = batch.features.std(axis=0)
     std = np.where(std > 0, std, 1.0)
-    return LabeledBatch(
-        features=(batch.features - mean) / std,
-        labels=batch.labels,
-        num_classes=batch.num_classes,
-    )
+    features = np.subtract(batch.features, mean)
+    features /= std
+    features.setflags(write=False)
+    return LabeledBatch(features, batch.labels, batch.num_classes)
 
 
 def check_query_args(class_a: int, class_b: int, alpha: float) -> None:

@@ -25,6 +25,10 @@ from .dataset import LabeledBatch, _frozen, _write_matrix, read_reals, read_rows
 # centroid and makes the input/centroid gradient identity exact.
 GRAD_NORM_FLOOR = 1e-12
 
+# The most rows whose squares :func:`distances` and
+# ``PerturbationMatrix.row_norms`` hold at once.
+_BLOCK_ROWS = 1024
+
 
 @dataclass(frozen=True)
 class Centroids:
@@ -99,17 +103,31 @@ def fit(batch: LabeledBatch) -> Centroids:
 def distances(points: np.ndarray, theta: Centroids) -> np.ndarray:
     """Euclidean distances from each row of ``points`` to each centroid (n x k).
 
-    Filled one centroid at a time through one n x d buffer, not an
-    n x k x d tensor; each distance sums the same squares in the same order.
+    Filled one centroid at a time, a block of rows at a time (see
+    :func:`_row_blocks`), through one buffer of a block's rows, not through
+    an n x k x d tensor or an n x d buffer; each distance sums the same
+    squares in the same order.
     """
     points = np.asarray(points, dtype=float)
     out = np.empty((points.shape[0], theta.num_classes))
-    diffs = np.empty_like(points)
-    for y, centroid in enumerate(theta.mu):
-        np.subtract(points, centroid, out=diffs)
-        np.multiply(diffs, diffs, out=diffs)
-        np.add.reduce(diffs, axis=1, out=out[:, y])
+    diffs = np.empty_like(points[:_BLOCK_ROWS])
+    for rows in _row_blocks(len(points)):
+        for y, centroid in enumerate(theta.mu):
+            np.subtract(points[rows], centroid, out=diffs)
+            np.multiply(diffs, diffs, out=diffs)
+            np.add.reduce(diffs, axis=1, out=out[rows, y])
     return np.sqrt(out, out=out)
+
+
+def _row_blocks(count: int) -> list[slice]:
+    """Slices that cover ``count`` rows in blocks of ``min(count, _BLOCK_ROWS)``.
+
+    The last block ends at the last row, overlapping the one before it, so
+    that every block has as many rows as the first. A block of one row
+    would sum a column-major row in another order than a block of many.
+    """
+    size = min(count, _BLOCK_ROWS)
+    return [slice(lo, lo + size) for lo in [*range(0, count - size, _BLOCK_ROWS), count - size]]
 
 
 def _evaluate(x, mu):

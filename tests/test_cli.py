@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collective_recourse.cli import MAX_GRID_POINTS, cli_main, parse_eps_grid
 from collective_recourse.dataset import _format_cell
@@ -56,10 +58,21 @@ def test_parse_eps_grid_rejects_huge_grid():
         ("0:0.3:0.1", [0.0, 0.1, 0.2, 0.3]),
         ("0:1:0.3", [0.0, 0.3, 0.6, 0.8999999999999999]),
         ("0.2:0.4:0.2", [0.2, 0.4]),
+        # The snap is relative to stop: this ended 1.4e-12 under a 1e-12 snap.
+        ("0:1.4e-12:1e-12", [0.0, 1e-12]),
+        ("0:1.4:1", [0.0, 1.0]),
     ],
 )
 def test_parse_eps_grid_ends_at_stop(text, expected):
     assert parse_eps_grid(text) == expected
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(scale=st.floats(1e-15, 1e15))
+def test_parse_eps_grid_snap_scales_with_the_grid(scale):
+    # 0:1.4:1 gives [0, 1.0]; so does the same grid at any scale, not
+    # [0, s, 1.4 s] where 0.4 s falls below an absolute snap.
+    assert parse_eps_grid(f"0:{1.4 * scale!r}:{scale!r}") == [0.0, scale]
 
 
 @pytest.mark.parametrize("text", ["1e17:1e17:1", "1e21:1e21:1", "1e300:1e300:1"])

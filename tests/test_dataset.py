@@ -2,6 +2,7 @@ import faulthandler
 import os
 import re
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -220,6 +221,71 @@ def test_batch_is_immutable(iris_batch):
         iris_batch.features[0, 0] = 99.0
     with pytest.raises(ValueError):
         iris_batch.labels[0] = 1
+
+
+def test_frozen_shares_only_what_nothing_can_write():
+    owner = np.arange(6.0).reshape(2, 3).copy()
+    owner.setflags(write=False)
+    assert dataset._frozen(owner) is owner
+    assert dataset._frozen(owner[:, 1:]).base is owner
+    writable = np.arange(6.0)
+    view = writable[1:]
+    view.setflags(write=False)
+    over_bytes = np.frombuffer(bytearray(48))
+    over_bytes.setflags(write=False)
+    for array in (writable, view, over_bytes):
+        frozen = dataset._frozen(array)
+        assert not np.shares_memory(frozen, array)
+        assert not frozen.flags.writeable and np.array_equal(frozen, array)
+    # A batch over read-only arrays shares them; over writable ones, copies them.
+    batch = LabeledBatch(owner, np.array([0, 1]), 2)
+    assert np.shares_memory(batch.features, owner)
+    batch = LabeledBatch(writable.reshape(2, 3), np.array([0, 1]), 2)
+    assert not np.shares_memory(batch.features, writable)
+
+
+def test_batch_rejects_a_non_integral_class_count():
+    with pytest.raises(DatasetError, match="^num_classes must be an integer, got 2.7$"):
+        LabeledBatch(np.zeros((3, 2)), np.array([0, 1, 1]), 2.7)
+    with pytest.raises(DatasetError, match="^num_classes must be an integer, got 2.0$"):
+        LabeledBatch(np.zeros((3, 2)), np.array([0, 1, 1]), 2.0)
+    batch = LabeledBatch(np.zeros((3, 2)), np.array([0, 1, 1]), np.int64(2))
+    assert type(batch.num_classes) is int and batch.num_classes == 2
+
+
+def test_synth_spec_converts_noise_scale_to_a_real():
+    centers = np.eye(2)
+    spec = SyntheticSpec(centers, 3, "0.1", seed=0)
+    assert spec.noise_scale == 0.1 and type(spec.noise_scale) is float
+    for bad in ("noise", None, [0.1]):
+        why = f"^noise_scale must be a real, got {re.escape(repr(bad))}$"
+        with pytest.raises(DatasetError, match=why):
+            SyntheticSpec(centers, 3, bad, seed=0)
+
+
+def test_synth_blobs_draws_each_class_in_place_bit_for_bit():
+    centers = 3.0 * np.random.default_rng(5).standard_normal((4, 7))
+    spec = SyntheticSpec(centers, 25, 0.7, seed=5)
+    rng = np.random.default_rng(5)
+    # The rows as drawn before they were drawn in place.
+    expected = np.vstack([centers[y] + 0.7 * rng.standard_normal((25, 7)) for y in range(4)])
+    assert synth_blobs(spec).features.tobytes() == expected.tobytes()
+
+
+def _peak_bytes(call):
+    """What ``call()`` returns, and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_synth_blobs_holds_one_feature_matrix():
+    spec = SyntheticSpec(np.random.default_rng(6).standard_normal((10, 64)), 500, 1.0, seed=6)
+    batch, peak = _peak_bytes(lambda: synth_blobs(spec))
+    assert peak < 1.2 * (batch.features.nbytes + batch.labels.nbytes)
 
 
 def test_synth_blobs_zero_noise():
@@ -826,4 +892,38 @@ def test_split_save_and_split_load_keep_every_bit(tmp_path, monkeypatch, forks):
     assert len(forks) == 4
     assert back.features.tobytes() == batch.features.tobytes()
     assert back.labels.tobytes() == batch.labels.tobytes()
+    assert _no_children_left()
+
+
+def _write_large(path):
+    """A 4000 x 64 synth_blobs CSV, about 5 MB."""
+    centers = np.random.default_rng(12).standard_normal((10, 64))
+    save_csv(synth_blobs(SyntheticSpec(centers, 400, 1.0, seed=12)), path)
+
+
+def test_split_read_fills_one_matrix(tmp_path, monkeypatch, forks):
+    # Each child's values are read straight into the rows of the result, so
+    # the peak is one matrix and this process's own part, not two matrices.
+    path = tmp_path / "x.csv"
+    _write_large(path)
+    serial = dataset._read_numeric(path)
+    _split_forced(monkeypatch, 2)
+    forks.clear()
+    values, peak = _peak_bytes(lambda: dataset._read_numeric(path))
+    assert len(forks) == 1
+    assert values.tobytes() == serial.tobytes()
+    assert peak < 1.6 * values.nbytes
+    assert _no_children_left()
+
+
+def test_load_embeddings_hands_out_views_of_the_parsed_matrix(tmp_path, monkeypatch, forks):
+    path = tmp_path / "x.csv"
+    _write_large(path)
+    _split_forced(monkeypatch, 2)
+    forks.clear()
+    batch, peak = _peak_bytes(lambda: load_embeddings(path))
+    assert len(forks) == 1
+    assert peak < 1.6 * (batch.features.nbytes + batch.labels.nbytes)
+    assert not batch.features.flags.writeable and not batch.features.base.flags.writeable
+    assert batch.features.base.shape == (batch.num_rows, batch.dim + 1)
     assert _no_children_left()

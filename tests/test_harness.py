@@ -1,10 +1,17 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from collective_recourse.dataset import DatasetError, LabeledBatch, load_embeddings
+from collective_recourse.dataset import (
+    DatasetError,
+    LabeledBatch,
+    SyntheticSpec,
+    load_embeddings,
+    synth_blobs,
+)
 from collective_recourse.harness import (
     REPORT_COLUMNS,
     SweepReport,
@@ -352,6 +359,20 @@ def test_standardize_features(iris_batch):
     assert np.allclose(z.features.mean(axis=0), 0.0, atol=1e-12)
     assert np.allclose(z.features.std(axis=0), 1.0, atol=1e-12)
     assert np.array_equal(z.labels, iris_batch.labels)
+
+
+def test_standardize_features_makes_one_new_matrix():
+    centers = np.random.default_rng(23).standard_normal((10, 64))
+    batch = synth_blobs(SyntheticSpec(centers, 400, 1.0, seed=23))
+    tracemalloc.start()
+    try:
+        z = standardize_features(batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    mean, std = batch.features.mean(axis=0), batch.features.std(axis=0)
+    assert z.features.tobytes() == ((batch.features - mean) / std).tobytes()
+    assert peak < 1.5 * batch.features.nbytes
 
 
 def test_standardize_constant_column():

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from collective_recourse.dataset import DatasetError, LabeledBatch
+from collective_recourse import model
+from collective_recourse.dataset import DatasetError, LabeledBatch, SyntheticSpec, synth_blobs
 from collective_recourse.model import (
     GRAD_NORM_FLOOR,
     Centroids,
@@ -393,6 +394,42 @@ def test_distances_equal_the_broadcast_formula_without_its_memory():
     finally:
         tracemalloc.stop()
     assert peak < 2 * points.nbytes
+
+
+def test_distances_hold_one_block_of_rows_whatever_the_row_count():
+    rng = np.random.default_rng(15)
+    block = model._BLOCK_ROWS
+    for n in (block - 1, block, block + 1, 3 * block + 37):
+        points, theta = rng.standard_normal((n, 16)), Centroids(rng.standard_normal((4, 16)))
+        for layout in (points, np.asfortranarray(points), points[::-1, ::2]):
+            diffs = layout[:, None, :] - theta.mu[None, :, : layout.shape[1]]
+            reference = np.sqrt(np.sum(diffs * diffs, axis=2))
+            trimmed = Centroids(theta.mu[:, : layout.shape[1]])
+            assert distances(layout, trimmed).tobytes() == reference.tobytes()
+    # Beyond the n x k result: one block of differences, here a tenth of the
+    # points, and numpy's own buffers, such as the one for a strided output.
+    points, theta = rng.standard_normal((10 * block, 64)), Centroids(rng.standard_normal((10, 64)))
+    tracemalloc.start()
+    try:
+        out = distances(points, theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes + 2 * block * 64 * 8
+
+
+def test_training_accuracy_holds_no_copy_of_the_batch():
+    centers = np.random.default_rng(16).standard_normal((10, 64))
+    batch = synth_blobs(SyntheticSpec(centers, 1000, 1.0, seed=16))
+    theta = fit(batch)
+    tracemalloc.start()
+    try:
+        training_accuracy(batch, theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The n x k distances (a sixth of the features here) and one block.
+    assert peak < 0.4 * batch.features.nbytes
 
 
 def test_centroids_csv_round_trip(tmp_path, iris_batch):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collective_recourse import recourse
+from collective_recourse import model, recourse
 from collective_recourse.dataset import LabeledBatch, SyntheticSpec, load_embeddings, synth_blobs
 from collective_recourse.harness import make_query
 from collective_recourse.model import (
@@ -574,6 +575,38 @@ def test_collective_budget_feasible_and_mean_shift():
     for y in range(batch.num_classes):
         mean_shift = res.perturbation.delta[batch.labels == y].mean(axis=0)
         assert np.allclose(res.post_centroids.mu[y] - base[y], mean_shift, atol=1e-12)
+
+
+def test_row_norms_equal_numpy_norm_a_block_at_a_time():
+    rng = np.random.default_rng(21)
+    rows = 2 * model._BLOCK_ROWS + 1
+    delta = rng.standard_normal((rows, 9)) * 10.0 ** rng.integers(-150, 150, (rows, 9))
+    for layout in (delta, np.asfortranarray(delta), delta[::-1, ::2], delta[:1]):
+        pm = PerturbationMatrix(layout, np.ones(len(layout), dtype=bool))
+        assert pm.row_norms().tobytes() == np.linalg.norm(layout, axis=1).tobytes()
+
+
+@pytest.mark.parametrize("mask", ["all", "two-thirds"])
+def test_collective_perturbation_is_built_in_place(mask):
+    centers = np.random.default_rng(22).standard_normal((10, 64))
+    batch = synth_blobs(SyntheticSpec(centers, 400, 1.0, seed=22))
+    query = make_query(fit(batch), 1, 2, 0.25)
+    rows = np.arange(batch.num_rows) % 3 > (-1 if mask == "all" else 0)
+    tracemalloc.start()
+    try:
+        res = collective_recourse(batch, query, EpsilonBudget(0.3), mask=rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    delta = res.perturbation.delta
+    # Each participating row holds its class's move, as a row-by-row build gives.
+    moves = np.array([delta[rows & (batch.labels == y)][0] for y in range(10)])
+    expected = np.zeros_like(batch.features)
+    expected[rows] = moves[batch.labels[rows]]
+    assert delta.tobytes() == expected.tobytes()
+    assert not delta.flags.writeable
+    # The perturbation and whatever the check of its zero rows copies.
+    assert peak < (1.2 if mask == "all" else 1.5) * batch.features.nbytes
 
 
 def test_collective_mask_freezes_class(three_blob_pair):
