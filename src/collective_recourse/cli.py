@@ -5,9 +5,10 @@ builds and describes an interpolated query point, ``recourse`` runs one solver
 at a single budget, and ``sweep`` runs both solvers over a budget grid and
 writes the CSV report (plus an optional SVG plot). Exit codes: 0 success,
 1 usage error, 2 data or solver error. Every run prints a one-line config
-echo so results can be reproduced from logs alone. Reals and flags are
-printed as in the CSV files the package writes: 17 significant digits, which
-round-trip any float64, and ``true``/``false``.
+echo of every flag, in ``--help`` order, so results can be reproduced from
+logs alone. Reals and flags are printed as in the CSV files the package
+writes: 17 significant digits, which round-trip any float64, and
+``true``/``false``.
 """
 
 from __future__ import annotations
@@ -97,6 +98,17 @@ def _parse_feature_list(text: str) -> list[str]:
     return names
 
 
+def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
+    """The solver flags, with the defaults of :class:`SolverConfig`."""
+    defaults = SolverConfig()
+    parser.add_argument(
+        "--steps", type=int, default=defaults.steps, help="iteration cap of the individual solver"
+    )
+    parser.add_argument("--mode", choices=("ball", "sphere"), default=defaults.projection_mode)
+    parser.add_argument("--init", choices=("zero", "random"), default=defaults.init)
+    parser.add_argument("--seed", type=int, default=defaults.seed)
+
+
 def build_parser() -> argparse.ArgumentParser:
     data = argparse.ArgumentParser(add_help=False)
     data.add_argument("--data", required=True, help="input CSV path")
@@ -137,14 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="class whose region the query starts in",
     )
 
-    solving = argparse.ArgumentParser(add_help=False)
-    solving.add_argument(
-        "--steps", type=int, default=500, help="iteration cap of the individual solver"
-    )
-    solving.add_argument("--mode", choices=("ball", "sphere"), default="ball")
-    solving.add_argument("--init", choices=("zero", "random"), default="zero")
-    solving.add_argument("--seed", type=int, default=0)
-
     parser = argparse.ArgumentParser(
         prog="collective-recourse",
         description="Individual and collective recourse for a nearest-centroid classifier.",
@@ -153,18 +157,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", parents=[data], help="fit centroids, print them and accuracy")
     p_fit.add_argument("--out", default=None, help="write fitted centroids to this CSV")
+    p_fit.set_defaults(run=_run_fit)
 
-    sub.add_parser("query", parents=[data, querying], help="build and describe a query point")
+    p_query = sub.add_parser(
+        "query", parents=[data, querying], help="build and describe a query point"
+    )
+    p_query.set_defaults(run=_run_query)
 
-    p_rec = sub.add_parser("recourse", parents=[data, querying, solving], help="solve one budget")
+    p_rec = sub.add_parser("recourse", parents=[data, querying], help="solve one budget")
     p_rec.add_argument("--kind", choices=("individual", "collective"), required=True)
     p_rec.add_argument("--epsilon", type=float, required=True, help="perturbation budget")
+    _add_solver_flags(p_rec)
     p_rec.add_argument("--out", default=None, help="write the perturbation rows to this CSV")
+    p_rec.set_defaults(run=_run_recourse)
 
-    p_sweep = sub.add_parser("sweep", parents=[data, querying, solving], help="sweep a budget grid")
+    p_sweep = sub.add_parser("sweep", parents=[data, querying], help="sweep a budget grid")
     p_sweep.add_argument("--eps-grid", required=True, help="budget grid as start:stop:step")
+    _add_solver_flags(p_sweep)
     p_sweep.add_argument("--out", required=True, help="write the report CSV here")
     p_sweep.add_argument("--plot", default=None, help="also render an SVG plot here")
+    p_sweep.set_defaults(run=_run_sweep)
 
     return parser
 
@@ -177,24 +189,11 @@ def _echo_value(value) -> str:
     return str(value)
 
 
-_ECHO_KEYS = {
-    "fit": ("data", "label_col", "features", "standardize", "out"),
-    "query": ("data", "label_col", "features", "standardize", "alpha", "goal_class", "base_class"),
-    "recourse": (
-        "data", "label_col", "features", "standardize", "alpha", "goal_class", "base_class",
-        "kind", "epsilon", "steps", "mode", "init", "seed", "out",
-    ),
-    "sweep": (
-        "data", "label_col", "features", "standardize", "alpha", "goal_class", "base_class",
-        "eps_grid", "steps", "mode", "init", "seed", "out", "plot",
-    ),
-}
-
-
-def _print_config(args) -> None:
-    pairs = [f"command={args.command}"]
-    pairs += [f"{key}={_echo_value(getattr(args, key))}" for key in _ECHO_KEYS[args.command]]
-    print("config: " + " ".join(pairs))
+def _config_line(args) -> str:
+    """Every flag as ``key=value`` in ``--help`` order: argparse puts the
+    defaults in the namespace in the order the flags were added."""
+    pairs = [f"{key}={_echo_value(value)}" for key, value in vars(args).items() if key != "run"]
+    return "config: " + " ".join(pairs)
 
 
 def _load_batch(args) -> LabeledBatch:
@@ -208,8 +207,7 @@ def _load_batch(args) -> LabeledBatch:
 
 
 def _run_fit(args) -> int:
-    batch = _load_batch(args)
-    theta = fit(batch)
+    batch, theta = args.batch, args.theta
     print(f"rows={batch.num_rows} dim={batch.dim} classes={batch.num_classes}")
     for y in range(theta.num_classes):
         print(f"centroid[{y}]=" + ",".join(map(_format_cell, theta.mu[y])))
@@ -221,11 +219,8 @@ def _run_fit(args) -> int:
 
 
 def _run_query(args) -> int:
-    batch = _load_batch(args)
-    theta = fit(batch)
-    query = make_query(theta, args.goal_class, args.base_class, args.alpha)
-    facts = describe_query(batch, query)
-    print("query_features=" + ",".join(map(_format_cell, query.features)))
+    facts = describe_query(args.batch, args.query)
+    print("query_features=" + ",".join(map(_format_cell, args.query.features)))
     print(f"goal_class={facts['goal_class']}")
     print(f"base_prediction={facts['base_prediction']}")
     print(f"needs_flip={_format_cell(facts['needs_flip'])}")
@@ -234,33 +229,28 @@ def _run_query(args) -> int:
 
 
 def _run_recourse(args) -> int:
-    batch = _load_batch(args)
-    theta = fit(batch)
-    query = make_query(theta, args.goal_class, args.base_class, args.alpha)
+    query, theta = args.query, args.theta
     print(f"baseline_loss={_format_cell(nll_loss(query.features, query.goal_class, theta))}")
     if args.kind == "individual":
         result = individual_recourse(query, theta, args.budget, args.cfg)
         delta = result.perturbation[None, :]
         print(f"perturbation_norm={_format_cell(np.linalg.norm(result.perturbation))}")
     else:
-        result = collective_recourse(batch, query, args.budget, args.cfg)
+        result = collective_recourse(args.batch, query, args.budget, args.cfg)
         delta = result.perturbation.delta
         print(f"max_row_norm={_format_cell(result.perturbation.row_norms().max())}")
     print(f"achieved_loss={_format_cell(result.achieved_loss)}")
     print(f"flipped={_format_cell(result.flipped)}")
     if args.out is not None:
         # Freed first, the batch is not shared with the write's forked workers.
-        del batch
+        del args.batch
         _write_matrix(args.out, (delta,), [f"d{j}" for j in range(delta.shape[1])])
         print(f"wrote perturbation: {args.out}")
     return 0
 
 
 def _run_sweep(args) -> int:
-    batch = _load_batch(args)
-    theta = fit(batch)
-    query = make_query(theta, args.goal_class, args.base_class, args.alpha)
-    report = sweep_epsilon(batch, query, args.eps_values, cfg=args.cfg)
+    report = sweep_epsilon(args.batch, args.query, args.eps_values, cfg=args.cfg)
     for row in report.rows:
         print(
             f"epsilon={_format_cell(row.epsilon)}"
@@ -294,15 +284,14 @@ def _validate_flags(args) -> None:
         args.eps_values = parse_eps_grid(args.eps_grid)
 
 
-_RUNNERS = {"fit": _run_fit, "query": _run_query, "recourse": _run_recourse, "sweep": _run_sweep}
-
-
 def cli_main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
+    # Taken before _validate_flags adds the inputs it derives to args.
+    config = _config_line(args)
 
     # Checks argparse cannot express, made before any data is read; a
     # failure here is a usage error.
@@ -312,9 +301,14 @@ def cli_main(argv=None) -> int:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
 
-    _print_config(args)
+    print(config)
     try:
-        return _RUNNERS[args.command](args)
+        # The runners read the inputs from args, so a runner can free the batch.
+        args.batch = _load_batch(args)
+        args.theta = fit(args.batch)
+        if args.command != "fit":
+            args.query = make_query(args.theta, args.goal_class, args.base_class, args.alpha)
+        return args.run(args)
     except (OSError, ValueError) as err:  # DatasetError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -25,10 +25,8 @@ replaced at its path during the read cannot mix two files. The children's
 shapes are read first, then their values straight into the rows of the one
 result, bit for bit the serial result; this process's own range is copied
 in last. The load holds that matrix and one range, never two matrices, and
-the batch holds read-only views of it (see :func:`_frozen`). On a seeded
-20 000 x 64 ``synth_blobs`` file (26 MB) on a 2-vCPU VM, the load took 0.21 s
-instead of 0.37 s, and the CLI sweep on it 0.67 s instead of 0.93 s. If any
-worker fails, the file is read cell by cell, as after a failed serial read.
+the batch holds read-only views of it (see :func:`_frozen`). If any worker
+fails, the file is read cell by cell, as after a failed serial read.
 Otherwise this process alone parses the rows, with :func:`_parse_lines`.
 
 A write is split the same way, through the same fork code (:func:`_forked`).
@@ -39,9 +37,7 @@ rows into one range per usable CPU. This process formats the first range
 straight into the file; a forked child formats each other range whole, then
 sends it through a pipe, and the pipes are copied into the file in order.
 The bytes are those of a serial write, which is also what a failed worker
-leads to. On the same 20 000 x 64 file, ``save_csv`` took 0.48 s instead
-of 0.78 s, and the set-up of the benchmark's ``sweep-synth-20k`` workload,
-which is mostly that write, 0.75 s instead of 1.16 s.
+leads to. README.md gives the times of both on a 20 000 x 64 file.
 """
 
 from __future__ import annotations
@@ -262,10 +258,12 @@ def read_reals(path, rows, lines, header=None, columns=None) -> np.ndarray:
     """
     names = range(len(rows[0])) if header is None else header
     picked = range(len(names)) if columns is None else columns
+    # Rows of one length make an N x m matrix that owns its data; a reshape
+    # would return a view of a writable array, which _frozen copies.
     if all(len(row) == len(names) for row in rows):
         cells = rows if columns is None else [[row[j] for j in columns] for row in rows]
         try:
-            values = np.array(cells, dtype=float).reshape(len(rows), len(picked))
+            values = np.array(cells, dtype=float)
         except ValueError:
             pass
         else:
@@ -276,7 +274,7 @@ def read_reals(path, rows, lines, header=None, columns=None) -> np.ndarray:
         if len(row) != len(names):
             raise DatasetError(f"{path}: line {line} has {len(row)} cells, expected {len(names)}")
         values.append([_parse_cell(row[j], line, names[j], path) for j in picked])
-    return np.array(values).reshape(len(rows), len(picked))
+    return np.array(values)
 
 
 # ASCII separators that numpy's reader strips from a cell as whitespace,
@@ -704,8 +702,7 @@ def save_csv(batch: LabeledBatch, path) -> None:
     through :func:`load_embeddings` reproduces the batch bit for bit. A batch
     whose cells, counted at 25 bytes each, fill 4 MiB or more is written by
     forked workers where more than one CPU is usable, with the same bytes
-    (see the module docstring): the 20 000 x 64 ``synth_blobs`` batch took
-    0.48 s instead of 0.78 s.
+    (see the module docstring).
     """
     _write_matrix(
         path, (batch.features, batch.labels), [f"e{j}" for j in range(batch.dim)] + ["label"]

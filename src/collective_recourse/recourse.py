@@ -106,7 +106,12 @@ class PerturbationMatrix:
             raise ValueError(
                 f"mask shape {mask.shape} does not match {delta.shape[0]} rows"
             )
-        if np.any(delta[~mask] != 0.0):
+        # A block of rows at a time: delta[~mask] would copy every
+        # non-participating row.
+        if any(
+            np.any(np.any(delta[rows] != 0.0, axis=1) & ~mask[rows])
+            for rows in _row_blocks(len(delta))
+        ):
             raise ValueError("non-participating rows must be exactly zero")
         object.__setattr__(self, "delta", _frozen(delta))
         object.__setattr__(self, "participation_mask", _frozen(mask))

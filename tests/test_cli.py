@@ -87,9 +87,67 @@ def test_cli_help_exits_zero(capsys):
     assert "fit" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["fit", "query", "recourse", "sweep"])
+def test_cli_subcommand_help_exits_zero(capsys, command):
+    assert cli_main([command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: collective-recourse {command} ")
+
+
+def _echo(argv, capsys):
+    assert cli_main(argv) == 0
+    return capsys.readouterr().out.splitlines()[0]
+
+
+def test_cli_config_echo_of_defaults(embeddings_path, tmp_path, capsys):
+    data = f"--data={embeddings_path}"
+    common = f"config: command={{}} data={embeddings_path} label_col=auto features=auto"
+    common += " standardize=false"
+    query = "alpha=0.25 goal_class=0 base_class=1"
+    solver = "steps=500 mode=ball init=zero seed=0"
+    report = tmp_path / "report.csv"
+    classes = ["--goal-class", "0", "--base-class", "1"]
+    assert _echo(["fit", data], capsys) == common.format("fit") + " out=auto"
+    assert _echo(["query", data, *classes], capsys) == f"{common.format('query')} {query}"
+    argv = ["recourse", data, *classes, "--kind", "individual", "--epsilon", "0.5"]
+    assert _echo(argv, capsys) == (
+        f"{common.format('recourse')} {query} kind=individual epsilon=0.5 {solver} out=auto"
+    )
+    argv = ["sweep", data, *classes, "--eps-grid", "0:0.5:0.5", "--out", str(report)]
+    assert _echo(argv, capsys) == (
+        f"{common.format('sweep')} {query} eps_grid=0:0.5:0.5 {solver} out={report} plot=auto"
+    )
+
+
+def test_cli_config_echo_of_every_flag(iris_path, tmp_path, capsys):
+    # The flags are given out of the parser's order, which the echo keeps.
+    out, plot = tmp_path / "out.csv", tmp_path / "plot.svg"
+    data = ["--standardize", "--features", "petal_width,sepal_length"]
+    data += ["--label-col", "species", "--data", str(iris_path)]
+    common = f"config: command={{}} data={iris_path} label_col=species"
+    common += " features=petal_width,sepal_length standardize=true"
+    query = ["--class-b", "2", "--class-a", "1", "--alpha", "0.5"]
+    echo_query = "alpha=0.5 goal_class=1 base_class=2"
+    solver = ["--seed", "3", "--init", "random", "--mode", "sphere", "--steps", "30"]
+    echo_solver = "steps=30 mode=sphere init=random seed=3"
+    assert _echo(["fit", "--out", str(out), *data], capsys) == f"{common.format('fit')} out={out}"
+    assert _echo(["query", *query, *data], capsys) == f"{common.format('query')} {echo_query}"
+    argv = ["recourse", "--out", str(out), *solver, "--epsilon", "0.25", "--kind", "collective"]
+    assert _echo([*argv, *query, *data], capsys) == (
+        f"{common.format('recourse')} {echo_query} kind=collective epsilon=0.25"
+        f" {echo_solver} out={out}"
+    )
+    argv = ["sweep", "--plot", str(plot), "--out", str(out), *solver, "--eps-grid", "0:0.2:0.1"]
+    assert _echo([*argv, *query, *data], capsys) == (
+        f"{common.format('sweep')} {echo_query} eps_grid=0:0.2:0.1"
+        f" {echo_solver} out={out} plot={plot}"
+    )
+
+
 def test_cli_unknown_flag(capsys):
     assert cli_main(["fit", "--data", "x.csv", "--bogus"]) == 1
-    assert "usage" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "usage" in err
 
 
 def test_cli_missing_required_flag(capsys):
@@ -124,7 +182,9 @@ def test_cli_fit_embeddings_without_label_col(embeddings_path, capsys):
 def test_cli_features_requires_label_col(embeddings_path, capsys):
     code = cli_main(["fit", "--data", str(embeddings_path), "--features", "e0,e1"])
     assert code == 1
-    assert "--features requires --label-col" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""  # no config echo before a usage error
+    assert "--features requires --label-col" in err
 
 
 def test_cli_feature_subset(iris_path, capsys):
@@ -244,7 +304,9 @@ def test_cli_recourse_negative_epsilon(iris_path, capsys):
         "--epsilon", "-0.5",
     ]
     assert cli_main(argv) == 1
-    assert "usage error" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "usage error" in err
 
 
 def test_cli_sweep_writes_report_and_plot(iris_path, tmp_path, capsys):

@@ -927,3 +927,21 @@ def test_load_embeddings_hands_out_views_of_the_parsed_matrix(tmp_path, monkeypa
     assert not batch.features.flags.writeable and not batch.features.base.flags.writeable
     assert batch.features.base.shape == (batch.num_rows, batch.dim + 1)
     assert _no_children_left()
+
+
+def test_load_embeddings_of_a_fifo_hands_out_views_of_the_parsed_matrix(tmp_path):
+    # A pipe is read cell by cell, into the one matrix the batch then views.
+    path, fifo = tmp_path / "x.csv", tmp_path / "fifo"
+    save_csv(_edge_batch(120), path)
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()))
+    writer.start()
+    faulthandler.dump_traceback_later(60, exit=True)
+    try:
+        batch = load_embeddings(fifo)
+        writer.join()
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert batch.features.tobytes() == load_embeddings(path).features.tobytes()
+    assert not batch.features.flags.writeable and not batch.features.base.flags.writeable
+    assert batch.features.base.shape == (batch.num_rows, batch.dim + 1)
