@@ -16,12 +16,12 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .dataset import DatasetError, LabeledBatch, read_reals, read_rows, write_rows
-from .model import Centroids, _check_target, _predict, fit, nll_loss, predict
+from .model import Centroids, _check_target, _checked, _loss_and_grad, fit
 from .recourse import (
     EpsilonBudget,
     QuerySpec,
     SolverConfig,
-    _collective_centroids,
+    _collective_answer,
     individual_recourse,
 )
 
@@ -114,10 +114,10 @@ def sweep_epsilon(
     solution as a warm-start candidate and the collective solver is exact,
     so the reported losses cannot increase with the budget (ball mode).
 
-    The batch is fitted once. Each budget's collective answer moves the k x d
-    centroids directly, with every row participating; its loss and flip are
-    bit for bit those of :func:`~collective_recourse.recourse.collective_recourse`
-    at that budget, which also builds the N x d perturbation.
+    The batch is fitted once. Each budget's collective loss and flip come from
+    the helper that :func:`~collective_recourse.recourse.collective_recourse`
+    answers from, with every row participating, so they are bit for bit its
+    answer at that budget; only the N x d perturbation is not built.
     """
     budgets = [EpsilonBudget(e) for e in epsilons]
     if not budgets:
@@ -128,16 +128,14 @@ def sweep_epsilon(
 
     theta = fit(batch)
     everyone = np.ones(batch.num_classes)
-    x_q, goal = query.features, query.goal_class
     rows = []
     warm = ()
     for eps, budget in zip(epsilons, budgets):
         try:
             ind = individual_recourse(query, theta, budget, cfg, extra_candidates=warm)
-            post, _ = _collective_centroids(theta, everyone, x_q, goal, eps, cfg.projection_mode)
-            collective_loss = nll_loss(x_q, goal, post)
-            # nll_loss has just checked x_q against these centroids.
-            collective_flipped = _predict(x_q, post.mu) == goal
+            *_, collective_loss, collective_flipped = _collective_answer(
+                theta, everyone, query.features, query.goal_class, eps, cfg.projection_mode
+            )
         except ValueError as err:
             raise ValueError(f"sweep failed at epsilon={eps}: {err}") from err
         warm = (ind.perturbation,)
@@ -285,12 +283,13 @@ def render_plot_svg(report: SweepReport, path) -> None:
 
 
 def describe_query(batch: LabeledBatch, query: QuerySpec) -> dict:
-    """Base-model facts about a query: prediction, baseline loss, flip need."""
-    theta = fit(batch)
-    base_pred = predict(query.features, theta)
+    """Base-model facts about a query: prediction, baseline loss, flip need,
+    all from one checked evaluation of the query."""
+    loss, _, probs = _loss_and_grad(*_checked(query.features, query.goal_class, fit(batch)))
+    base_pred = int(probs.argmax())
     return {
         "base_prediction": base_pred,
         "goal_class": query.goal_class,
         "needs_flip": base_pred != query.goal_class,
-        "baseline_loss": nll_loss(query.features, query.goal_class, theta),
+        "baseline_loss": loss,
     }

@@ -6,9 +6,9 @@ class probabilities are the softmax of those scores. Fitting is the
 per-class mean, which makes the post-update parameters under a training-set
 perturbation available in closed form.
 
-Every answer about a single point (probabilities, prediction, loss and both
-gradients) is read from one evaluation of its distances to the centroids.
-:func:`distances` and :func:`nll_from_distances` are the batch forms.
+Every answer about a single point (probabilities, prediction, loss, both
+gradients) and its check come from one evaluation of its distances to the
+centroids; :func:`distances` and :func:`nll_from_distances` are the batch forms.
 """
 
 from __future__ import annotations
@@ -53,28 +53,6 @@ class Centroids:
     @property
     def dim(self) -> int:
         return self.mu.shape[1]
-
-
-def _check_point(x, theta: Centroids) -> np.ndarray:
-    """``x`` as a float vector; a ValueError unless it has the model's
-    dimension and finite squared distances to every centroid.
-
-    The one check of each public single-point function: a NaN or infinite
-    feature fails it, and so does a finite point far enough out (about 1e154)
-    that a squared distance overflows and the loss would be NaN. The solvers'
-    unchecked kernel evaluates such points inside the search, where they lose.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (theta.dim,):
-        raise ValueError(f"expected a vector of dimension {theta.dim}, got shape {x.shape}")
-    with np.errstate(over="ignore"):
-        diffs = x - theta.mu
-        farthest = np.maximum.reduce(np.add.reduce(diffs * diffs, axis=1))
-    if not math.isfinite(farthest):
-        if not np.isfinite(x).all():
-            raise ValueError("point contains non-finite values")
-        raise ValueError("point lies so far from the centroids that its squared distances overflow")
-    return x
 
 
 def _check_target(target, num_classes=math.inf, name="target class") -> int:
@@ -146,21 +124,44 @@ def _evaluate(x, mu):
     return diffs, dists, nearest, weights, np.add.reduce(weights)
 
 
+def _checked_evaluation(x, theta: Centroids):
+    """:func:`_evaluate` at ``x``; a ValueError unless ``x`` is a vector of the
+    model's dimension with finite squared distances to every centroid.
+
+    Each public single-point function answers from this evaluation, so its
+    answer and its check come from one evaluation. A NaN or infinite feature
+    fails the check, and so does a finite point far enough out (about 1e154)
+    that a squared distance overflows and the loss would be NaN. The solvers'
+    unchecked kernel evaluates such points inside the search, where they lose.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape != (theta.dim,):
+        raise ValueError(f"expected a vector of dimension {theta.dim}, got shape {x.shape}")
+    # Overflowing squares are inf; with no finite distance the softmax takes inf - inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        evaluation = _evaluate(x, theta.mu)
+        farthest = np.maximum.reduce(evaluation[1])
+    if not math.isfinite(farthest):
+        if not np.isfinite(x).all():
+            raise ValueError("point contains non-finite values")
+        raise ValueError("point lies so far from the centroids that its squared distances overflow")
+    return evaluation
+
+
+def _checked(x, target, theta: Centroids, name="target class"):
+    """:func:`_checked_evaluation` at ``x``, then ``target`` checked as a class of the model."""
+    return _checked_evaluation(x, theta), _check_target(target, theta.num_classes, name)
+
+
 def predict_proba(x, theta: Centroids) -> np.ndarray:
     """Class probabilities: softmax of the negative distances, max-shifted for stability."""
-    _, _, _, weights, total = _evaluate(_check_point(x, theta), theta.mu)
+    _, _, _, weights, total = _checked_evaluation(x, theta)
     return weights / total
-
-
-def _predict(x, mu) -> int:
-    """:func:`predict` at an already checked point, or at one whose loss is finite."""
-    _, _, _, weights, total = _evaluate(x, mu)
-    return int(np.argmax(weights / total))
 
 
 def predict(x, theta: Centroids) -> int:
     """Most probable class, i.e. the nearest centroid; ties go to the lowest index."""
-    return _predict(_check_point(x, theta), theta.mu)
+    return int(predict_proba(x, theta).argmax())
 
 
 def nll_from_distances(dists: np.ndarray, target: int) -> np.ndarray:
@@ -175,34 +176,30 @@ def nll_from_distances(dists: np.ndarray, target: int) -> np.ndarray:
     return lse - scores[:, target]
 
 
-def _loss_and_grad_rows(x, target, mu):
-    """The loss at ``x`` and the rows of :func:`grad_centroids`, unchecked.
+def _loss_and_grad(evaluation, target: int):
+    """:func:`nll_loss`, :func:`grad_input` and :func:`predict_proba` from an :func:`_evaluate`.
 
     The loss is the log-sum-exp of :func:`nll_from_distances`, bit for bit:
-    its scores - max(scores) is exactly min(dists) - dists. The rows are
-    built in place in ``diffs``; the floor is applied only when the nearest
-    distance is at or below it, since elsewhere it changes no value.
+    its scores - max(scores) is exactly min(dists) - dists. The evaluation's
+    weights become the probabilities, and its differences the rows of
+    :func:`grad_centroids`, built with p - onehot; the floor is applied only
+    when the nearest distance is at or below it, since elsewhere it changes
+    no value.
     """
-    diffs, dists, nearest, coef, total = _evaluate(x, mu)
-    coef /= total
-    coef[target] -= 1.0
+    diffs, dists, nearest, probs, total = evaluation
+    probs /= total
+    p_target = probs[target]
+    probs[target] = p_target - 1.0
     norms = dists if nearest > GRAD_NORM_FLOOR else np.maximum(dists, GRAD_NORM_FLOOR)
     diffs /= norms[:, None]
-    diffs *= coef[:, None]
-    return np.log(total) - nearest + dists[target], diffs
-
-
-def _loss_and_grad(x, target: int, mu: np.ndarray) -> tuple[float, np.ndarray]:
-    """:func:`nll_loss` and :func:`grad_input` at ``x``, without their argument checks."""
-    loss, rows = _loss_and_grad_rows(x, target, mu)
-    return float(loss), -np.add.reduce(rows, axis=0)
+    diffs *= probs[:, None]
+    probs[target] = p_target
+    return float(np.log(total) - nearest + dists[target]), -np.add.reduce(diffs, axis=0), probs
 
 
 def nll_loss(x, target: int, theta: Centroids) -> float:
     """Negative log-likelihood of ``target`` at ``x``; always finite."""
-    x = _check_point(x, theta)
-    target = _check_target(target, theta.num_classes)
-    return _loss_and_grad(x, target, theta.mu)[0]
+    return _loss_and_grad(*_checked(x, target, theta))[0]
 
 
 def grad_centroids(x, target: int, theta: Centroids) -> np.ndarray:
@@ -210,9 +207,9 @@ def grad_centroids(x, target: int, theta: Centroids) -> np.ndarray:
 
     Row y is (p_y - 1[y=target]) * (x - mu_y) / max(||x - mu_y||, floor).
     """
-    x = _check_point(x, theta)
-    target = _check_target(target, theta.num_classes)
-    return _loss_and_grad_rows(x, target, theta.mu)[1]
+    evaluation, target = _checked(x, target, theta)
+    _loss_and_grad(evaluation, target)  # leaves the rows in the differences
+    return evaluation[0]
 
 
 def grad_input(x, target: int, theta: Centroids) -> np.ndarray:
@@ -221,9 +218,7 @@ def grad_input(x, target: int, theta: Centroids) -> np.ndarray:
     Computed as the negated column sum of :func:`grad_centroids`, so the
     identity grad_input + sum_y grad_centroids[y] == 0 holds exactly.
     """
-    x = _check_point(x, theta)
-    target = _check_target(target, theta.num_classes)
-    return _loss_and_grad(x, target, theta.mu)[1]
+    return _loss_and_grad(*_checked(x, target, theta))[1]
 
 
 def refit_with_perturbation(batch: LabeledBatch, delta: np.ndarray) -> Centroids:

@@ -12,11 +12,11 @@ Two ways to lower the model's loss on a query point for a desired class:
 The individual solver runs the spectral projected gradient method to
 convergence from the best of a few candidate points, one of them the step
 toward the goal centroid, and reports the best point it evaluated. Each
-evaluation is one query-to-centroid distance computation, which gives both
-the loss and the gradient there. The collective problem splits into one
-small problem per class and is solved exactly in closed form: with a share
-f_y of class y's rows each moving by move_y, centroid y refits to
-mu_y + f_y * move_y, all k at once. Budgets are per-vector L2 balls;
+evaluation is one query-to-centroid distance computation, which gives the
+loss, the gradient and the class probabilities there. The collective problem
+splits into one small problem per class and is solved exactly in closed
+form: with a share f_y of class y's rows each moving by move_y, centroid y
+refits to mu_y + f_y * move_y, all k at once. Budgets are per-vector L2 balls;
 ``sphere`` mode instead puts every nonzero perturbation on the budget sphere.
 """
 
@@ -33,13 +33,13 @@ from .dataset import LabeledBatch, _frozen
 from .model import (
     GRAD_NORM_FLOOR,
     Centroids,
-    _check_point,
     _check_target,
+    _checked,
+    _checked_evaluation,
+    _evaluate,
     _loss_and_grad,
-    _predict,
     _row_blocks,
     fit,
-    nll_loss,
     # Not called here; bench/test_bench.py looks the refit reference up on this module.
     refit_with_perturbation,  # noqa: F401
 )
@@ -203,14 +203,9 @@ def normalize_sphere(v: np.ndarray, epsilon: float) -> np.ndarray:
     return _project(np.array(v, dtype=float), epsilon, "sphere")
 
 
-def _check_query(query: QuerySpec, theta: Centroids):
-    """The query's features and goal class, checked against the model."""
-    x_q = _check_point(query.features, theta)
-    return x_q, _check_target(query.goal_class, theta.num_classes, "goal class")
-
-
 def _spg(x_q, goal, mu, delta, loss, grad, eps, mode, steps):
-    """Yield each point the spectral projected gradient method evaluates, with its loss.
+    """Yield each point the spectral projected gradient method evaluates, with
+    its loss and class probabilities.
 
     Starts from the feasible ``delta`` with the given loss and gradient. Each
     iteration projects a Barzilai-Borwein step, then halves the way to that
@@ -229,8 +224,8 @@ def _spg(x_q, goal, mu, delta, loss, grad, eps, mode, steps):
         while alpha * length > tol:
             # The full step needs no product: 1.0 * direction is direction.
             trial = _project(delta + (direction if alpha == 1.0 else alpha * direction), eps, mode)
-            loss, trial_grad = _loss_and_grad(x_q + trial, goal, mu)
-            yield trial, loss
+            loss, trial_grad, probs = _loss_and_grad(_evaluate(x_q + trial, mu), goal)
+            yield trial, loss, probs
             s = trial - delta
             if loss <= ceiling + _ARMIJO * float(grad.dot(s)):
                 break
@@ -238,8 +233,9 @@ def _spg(x_q, goal, mu, delta, loss, grad, eps, mode, steps):
         else:
             return
         y = trial_grad - grad
-        sy = s.dot(y)
-        lam = min(_LAMBDA_MAX, max(_LAMBDA_MIN, s.dot(s) / sy)) if sy > 0 else _LAMBDA_MAX
+        # As Python floats: the same IEEE quotient, without numpy scalar overhead.
+        sy = float(s.dot(y))
+        lam = min(_LAMBDA_MAX, max(_LAMBDA_MIN, float(s.dot(s)) / sy)) if sy > 0 else _LAMBDA_MAX
         delta, grad = trial, trial_grad
         recent.append(loss)
 
@@ -278,7 +274,8 @@ def individual_recourse(
     of them has a finite loss, and the solver returns delta = 0 at the
     baseline loss.
     """
-    x_q, goal = _check_query(query, theta)
+    x_q = query.features
+    query_evaluation, goal = _checked(x_q, query.goal_class, theta, "goal class")
     candidates = [np.array(c, dtype=float) for c in extra_candidates]
     for i, candidate in enumerate(candidates):
         if candidate.shape != x_q.shape or not np.isfinite(candidate).all():
@@ -292,29 +289,29 @@ def individual_recourse(
     # Past a norm of about 1e154 squared norms overflow: such a point
     # evaluates to inf or NaN, and so never wins or passes the Armijo test.
     with np.errstate(over="ignore", invalid="ignore"):
-        starts = [np.zeros_like(x_q)]
+        starts = [np.zeros(x_q.shape)]
         starts += [_project(candidate, eps, mode) for candidate in candidates]
         if cfg.init == "random":
             noise = np.random.default_rng(cfg.seed).standard_normal(x_q.shape)
             starts.append(_project(noise * eps, eps, mode))
         # Without this step the iterates stall at the kink on the goal centroid.
         starts.append(_project(to_goal, eps, mode))
-        for delta in starts:
-            loss, grad = _loss_and_grad(x_q + delta, goal, mu)
+        evaluations = [query_evaluation] + [_evaluate(x_q + delta, mu) for delta in starts[1:]]
+        for delta, evaluation in zip(starts, evaluations):
+            loss, grad, probs = _loss_and_grad(evaluation, goal)
             trace.append(loss)
             if loss < best_loss:
-                best_loss, best_delta = loss, delta
+                best_loss, best_delta, best_probs = loss, delta, probs
             if loss < start_loss and (mode == "ball" or delta.any()):
                 start_loss, start = loss, (delta, loss, grad)
         if start_loss < math.inf and not reaches_goal:
-            for delta, loss in _spg(x_q, goal, mu, *start, eps, mode, cfg.steps):
+            for delta, loss, probs in _spg(x_q, goal, mu, *start, eps, mode, cfg.steps):
                 trace.append(loss)
                 if loss < best_loss:
-                    best_loss, best_delta = loss, delta
-        # Unchecked: the winner is the checked query or has a finite loss, so
-        # its goal and nearest distances are finite (a centroid whose squared
-        # distance overflows there just gets probability 0).
-        flipped = _predict(x_q + best_delta, mu) == goal
+                    best_loss, best_delta, best_probs = loss, delta, probs
+        # The winner is the query or has a finite loss, so its probabilities
+        # are finite (a centroid at an overflowing distance gets 0).
+        flipped = int(best_probs.argmax()) == goal
 
     return RecourseResult(
         perturbation=best_delta,
@@ -325,8 +322,9 @@ def individual_recourse(
     )
 
 
-def _collective_centroids(theta, share, x_q, goal, eps, mode):
-    """Refit centroids under the exact collective answer, and each class's row move.
+def _collective_answer(theta, share, x_q, goal, eps, mode):
+    """Refit centroids under the exact collective answer, each class's row move,
+    and the query's loss and flip there, from one checked evaluation.
 
     ``share`` holds each class's participating share f_y = m_y / n_y of its
     rows. Every participating row of class y moves by row y of the returned
@@ -358,7 +356,9 @@ def _collective_centroids(theta, share, x_q, goal, eps, mode):
         moving = steps != 0.0
         moves[moving] = steps[moving, None] * units[moving]
         mu = theta.mu + share[:, None] * moves
-    return Centroids(mu), moves
+    post = Centroids(mu)
+    loss, _, probs = _loss_and_grad(_checked_evaluation(x_q, post), goal)
+    return post, moves, loss, int(probs.argmax()) == goal
 
 
 def collective_recourse(
@@ -399,7 +399,8 @@ def collective_recourse(
     The N x d perturbation is built only to be returned.
     """
     theta = fit(batch)
-    x_q, goal = _check_query(query, theta)
+    query_evaluation, goal = _checked(query.features, query.goal_class, theta, "goal class")
+    baseline = _loss_and_grad(query_evaluation, goal)[0]
     if mask is None:
         mask = np.ones(batch.num_rows, dtype=bool)
     else:
@@ -409,22 +410,18 @@ def collective_recourse(
     # LabeledBatch guarantees that every class has a row to divide by.
     k, labels = batch.num_classes, batch.labels
     share = np.bincount(labels[mask], minlength=k) / np.bincount(labels, minlength=k)
-    post, moves = _collective_centroids(
-        theta, share, x_q, goal, budget.epsilon, cfg.projection_mode
+    post, moves, achieved, flipped = _collective_answer(
+        theta, share, query.features, goal, budget.epsilon, cfg.projection_mode
     )
     # Each row's class move, written in place ("clip" leaves out the buffer
     # that take's bounds check makes); the labels are valid class indices.
     delta = np.take(moves, labels, axis=0, out=np.empty(batch.features.shape), mode="clip")
     delta[~mask] = 0.0
     delta.setflags(write=False)
-
-    baseline = nll_loss(x_q, goal, theta)
-    # Checks x_q against the refit centroids, which _predict below does not.
-    achieved = nll_loss(x_q, goal, post)
     return RecourseResult(
         perturbation=PerturbationMatrix(delta, mask),
         achieved_loss=achieved,
-        flipped=_predict(x_q, post.mu) == goal,
+        flipped=flipped,
         loss_trace=np.array([baseline, achieved]),
         post_centroids=post,
     )

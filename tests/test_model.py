@@ -167,14 +167,16 @@ def test_non_finite_point_is_rejected(call, bad):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda x: nll_loss(x, 0, TWO),
-        lambda x: predict(x, TWO),
-        lambda x: predict_proba(x, TWO),
-        lambda x: grad_input(x, 0, TWO),
-        lambda x: grad_centroids(x, 0, TWO),
-        lambda x: individual_recourse(QuerySpec(x, 0), TWO, EpsilonBudget(1.0)),
-        lambda x: collective_recourse(
-            LabeledBatch(TWO.mu, np.array([0, 1]), 2), QuerySpec(x, 0), EpsilonBudget(1.0)
+        lambda x, theta: nll_loss(x, 0, theta),
+        lambda x, theta: predict(x, theta),
+        lambda x, theta: predict_proba(x, theta),
+        lambda x, theta: grad_input(x, 0, theta),
+        lambda x, theta: grad_centroids(x, 0, theta),
+        lambda x, theta: individual_recourse(QuerySpec(x, 0), theta, EpsilonBudget(1.0)),
+        lambda x, theta: collective_recourse(
+            LabeledBatch(theta.mu, np.arange(theta.num_classes), theta.num_classes),
+            QuerySpec(x, 0),
+            EpsilonBudget(1.0),
         ),
     ],
     ids=[
@@ -183,15 +185,20 @@ def test_non_finite_point_is_rejected(call, bad):
     ],
 )
 def test_point_whose_squared_distances_overflow_is_rejected(call):
-    # Both points are finite; only the second one's squared distances pass
-    # the float range, where the loss would be NaN.
+    # Per model, both points are finite; only the second one's squared
+    # distances pass the float range, where the loss would be NaN. With the
+    # far third centroid only that centroid's square overflows (2.25e308),
+    # the near ones' stay finite (2.5e307), and the point is still rejected.
+    far = Centroids(np.array([[1.0, 0.0], [-1.0, 0.0], [-1e154, 0.0]]))
+    cases = [(TWO, [1e153, 0.0], [1e160, 0.0]), (far, [0.0, 0.0], [5e153, 0.0])]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        call(np.array([1e153, 0.0]))
-        with pytest.raises(
-            ValueError, match="^point lies so far from the centroids that its squared distances overflow$"
-        ):
-            call(np.array([1e160, 0.0]))
+        for theta, finite, overflowing in cases:
+            call(np.array(finite), theta)
+            with pytest.raises(
+                ValueError, match="^point lies so far from the centroids that its squared distances overflow$"
+            ):
+                call(np.array(overflowing), theta)
 
 
 def test_grad_input_hand_value():
@@ -254,7 +261,7 @@ def _kernel_points(draw):
 @given(_kernel_points())
 def test_fused_loss_and_grad_equals_public_pair_bitwise(point):
     x, target, theta = point
-    loss, grad = _loss_and_grad(x, target, theta.mu)
+    loss, grad, _ = _loss_and_grad(model._evaluate(x, theta.mu), target)
     # References outside the single-point kernel: the batch loss form and the
     # negated column sum of the centroid gradient.
     reference = nll_from_distances(distances(x[None], theta), target)[0]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from collective_recourse import model, recourse
 from collective_recourse.dataset import LabeledBatch, SyntheticSpec, load_embeddings, synth_blobs
-from collective_recourse.harness import make_query
+from collective_recourse.harness import describe_query, make_query
 from collective_recourse.model import (
     Centroids,
     distances,
@@ -432,6 +433,47 @@ def test_flipped_matches_public_predict(embeddings_path, mode):
             assert col.flipped == (predict(x_q, col.post_centroids) == goal)
             flips += [ind.flipped, col.flipped]
     assert any(flips) and not all(flips)
+
+
+def _count_evaluations(monkeypatch):
+    """A list that grows by one at each call of ``model._evaluate``, under
+    every name the package looks it up by."""
+    calls, evaluate = [], model._evaluate
+
+    def counted(x, mu):
+        calls.append(None)
+        return evaluate(x, mu)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("collective_recourse") and getattr(module, "_evaluate", None) is evaluate:
+            monkeypatch.setattr(module, "_evaluate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["ball", "sphere"])
+@pytest.mark.parametrize("init", ["zero", "random"])
+def test_each_point_is_evaluated_once(embeddings_path, monkeypatch, mode, init):
+    # The query is checked and answered from one evaluation, every further
+    # trace entry is one evaluation, and flipped reads the winner's. The
+    # collective solver evaluates the query once per model, fitted and refit.
+    batch = load_embeddings(embeddings_path)
+    theta = fit(batch)
+    row = np.flatnonzero(distances(batch.features, theta).argmin(axis=1) != batch.labels)[0]
+    query = QuerySpec(batch.features[row], batch.labels[row])
+    cfg = SolverConfig(projection_mode=mode, init=init, seed=3)
+    warm = individual_recourse(query, theta, EpsilonBudget(0.3), cfg).perturbation
+    calls = _count_evaluations(monkeypatch)
+    for budget, candidates in ((EpsilonBudget(0.3), ()), (EpsilonBudget(1.0), (warm,))):
+        del calls[:]
+        res = individual_recourse(query, theta, budget, cfg, extra_candidates=candidates)
+        assert len(res.loss_trace) > 2 + len(candidates)
+        assert len(calls) == len(res.loss_trace)
+        del calls[:]
+        collective_recourse(batch, query, budget, cfg)
+        assert len(calls) == 2
+    del calls[:]
+    describe_query(batch, query)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("mode", ["ball", "sphere"])
