@@ -36,7 +36,7 @@ for y, center in enumerate(theta.mu):
 # 2. Build a query a quarter of the way from class 1 toward class 2.
 #    The subject sits on the wrong side of the boundary and wants class 1.
 query = make_query(theta, class_a=1, class_b=2, alpha=0.25)
-info = describe_query(batch, query)
+info = describe_query(theta, query)
 print(f"\nquery features: {np.round(query.features, 3)}")
 for key, value in info.items():
     print(f"  {key} = {value}")

@@ -31,7 +31,7 @@ query = make_query(theta, class_a=1, class_b=2, alpha=0.25)
 # 2. Sweep eps = 0, 0.1, ..., 1.0. Each budget warm-starts from the
 #    previous solution, so the curves are monotone non-increasing.
 grid = [round(0.1 * i, 10) for i in range(11)]
-report = sweep_epsilon(batch, query, grid)
+report = sweep_epsilon(theta, query, grid)
 
 print("eps    baseline  individual  collective  gap       flips")
 for row in report.rows:

@@ -48,13 +48,13 @@ print(f"training accuracy: {training_accuracy(batch, theta):.4f}")
 # 3. Query between classes 0 and 1, biased toward the class-1 side so the
 #    base prediction needs flipping.
 query = make_query(theta, class_a=0, class_b=1, alpha=0.25)
-for key, value in describe_query(batch, query).items():
+for key, value in describe_query(theta, query).items():
     print(f"  {key} = {value}")
 
 # 4. Sweep. The collective advantage grows with the budget: with ten
 #    classes there are nine competing centroids to push away, which the
 #    query subject alone cannot do.
-report = sweep_epsilon(batch, query, [round(0.1 * i, 10) for i in range(11)])
+report = sweep_epsilon(theta, query, [round(0.1 * i, 10) for i in range(11)])
 print("\neps    individual  collective  gap")
 for row in report.rows:
     print(f"{row.epsilon:4.1f}   {row.individual_loss:.4f}      {row.collective_loss:.4f}      "

@@ -29,7 +29,7 @@ from .harness import (
     sweep_epsilon,
     write_report_csv,
 )
-from .model import fit, nll_loss, save_centroids_csv, training_accuracy
+from .model import fit, save_centroids_csv, training_accuracy
 from .recourse import (
     EpsilonBudget,
     SolverConfig,
@@ -51,9 +51,10 @@ def parse_eps_grid(text: str) -> list[float]:
     accumulation, and the snap scales with the grid: ``0:1.4e-12:1e-12``
     ends at 1e-12, as ``0:1.4:1`` ends at 1.0.
     Grids of more than ``MAX_GRID_POINTS`` points are rejected, and so is a
-    step too small to move ``start + i * step`` at the grid's scale, which
-    would repeat budgets; no more than ``MAX_GRID_POINTS + 1`` points are
-    built either way.
+    step too small to move ``start + i * step`` at the grid's scale before
+    the grid reaches ``stop``, which would repeat budgets; a one-point grid
+    such as ``1:1:1e-17`` is ``[1.0]``. No more than ``MAX_GRID_POINTS + 1``
+    points are built either way.
     """
     parts = text.split(":")
     if len(parts) != 3:
@@ -76,10 +77,10 @@ def parse_eps_grid(text: str) -> list[float]:
         value = start + i * step
         if value > stop + snap:
             break
-        if values and value <= values[-1]:
-            raise ValueError(f"grid step {step} is too small to move a budget of {value}")
         if values and values[-1] >= stop:
             break
+        if values and value <= values[-1]:
+            raise ValueError(f"grid step {step} is too small to move a budget of {value}")
         values.append(value)
     else:
         raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
@@ -219,7 +220,7 @@ def _run_fit(args) -> int:
 
 
 def _run_query(args) -> int:
-    facts = describe_query(args.batch, args.query)
+    facts = describe_query(args.theta, args.query)
     print("query_features=" + ",".join(map(_format_cell, args.query.features)))
     print(f"goal_class={facts['goal_class']}")
     print(f"base_prediction={facts['base_prediction']}")
@@ -229,16 +230,16 @@ def _run_query(args) -> int:
 
 
 def _run_recourse(args) -> int:
-    query, theta = args.query, args.theta
-    print(f"baseline_loss={_format_cell(nll_loss(query.features, query.goal_class, theta))}")
     if args.kind == "individual":
-        result = individual_recourse(query, theta, args.budget, args.cfg)
+        result = individual_recourse(args.query, args.theta, args.budget, args.cfg)
         delta = result.perturbation[None, :]
-        print(f"perturbation_norm={_format_cell(np.linalg.norm(result.perturbation))}")
+        size = f"perturbation_norm={_format_cell(np.linalg.norm(result.perturbation))}"
     else:
-        result = collective_recourse(args.batch, query, args.budget, args.cfg)
+        result = collective_recourse(args.batch, args.query, args.budget, args.cfg)
         delta = result.perturbation.delta
-        print(f"max_row_norm={_format_cell(result.perturbation.row_norms().max())}")
+        size = f"max_row_norm={_format_cell(result.perturbation.row_norms().max())}"
+    print(f"baseline_loss={_format_cell(result.loss_trace[0])}")
+    print(size)
     print(f"achieved_loss={_format_cell(result.achieved_loss)}")
     print(f"flipped={_format_cell(result.flipped)}")
     if args.out is not None:
@@ -250,7 +251,7 @@ def _run_recourse(args) -> int:
 
 
 def _run_sweep(args) -> int:
-    report = sweep_epsilon(args.batch, args.query, args.eps_values, cfg=args.cfg)
+    report = sweep_epsilon(args.theta, args.query, args.eps_values, cfg=args.cfg)
     for row in report.rows:
         print(
             f"epsilon={_format_cell(row.epsilon)}"

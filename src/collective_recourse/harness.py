@@ -1,11 +1,13 @@
 """Experiment driver: build query points, sweep budgets, report and plot.
 
-The sweep runs both solvers over an ascending list of budgets with identical
-settings and collects one row per budget. The individual solver receives the
-previous budget's solution as an extra candidate, and the collective solver
-is exact, so in ball mode the reported losses of both are monotone
-non-increasing in the budget. Reports serialize to CSV with
-17-significant-digit reals and render to a small self-contained SVG.
+The sweep and the query report take the fitted model, so a run fits once
+and asks every question of that one model. The sweep runs both solvers over
+an ascending list of budgets with identical settings and collects one row
+per budget. The individual solver receives the previous budget's solution as
+an extra candidate, and the collective solver is exact, so in ball mode the
+reported losses of both are monotone non-increasing in the budget. Reports
+serialize to CSV with 17-significant-digit reals and render to a small
+self-contained SVG.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .dataset import DatasetError, LabeledBatch, read_reals, read_rows, write_rows
-from .model import Centroids, _check_target, _checked, _loss_and_grad, fit
+from .model import Centroids, _check_target, _checked, _loss_and_grad
 from .recourse import (
     EpsilonBudget,
     QuerySpec,
@@ -102,22 +104,23 @@ def make_query(theta: Centroids, class_a: int, class_b: int, alpha: float) -> Qu
 
 
 def sweep_epsilon(
-    batch: LabeledBatch,
+    theta: Centroids,
     query: QuerySpec,
     epsilons,
     cfg: SolverConfig = SolverConfig(),
 ) -> SweepReport:
     """Run both solvers at every budget and collect a report.
 
-    Budgets must be nonnegative, finite, and strictly ascending. Both solvers
-    share ``cfg``; each individual run evaluates the previous budget's
-    solution as a warm-start candidate and the collective solver is exact,
-    so the reported losses cannot increase with the budget (ball mode).
+    Takes the fitted model ``theta``, not the data, so the sweep fits
+    nothing. Budgets must be nonnegative, finite, and strictly ascending.
+    Both solvers share ``cfg``; each individual run evaluates the previous
+    budget's solution as a warm-start candidate and the collective solver is
+    exact, so the reported losses cannot increase with the budget (ball mode).
 
-    The batch is fitted once. Each budget's collective loss and flip come from
-    the helper that :func:`~collective_recourse.recourse.collective_recourse`
-    answers from, with every row participating, so they are bit for bit its
-    answer at that budget; only the N x d perturbation is not built.
+    Each budget's collective loss and flip come from the helper that
+    :func:`~collective_recourse.recourse.collective_recourse` answers from,
+    with every row participating, so they are bit for bit its answer on the
+    batch ``theta`` was fitted to; only the N x d perturbation is not built.
     """
     budgets = [EpsilonBudget(e) for e in epsilons]
     if not budgets:
@@ -126,8 +129,7 @@ def sweep_epsilon(
     if any(e2 <= e1 for e1, e2 in zip(epsilons, epsilons[1:])):
         raise ValueError(f"epsilons must be strictly ascending, got {epsilons}")
 
-    theta = fit(batch)
-    everyone = np.ones(batch.num_classes)
+    everyone = np.ones(theta.num_classes)
     rows = []
     warm = ()
     for eps, budget in zip(epsilons, budgets):
@@ -282,10 +284,11 @@ def render_plot_svg(report: SweepReport, path) -> None:
         raise OSError(f"cannot write plot to {path}: {err}") from err
 
 
-def describe_query(batch: LabeledBatch, query: QuerySpec) -> dict:
+def describe_query(theta: Centroids, query: QuerySpec) -> dict:
     """Base-model facts about a query: prediction, baseline loss, flip need,
-    all from one checked evaluation of the query."""
-    loss, _, probs = _loss_and_grad(*_checked(query.features, query.goal_class, fit(batch)))
+    all from one checked evaluation of the query. Takes the fitted model
+    ``theta``, not the data."""
+    loss, _, probs = _loss_and_grad(*_checked(query.features, query.goal_class, theta))
     base_pred = int(probs.argmax())
     return {
         "base_prediction": base_pred,

@@ -357,7 +357,14 @@ def _collective_answer(theta, share, x_q, goal, eps, mode):
         moves[moving] = steps[moving, None] * units[moving]
         mu = theta.mu + share[:, None] * moves
     post = Centroids(mu)
-    loss, _, probs = _loss_and_grad(_checked_evaluation(x_q, post), goal)
+    try:
+        evaluation = _checked_evaluation(x_q, post)
+    except ValueError:
+        # The query passed this check against the fitted centroids; only the refit can fail it.
+        raise ValueError(
+            "the refit centroids lie so far from the query that its squared distances overflow"
+        ) from None
+    loss, _, probs = _loss_and_grad(evaluation, goal)
     return post, moves, loss, int(probs.argmax()) == goal
 
 

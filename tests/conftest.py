@@ -1,8 +1,10 @@
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from collective_recourse import model
 from collective_recourse.dataset import LabeledBatch, SyntheticSpec, load_csv, synth_blobs
 from collective_recourse.recourse import QuerySpec
 
@@ -45,6 +47,26 @@ def three_blob_pair():
         np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0]]), np.array([0, 1, 2]), 3
     )
     return batch, QuerySpec(np.array([-0.5, 0.0]), 0)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(name)``: a list that grows by one at each call of
+    ``model.<name>``, under every name the package looks it up by."""
+
+    def count(name):
+        calls, original = [], getattr(model, name)
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("collective_recourse") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+        return calls
+
+    return count
 
 
 @pytest.fixture

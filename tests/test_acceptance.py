@@ -73,7 +73,7 @@ def test_criterion_2_collective_dominates_individual(iris_batch, verdict):
     t0 = time.perf_counter()
     theta = fit(iris_batch)
     query = make_query(theta, class_a=1, class_b=2, alpha=0.25)
-    report = sweep_epsilon(iris_batch, query, _tenths_grid())
+    report = sweep_epsilon(theta, query, _tenths_grid())
     runtime = time.perf_counter() - t0
     everywhere, strict = _dominance(report)
     ok = everywhere and strict >= 1 and runtime < 10.0
@@ -225,7 +225,7 @@ def test_criterion_7_zero_budget_identity_and_monotone_sweep(three_blob_pair, ve
         and abs(ind0.achieved_loss - base) <= 1e-12
         and abs(col0.achieved_loss - base) <= 1e-12
     )
-    report = sweep_epsilon(batch, query, _tenths_grid())
+    report = sweep_epsilon(theta, query, _tenths_grid())
     monotone = all(
         b.individual_loss <= a.individual_loss + 1e-9
         and b.collective_loss <= a.collective_loss + 1e-9

@@ -61,6 +61,11 @@ def test_parse_eps_grid_rejects_huge_grid():
         # The snap is relative to stop: this ended 1.4e-12 under a 1e-12 snap.
         ("0:1.4e-12:1e-12", [0.0, 1e-12]),
         ("0:1.4:1", [0.0, 1.0]),
+        # A one-point grid ends at its start, however small the step.
+        ("1:1:1e-17", [1.0]),
+        ("1e17:1e17:1", [1e17]),
+        ("1e21:1e21:1", [1e21]),
+        ("1e300:1e300:1", [1e300]),
     ],
 )
 def test_parse_eps_grid_ends_at_stop(text, expected):
@@ -75,10 +80,12 @@ def test_parse_eps_grid_snap_scales_with_the_grid(scale):
     assert parse_eps_grid(f"0:{1.4 * scale!r}:{scale!r}") == [0.0, scale]
 
 
-@pytest.mark.parametrize("text", ["1e17:1e17:1", "1e21:1e21:1", "1e300:1e300:1"])
+@pytest.mark.parametrize("text", ["1e17:2e17:1", "1e21:2e21:1", "1e300:2e300:1", "0.5:1:1e-17"])
 def test_parse_eps_grid_rejects_a_step_that_repeats_budgets(text):
     # start + i * step rounds back to start: the budget would repeat without end.
-    with pytest.raises(ValueError, match="^grid step 1.0 is too small to move a budget of 1e"):
+    start, _, step = map(float, text.split(":"))
+    message = f"grid step {step} is too small to move a budget of {start}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         parse_eps_grid(text)
 
 
@@ -250,7 +257,7 @@ def test_cli_recourse_deterministic_stdout(iris_path, capsys):
 
 
 @pytest.mark.parametrize("kind", ["individual", "collective"])
-def test_cli_recourse_stdout_matches_result(iris_path, iris_batch, capsys, kind):
+def test_cli_recourse_stdout_matches_result(iris_path, iris_batch, capsys, count_calls, kind):
     argv = [
         "recourse",
         "--data", str(iris_path),
@@ -260,7 +267,9 @@ def test_cli_recourse_stdout_matches_result(iris_path, iris_batch, capsys, kind)
         "--kind", kind,
         "--epsilon", "0.3",
     ]
+    evaluations = count_calls("_evaluate")
     assert cli_main(argv) == 0
+    evaluated = len(evaluations)
     lines = capsys.readouterr().out.splitlines()
     theta = fit(iris_batch)
     query = make_query(theta, 1, 2, 0.25)
@@ -268,10 +277,37 @@ def test_cli_recourse_stdout_matches_result(iris_path, iris_batch, capsys, kind)
         result = individual_recourse(query, theta, EpsilonBudget(0.3), SolverConfig())
     else:
         result = collective_recourse(iris_batch, query, EpsilonBudget(0.3), SolverConfig())
+    # The baseline is the solver's first trace entry, not an evaluation of its
+    # own; a collective trace is [baseline, achieved], one entry per model.
+    assert evaluated == len(result.loss_trace)
+    assert lines[-4] == f"baseline_loss={_format_cell(result.loss_trace[0])}"
     assert lines[-2:] == [
         f"achieved_loss={_format_cell(result.achieved_loss)}",
         f"flipped={_format_cell(result.flipped)}",
     ]
+
+
+@pytest.mark.parametrize(
+    "command, fits",
+    [
+        (["fit"], 1),
+        (["query"], 1),
+        (["sweep", "--eps-grid", "0:1:0.1", "--out", "{tmp}/sweep.csv"], 1),
+        (["recourse", "--kind", "individual", "--epsilon", "0.3"], 1),
+        # The collective solver refits the batch its answer is defined on.
+        (["recourse", "--kind", "collective", "--epsilon", "0.3"], 2),
+    ],
+    ids=["fit", "query", "sweep", "recourse-individual", "recourse-collective"],
+)
+def test_cli_fits_once_per_run(iris_path, tmp_path, capsys, count_calls, command, fits):
+    calls = count_calls("fit")
+    name, *flags = command
+    argv = [name, "--data", str(iris_path), "--label-col", "species"]
+    if name != "fit":
+        argv += ["--goal-class", "1", "--base-class", "2"]
+    assert cli_main(argv + [flag.format(tmp=tmp_path) for flag in flags]) == 0
+    capsys.readouterr()
+    assert len(calls) == fits
 
 
 def test_cli_recourse_individual_writes_delta(iris_path, tmp_path, capsys):
@@ -387,7 +423,7 @@ def test_cli_sweep_huge_grid_is_usage_error(iris_path, capsys):
 
 def test_cli_sweep_repeating_grid_is_usage_error(iris_path, tmp_path, capsys):
     argv = _iris_argv(
-        iris_path, "sweep", "--eps-grid", "1e17:1e17:1", "--out", str(tmp_path / "never.csv")
+        iris_path, "sweep", "--eps-grid", "1e17:2e17:1", "--out", str(tmp_path / "never.csv")
     )
     assert cli_main(argv) == 1
     assert "usage error: grid step 1.0 is too small" in capsys.readouterr().err

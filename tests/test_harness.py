@@ -72,7 +72,7 @@ def test_make_query_validation(collinear_pair):
 def test_iris_query_needs_flip(iris_batch):
     theta = fit(iris_batch)
     q = make_query(theta, 1, 2, 0.25)
-    facts = describe_query(iris_batch, q)
+    facts = describe_query(theta, q)
     assert facts["base_prediction"] == 2
     assert facts["goal_class"] == 1
     assert facts["needs_flip"]
@@ -93,7 +93,7 @@ def test_sweep_report_invariants():
 
 def test_sweep_single_zero_epsilon(collinear_pair):
     batch, query = collinear_pair
-    report = sweep_epsilon(batch, query, [0.0])
+    report = sweep_epsilon(fit(batch), query, [0.0])
     assert len(report.rows) == 1
     row = report.rows[0]
     assert row.individual_loss == row.baseline_loss
@@ -102,7 +102,7 @@ def test_sweep_single_zero_epsilon(collinear_pair):
 
 def test_sweep_three_blob_dominance(three_blob_pair):
     batch, query = three_blob_pair
-    report = sweep_epsilon(batch, query, [0.0, 0.15, 0.3, 0.45])
+    report = sweep_epsilon(fit(batch), query, [0.0, 0.15, 0.3, 0.45])
     for row in report.rows:
         assert row.collective_loss <= row.individual_loss + 1e-6
     assert any(r.collective_loss < r.individual_loss for r in report.rows)
@@ -115,19 +115,20 @@ def test_sweep_three_blob_dominance(three_blob_pair):
 
 def test_sweep_input_validation(collinear_pair):
     batch, query = collinear_pair
+    theta = fit(batch)
     with pytest.raises(ValueError, match="non-empty"):
-        sweep_epsilon(batch, query, [])
+        sweep_epsilon(theta, query, [])
     with pytest.raises(ValueError, match="ascending"):
-        sweep_epsilon(batch, query, [0.3, 0.1])
+        sweep_epsilon(theta, query, [0.3, 0.1])
     with pytest.raises(ValueError, match="nonnegative"):
-        sweep_epsilon(batch, query, [-0.1, 0.2])
+        sweep_epsilon(theta, query, [-0.1, 0.2])
 
 
 def test_sweep_error_names_offending_epsilon(collinear_pair):
     batch, _ = collinear_pair
     bad_query = QuerySpec(np.zeros(3), 0)  # wrong dimension
     with pytest.raises(ValueError, match=r"epsilon=0\.25"):
-        sweep_epsilon(batch, bad_query, [0.25])
+        sweep_epsilon(fit(batch), bad_query, [0.25])
 
 
 def _sequential_individual(query, theta, epsilons, cfg):
@@ -140,8 +141,9 @@ def _sequential_individual(query, theta, epsilons, cfg):
 
 
 def _assert_sweep_matches_sequential(batch, query, epsilons, cfg):
-    reference = _sequential_individual(query, fit(batch), epsilons, cfg)
-    report = sweep_epsilon(batch, query, epsilons, cfg)
+    theta = fit(batch)
+    reference = _sequential_individual(query, theta, epsilons, cfg)
+    report = sweep_epsilon(theta, query, epsilons, cfg)
     assert len(report.rows) == len(reference)
     for ref, row in zip(reference, report.rows):
         assert np.float64(row.individual_loss).tobytes() == np.float64(ref.achieved_loss).tobytes()
@@ -197,9 +199,10 @@ def test_sweep_collective_column_matches_collective_recourse_bitwise(
         batch = load_embeddings(embeddings_path)
     else:
         batch = iris_batch if data == "iris" else synth_20k_batch
-    query = make_query(fit(batch), 1, 2, 0.25)
+    theta = fit(batch)
+    query = make_query(theta, 1, 2, 0.25)
     cfg = SolverConfig(steps=50, projection_mode=mode)
-    for row in sweep_epsilon(batch, query, [0.1 * i for i in range(11)], cfg).rows:
+    for row in sweep_epsilon(theta, query, [0.1 * i for i in range(11)], cfg).rows:
         col = collective_recourse(batch, query, EpsilonBudget(row.epsilon), cfg)
         assert np.float64(row.collective_loss).tobytes() == np.float64(col.achieved_loss).tobytes()
         assert row.collective_flipped == col.flipped
@@ -216,7 +219,7 @@ def test_sweep_flags_match_public_predict(iris_batch, embeddings_path, data, mod
     epsilons = [0.1 * i for i in range(21)]
     cfg = SolverConfig(projection_mode=mode)
     reference = _sequential_individual(query, theta, epsilons, cfg)
-    rows = sweep_epsilon(batch, query, epsilons, cfg).rows
+    rows = sweep_epsilon(theta, query, epsilons, cfg).rows
     for row, ind in zip(rows, reference):
         post = collective_recourse(batch, query, EpsilonBudget(row.epsilon), cfg).post_centroids
         assert row.collective_flipped == (predict(x_q, post) == goal)
@@ -227,10 +230,11 @@ def test_sweep_flags_match_public_predict(iris_batch, embeddings_path, data, mod
 
 @pytest.mark.parametrize("mode", ["ball", "sphere"])
 def test_overflowing_collective_budget_is_a_solver_error_without_warnings(iris_batch, mode):
-    query = make_query(fit(iris_batch), 1, 2, 0.25)
+    theta = fit(iris_batch)
+    query = make_query(theta, 1, 2, 0.25)
     cfg = SolverConfig(projection_mode=mode)
     # The refit centroids stay finite; the query's squared distances to them do not.
-    overflow = "point lies so far from the centroids that its squared distances overflow"
+    overflow = "the refit centroids lie so far from the query that its squared distances overflow"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for eps in (1e200, 1e308):
@@ -238,7 +242,7 @@ def test_overflowing_collective_budget_is_a_solver_error_without_warnings(iris_b
                 collective_recourse(iris_batch, query, EpsilonBudget(eps), cfg)
             failed = re.escape(f"sweep failed at epsilon={eps}: {overflow}")
             with pytest.raises(ValueError, match=f"^{failed}$"):
-                sweep_epsilon(iris_batch, query, [0.5, eps], cfg)
+                sweep_epsilon(theta, query, [0.5, eps], cfg)
 
 
 def test_report_csv_empty(tmp_path):

@@ -1,6 +1,5 @@
 import itertools
 import math
-import sys
 import tracemalloc
 import warnings
 
@@ -435,24 +434,9 @@ def test_flipped_matches_public_predict(embeddings_path, mode):
     assert any(flips) and not all(flips)
 
 
-def _count_evaluations(monkeypatch):
-    """A list that grows by one at each call of ``model._evaluate``, under
-    every name the package looks it up by."""
-    calls, evaluate = [], model._evaluate
-
-    def counted(x, mu):
-        calls.append(None)
-        return evaluate(x, mu)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("collective_recourse") and getattr(module, "_evaluate", None) is evaluate:
-            monkeypatch.setattr(module, "_evaluate", counted)
-    return calls
-
-
 @pytest.mark.parametrize("mode", ["ball", "sphere"])
 @pytest.mark.parametrize("init", ["zero", "random"])
-def test_each_point_is_evaluated_once(embeddings_path, monkeypatch, mode, init):
+def test_each_point_is_evaluated_once(embeddings_path, count_calls, mode, init):
     # The query is checked and answered from one evaluation, every further
     # trace entry is one evaluation, and flipped reads the winner's. The
     # collective solver evaluates the query once per model, fitted and refit.
@@ -462,7 +446,7 @@ def test_each_point_is_evaluated_once(embeddings_path, monkeypatch, mode, init):
     query = QuerySpec(batch.features[row], batch.labels[row])
     cfg = SolverConfig(projection_mode=mode, init=init, seed=3)
     warm = individual_recourse(query, theta, EpsilonBudget(0.3), cfg).perturbation
-    calls = _count_evaluations(monkeypatch)
+    calls = count_calls("_evaluate")
     for budget, candidates in ((EpsilonBudget(0.3), ()), (EpsilonBudget(1.0), (warm,))):
         del calls[:]
         res = individual_recourse(query, theta, budget, cfg, extra_candidates=candidates)
@@ -472,7 +456,7 @@ def test_each_point_is_evaluated_once(embeddings_path, monkeypatch, mode, init):
         collective_recourse(batch, query, budget, cfg)
         assert len(calls) == 2
     del calls[:]
-    describe_query(batch, query)
+    describe_query(theta, query)
     assert len(calls) == 1
 
 
