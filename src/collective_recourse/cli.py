@@ -232,19 +232,19 @@ def _run_query(args) -> int:
 def _run_recourse(args) -> int:
     if args.kind == "individual":
         result = individual_recourse(args.query, args.theta, args.budget, args.cfg)
-        delta = result.perturbation[None, :]
         size = f"perturbation_norm={_format_cell(np.linalg.norm(result.perturbation))}"
     else:
         result = collective_recourse(args.batch, args.query, args.budget, args.cfg)
-        delta = result.perturbation.delta
         size = f"max_row_norm={_format_cell(result.perturbation.row_norms().max())}"
     print(f"baseline_loss={_format_cell(result.loss_trace[0])}")
     print(size)
     print(f"achieved_loss={_format_cell(result.achieved_loss)}")
     print(f"flipped={_format_cell(result.flipped)}")
     if args.out is not None:
-        # Freed first, the batch is not shared with the write's forked workers.
+        # Freed before the N x d rows are built and the write's workers fork.
         del args.batch
+        perturbation = result.perturbation
+        delta = perturbation[None, :] if args.kind == "individual" else perturbation.delta
         _write_matrix(args.out, (delta,), [f"d{j}" for j in range(delta.shape[1])])
         print(f"wrote perturbation: {args.out}")
     return 0

@@ -120,19 +120,19 @@ def sweep_epsilon(
     Each budget's collective loss and flip come from the helper that
     :func:`~collective_recourse.recourse.collective_recourse` answers from,
     with every row participating, so they are bit for bit its answer on the
-    batch ``theta`` was fitted to; only the N x d perturbation is not built.
+    batch ``theta`` was fitted to; only its class moves are not returned.
     """
     budgets = [EpsilonBudget(e) for e in epsilons]
     if not budgets:
         raise ValueError("epsilon list must be non-empty")
-    epsilons = [budget.epsilon for budget in budgets]
-    if any(e2 <= e1 for e1, e2 in zip(epsilons, epsilons[1:])):
-        raise ValueError(f"epsilons must be strictly ascending, got {epsilons}")
+    if any(b2.epsilon <= b1.epsilon for b1, b2 in zip(budgets, budgets[1:])):
+        raise ValueError(f"epsilons must be strictly ascending, got {[b.epsilon for b in budgets]}")
 
     everyone = np.ones(theta.num_classes)
     rows = []
     warm = ()
-    for eps, budget in zip(epsilons, budgets):
+    for budget in budgets:
+        eps = budget.epsilon
         try:
             ind = individual_recourse(query, theta, budget, cfg, extra_candidates=warm)
             *_, collective_loss, collective_flipped = _collective_answer(
@@ -288,7 +288,8 @@ def describe_query(theta: Centroids, query: QuerySpec) -> dict:
     """Base-model facts about a query: prediction, baseline loss, flip need,
     all from one checked evaluation of the query. Takes the fitted model
     ``theta``, not the data."""
-    loss, _, probs = _loss_and_grad(*_checked(query.features, query.goal_class, theta))
+    evaluation, goal = _checked(query.features, query.goal_class, theta, "goal class")
+    loss, _, probs = _loss_and_grad(evaluation, goal)
     base_pred = int(probs.argmax())
     return {
         "base_prediction": base_pred,

@@ -25,8 +25,7 @@ from .dataset import LabeledBatch, _frozen, _write_matrix, read_reals, read_rows
 # centroid and makes the input/centroid gradient identity exact.
 GRAD_NORM_FLOOR = 1e-12
 
-# The most rows whose squares :func:`distances` and
-# ``PerturbationMatrix.row_norms`` hold at once.
+# The most rows whose squares :func:`distances` holds at once.
 _BLOCK_ROWS = 1024
 
 

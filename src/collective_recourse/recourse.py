@@ -16,8 +16,9 @@ evaluation is one query-to-centroid distance computation, which gives the
 loss, the gradient and the class probabilities there. The collective problem
 splits into one small problem per class and is solved exactly in closed
 form: with a share f_y of class y's rows each moving by move_y, centroid y
-refits to mu_y + f_y * move_y, all k at once. Budgets are per-vector L2 balls;
-``sphere`` mode instead puts every nonzero perturbation on the budget sphere.
+refits to mu_y + f_y * move_y, all k at once, and the answer is those k moves,
+not N x d rows. Budgets are per-vector L2 balls; ``sphere`` mode instead puts
+every nonzero perturbation on the budget sphere.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .model import (
     _checked_evaluation,
     _evaluate,
     _loss_and_grad,
-    _row_blocks,
     fit,
     # Not called here; bench/test_bench.py looks the refit reference up on this module.
     refit_with_perturbation,  # noqa: F401
@@ -89,43 +89,46 @@ class EpsilonBudget:
 
 @dataclass(frozen=True)
 class PerturbationMatrix:
-    """Per-row perturbations (N x d) with a participation mask.
-
-    Rows whose mask entry is False are exactly zero.
+    """Per-row perturbations held as one move per class: row i of the N x d
+    perturbation is ``moves[labels[i]]`` (a row of the finite k x d moves)
+    where ``participation_mask[i]`` is set, and exactly zero elsewhere.
     """
 
-    delta: np.ndarray
+    moves: np.ndarray
+    labels: np.ndarray
     participation_mask: np.ndarray
 
     def __post_init__(self):
-        delta = np.asarray(self.delta, dtype=float)
+        moves = np.ascontiguousarray(self.moves, dtype=float)
+        labels = np.asarray(self.labels)
         mask = np.asarray(self.participation_mask, dtype=bool)
-        if delta.ndim != 2:
-            raise ValueError(f"delta must be 2-D, got shape {delta.shape}")
-        if mask.shape != (delta.shape[0],):
-            raise ValueError(
-                f"mask shape {mask.shape} does not match {delta.shape[0]} rows"
-            )
-        # A block of rows at a time: delta[~mask] would copy every
-        # non-participating row.
-        if any(
-            np.any(np.any(delta[rows] != 0.0, axis=1) & ~mask[rows])
-            for rows in _row_blocks(len(delta))
-        ):
-            raise ValueError("non-participating rows must be exactly zero")
-        object.__setattr__(self, "delta", _frozen(delta))
+        if moves.ndim != 2:
+            raise ValueError(f"moves must be 2-D, got shape {moves.shape}")
+        if not np.isfinite(moves).all():
+            raise ValueError("moves contain non-finite values")
+        indices = labels.ndim == 1 and labels.dtype.kind in "iu"
+        if not indices or labels.size and not 0 <= labels.min() <= labels.max() < len(moves):
+            raise ValueError(f"labels must be a vector of class indices in [0, {len(moves) - 1}]")
+        if mask.shape != labels.shape:
+            raise ValueError(f"mask shape {mask.shape} does not match {labels.size} rows")
+        object.__setattr__(self, "moves", _frozen(moves))
+        object.__setattr__(self, "labels", _frozen(labels))
         object.__setattr__(self, "participation_mask", _frozen(mask))
 
+    @property
+    def delta(self) -> np.ndarray:
+        """The N x d rows, read-only, built anew on each access."""
+        delta = self.moves[self.labels]
+        delta[~self.participation_mask] = 0.0
+        delta.setflags(write=False)
+        return delta
+
     def row_norms(self) -> np.ndarray:
-        """``np.linalg.norm(delta, axis=1)``, bit for bit, without its N x d
-        squares: they are made a block of rows at a time (see
-        :func:`model._row_blocks`).
-        """
-        norms = np.empty(len(self.delta))
-        for rows in _row_blocks(len(norms)):
-            block = self.delta[rows]
-            np.add.reduce(block * block, axis=1, out=norms[rows])
-        return np.sqrt(norms, out=norms)
+        """``np.linalg.norm(delta, axis=1)``, bit for bit, from the k move norms:
+        a row's norm reads that row alone, laid out in C order in both."""
+        norms = np.linalg.norm(self.moves, axis=1)[self.labels]
+        norms[~self.participation_mask] = 0.0
+        return norms
 
 
 @dataclass(frozen=True)
@@ -170,7 +173,9 @@ class RecourseResult:
     random start if any, and then one per further evaluation (the step
     toward the goal centroid first, then each point the iterations try),
     and ``achieved_loss`` is its minimum. For collective recourse it is exactly
-    ``[baseline, achieved_loss]``. ``post_centroids`` equals
+    ``[baseline, achieved_loss]``. ``perturbation`` is the query's own
+    d-vector for individual recourse and a :class:`PerturbationMatrix` of
+    class moves for collective recourse. ``post_centroids`` equals
     the base centroids for individual recourse and the refit centroids under
     the best perturbation for collective recourse.
     """
@@ -403,30 +408,21 @@ def collective_recourse(
     The refit centroids are computed from the k x d centroids and each
     class's participating share f_y = m_y / n_y alone, as mu_y + f_y * move_y:
     with full participation that is exact up to one rounding of mu + move.
-    The N x d perturbation is built only to be returned.
+    The perturbation is returned as those k moves, not as N x d rows.
     """
     theta = fit(batch)
     query_evaluation, goal = _checked(query.features, query.goal_class, theta, "goal class")
     baseline = _loss_and_grad(query_evaluation, goal)[0]
-    if mask is None:
-        mask = np.ones(batch.num_rows, dtype=bool)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (batch.num_rows,):
-            raise ValueError(f"mask shape {mask.shape} does not match {batch.num_rows} rows")
-    # LabeledBatch guarantees that every class has a row to divide by.
     k, labels = batch.num_classes, batch.labels
-    share = np.bincount(labels[mask], minlength=k) / np.bincount(labels, minlength=k)
+    mask = np.ones(len(labels), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    # LabeledBatch guarantees that every class has a row to divide by. A mask
+    # of another shape than the labels' fails the weighted count.
+    share = np.bincount(labels, weights=mask, minlength=k) / np.bincount(labels, minlength=k)
     post, moves, achieved, flipped = _collective_answer(
         theta, share, query.features, goal, budget.epsilon, cfg.projection_mode
     )
-    # Each row's class move, written in place ("clip" leaves out the buffer
-    # that take's bounds check makes); the labels are valid class indices.
-    delta = np.take(moves, labels, axis=0, out=np.empty(batch.features.shape), mode="clip")
-    delta[~mask] = 0.0
-    delta.setflags(write=False)
     return RecourseResult(
-        perturbation=PerturbationMatrix(delta, mask),
+        perturbation=PerturbationMatrix(moves, labels, mask),
         achieved_loss=achieved,
         flipped=flipped,
         loss_trace=np.array([baseline, achieved]),

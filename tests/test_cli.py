@@ -287,6 +287,27 @@ def test_cli_recourse_stdout_matches_result(iris_path, iris_batch, capsys, count
     ]
 
 
+@pytest.mark.parametrize("kind", ["individual", "collective"])
+def test_cli_recourse_out_writes_the_solvers_rows(iris_path, iris_batch, tmp_path, capsys, kind):
+    out = tmp_path / "delta.csv"
+    argv = ["recourse", "--data", str(iris_path), "--label-col", "species", "--goal-class", "1",
+            "--base-class", "2", "--kind", kind, "--mode", "sphere", "--epsilon", "0.3",
+            "--out", str(out)]
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().out.endswith(f"wrote perturbation: {out}\n")
+    theta = fit(iris_batch)
+    query = make_query(theta, 1, 2, 0.25)
+    cfg = SolverConfig(projection_mode="sphere")
+    if kind == "individual":
+        rows = individual_recourse(query, theta, EpsilonBudget(0.3), cfg).perturbation[None, :]
+    else:
+        rows = collective_recourse(iris_batch, query, EpsilonBudget(0.3), cfg).perturbation.delta
+    header, *lines = out.read_text().splitlines()
+    assert header == "d0,d1,d2,d3"
+    written = np.array([[float(cell) for cell in line.split(",")] for line in lines])
+    assert written.tobytes() == rows.tobytes()
+
+
 @pytest.mark.parametrize(
     "command, fits",
     [

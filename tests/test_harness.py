@@ -78,6 +78,19 @@ def test_iris_query_needs_flip(iris_batch):
     assert facts["needs_flip"]
 
 
+def test_describe_query_names_an_out_of_range_goal_as_the_solvers_do(iris_batch):
+    theta = fit(iris_batch)
+    query = QuerySpec(theta.mu[0], 7)
+    for ask in (
+        lambda: describe_query(theta, query),
+        lambda: individual_recourse(query, theta, EpsilonBudget(0.1)),
+        lambda: collective_recourse(iris_batch, query, EpsilonBudget(0.1)),
+        lambda: sweep_epsilon(theta, query, [0.1]),
+    ):
+        with pytest.raises(ValueError, match=r"goal class 7 outside \[0, 2\]$"):
+            ask()
+
+
 def test_sweep_report_invariants():
     with pytest.raises(ValueError, match="ascending"):
         SweepReport((_row(0.2, 1, 1, 1), _row(0.1, 1, 1, 1)))

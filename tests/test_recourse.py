@@ -62,29 +62,47 @@ def test_budget_validation():
         EpsilonBudget(1.0, norm_order=1)
 
 
-def test_perturbation_matrix_mask():
-    delta = np.array([[1.0, 0.0], [0.0, 0.0]])
-    pm = PerturbationMatrix(delta, np.array([True, False]))
-    assert np.allclose(pm.row_norms(), [1.0, 0.0])
-    with pytest.raises(ValueError, match="exactly zero"):
-        PerturbationMatrix(delta, np.array([False, True]))
-    with pytest.raises(ValueError, match=r"^delta must be 2-D, got shape \(2,\)$"):
-        PerturbationMatrix(np.zeros(2), np.array([True, False]))
-    with pytest.raises(ValueError, match=r"^mask shape \(3,\) does not match 2 rows$"):
-        PerturbationMatrix(delta, np.array([True, False, False]))
+def test_perturbation_matrix_rejects_bad_parts():
+    moves, labels, mask = np.eye(2), np.array([0, 1, 1]), np.array([True, False, True])
+    PerturbationMatrix(moves, labels, mask)
+    with pytest.raises(ValueError, match=r"^moves must be 2-D, got shape \(2,\)$"):
+        PerturbationMatrix(np.ones(2), labels, mask)
+    with pytest.raises(ValueError, match="^moves contain non-finite values$"):
+        PerturbationMatrix([[1.0, np.nan], [0.0, 0.0]], labels, mask)
+    for bad in (labels.astype(float), labels[None], [0, 2, 1], [0, -1, 1]):
+        with pytest.raises(ValueError, match=r"^labels must be a vector of class indices in \[0, 1\]$"):
+            PerturbationMatrix(moves, np.array(bad), mask)
+    with pytest.raises(ValueError, match=r"^mask shape \(2,\) does not match 3 rows$"):
+        PerturbationMatrix(moves, labels, mask[:2])
 
 
-@pytest.mark.parametrize("row", [0, model._BLOCK_ROWS, 2 * model._BLOCK_ROWS + 4])
-def test_perturbation_matrix_finds_a_nonzero_row_in_any_block(row):
-    # The zero rows are checked a block of rows at a time; the last block
-    # overlaps the one before it.
-    delta = np.zeros((2 * model._BLOCK_ROWS + 5, 3))
-    mask = np.ones(len(delta), dtype=bool)
-    mask[row] = False
-    PerturbationMatrix(delta, mask)
-    delta[row, 2] = -1e-300
-    with pytest.raises(ValueError, match="^non-participating rows must be exactly zero$"):
-        PerturbationMatrix(delta, mask)
+def test_perturbation_matrix_rows_are_class_moves_built_on_access():
+    moves = np.array([[-0.0, 1.5], [2.0, -3.0], [0.25, 0.0]])
+    labels = np.array([2, 0, 1, 1, 0])
+    mask = np.array([True, True, False, True, False])
+    pm = PerturbationMatrix(moves, labels, mask)
+    delta = pm.delta
+    # Row by row: the class's move where the row takes part, +0.0 elsewhere.
+    expected = np.zeros((5, 2))
+    for i, (y, taking_part) in enumerate(zip(labels, mask)):
+        if taking_part:
+            expected[i] = moves[y]
+    assert delta.tobytes() == expected.tobytes()
+    assert not delta.flags.writeable
+    assert pm.delta is not delta
+    assert not pm.moves.flags.writeable and not pm.participation_mask.flags.writeable
+
+
+def test_row_norms_equal_numpy_norm_of_delta():
+    # At d = 64 a Fortran-order row sums in another order than a C-order one.
+    rng = np.random.default_rng(0)
+    moves = rng.standard_normal((7, 64)) * 10.0 ** rng.integers(-150, 150, (7, 64))
+    labels = rng.integers(0, 7, 2 * model._BLOCK_ROWS + 1)
+    mask = rng.random(len(labels)) < 0.7
+    for layout in (moves, np.asfortranarray(moves), moves[::-1, ::2]):
+        pm = PerturbationMatrix(layout, labels, mask)
+        assert pm.row_norms().tobytes() == np.linalg.norm(pm.delta, axis=1).tobytes()
+
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
@@ -615,17 +633,8 @@ def test_collective_budget_feasible_and_mean_shift():
         assert np.allclose(res.post_centroids.mu[y] - base[y], mean_shift, atol=1e-12)
 
 
-def test_row_norms_equal_numpy_norm_a_block_at_a_time():
-    rng = np.random.default_rng(21)
-    rows = 2 * model._BLOCK_ROWS + 1
-    delta = rng.standard_normal((rows, 9)) * 10.0 ** rng.integers(-150, 150, (rows, 9))
-    for layout in (delta, np.asfortranarray(delta), delta[::-1, ::2], delta[:1]):
-        pm = PerturbationMatrix(layout, np.ones(len(layout), dtype=bool))
-        assert pm.row_norms().tobytes() == np.linalg.norm(layout, axis=1).tobytes()
-
-
 @pytest.mark.parametrize("mask", ["all", "two-thirds"])
-def test_collective_perturbation_is_built_in_place(mask):
+def test_collective_recourse_builds_no_rows(mask):
     centers = np.random.default_rng(22).standard_normal((10, 64))
     batch = synth_blobs(SyntheticSpec(centers, 400, 1.0, seed=22))
     query = make_query(fit(batch), 1, 2, 0.25)
@@ -636,15 +645,13 @@ def test_collective_perturbation_is_built_in_place(mask):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    delta = res.perturbation.delta
-    # Each participating row holds its class's move, as a row-by-row build gives.
-    moves = np.array([delta[rows & (batch.labels == y)][0] for y in range(10)])
+    # One class's rows, which the fit copies to average them; no N x d rows.
+    assert peak < 0.25 * batch.features.nbytes
+    pm = res.perturbation
+    assert np.array_equal(pm.labels, batch.labels) and np.array_equal(pm.participation_mask, rows)
     expected = np.zeros_like(batch.features)
-    expected[rows] = moves[batch.labels[rows]]
-    assert delta.tobytes() == expected.tobytes()
-    assert not delta.flags.writeable
-    # The perturbation and one block of the check of its zero rows.
-    assert peak < 1.2 * batch.features.nbytes
+    expected[rows] = pm.moves[batch.labels[rows]]
+    assert pm.delta.tobytes() == expected.tobytes()
 
 
 def test_collective_mask_freezes_class(three_blob_pair):
