@@ -18,14 +18,8 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .dataset import DatasetError, LabeledBatch, read_reals, read_rows, write_rows
-from .model import Centroids, _check_target, _checked, _loss_and_grad
-from .recourse import (
-    EpsilonBudget,
-    QuerySpec,
-    SolverConfig,
-    _collective_answer,
-    individual_recourse,
-)
+from .model import Centroids, _answered, _check_target
+from .recourse import EpsilonBudget, QuerySpec, SolverConfig, _collective_answer, _individual
 
 
 @dataclass(frozen=True)
@@ -129,14 +123,15 @@ def sweep_epsilon(
         raise ValueError(f"epsilons must be strictly ascending, got {[b.epsilon for b in budgets]}")
 
     everyone = np.ones(theta.num_classes)
-    rows = []
-    warm = ()
+    x_q, answer, rows, warm = query.features, None, [], ()
     for budget in budgets:
         eps = budget.epsilon
         try:
-            ind = individual_recourse(query, theta, budget, cfg, extra_candidates=warm)
+            # One checked answer per query; a query the model rejects fails the first budget.
+            answer = answer or _answered(x_q, query.goal_class, theta, "goal class")
+            ind = _individual(x_q, theta, answer, budget, cfg, warm)
             *_, collective_loss, collective_flipped = _collective_answer(
-                theta, everyone, query.features, query.goal_class, eps, cfg.projection_mode
+                theta, everyone, x_q, answer, eps, cfg.projection_mode
             )
         except ValueError as err:
             raise ValueError(f"sweep failed at epsilon={eps}: {err}") from err
@@ -144,7 +139,7 @@ def sweep_epsilon(
         rows.append(
             SweepRow(
                 epsilon=eps,
-                baseline_loss=float(ind.loss_trace[0]),
+                baseline_loss=answer[1],
                 individual_loss=ind.achieved_loss,
                 collective_loss=collective_loss,
                 individual_flipped=ind.flipped,
@@ -288,8 +283,7 @@ def describe_query(theta: Centroids, query: QuerySpec) -> dict:
     """Base-model facts about a query: prediction, baseline loss, flip need,
     all from one checked evaluation of the query. Takes the fitted model
     ``theta``, not the data."""
-    evaluation, goal = _checked(query.features, query.goal_class, theta, "goal class")
-    loss, _, probs = _loss_and_grad(evaluation, goal)
+    _, loss, _, probs, *_ = _answered(query.features, query.goal_class, theta, "goal class")
     base_pred = int(probs.argmax())
     return {
         "base_prediction": base_pred,

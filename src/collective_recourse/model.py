@@ -6,9 +6,9 @@ class probabilities are the softmax of those scores. Fitting is the
 per-class mean, which makes the post-update parameters under a training-set
 perturbation available in closed form.
 
-Every answer about a single point (probabilities, prediction, loss, both
-gradients) and its check come from one evaluation of its distances to the
-centroids; :func:`distances` and :func:`nll_from_distances` are the batch forms.
+Every answer about a single point and its check come from one evaluation of
+its distances to the centroids, and ``_answered`` gives all of a query's at once;
+:func:`distances` and :func:`nll_from_distances` are the batch forms.
 """
 
 from __future__ import annotations
@@ -147,11 +147,6 @@ def _checked_evaluation(x, theta: Centroids):
     return evaluation
 
 
-def _checked(x, target, theta: Centroids, name="target class"):
-    """:func:`_checked_evaluation` at ``x``, then ``target`` checked as a class of the model."""
-    return _checked_evaluation(x, theta), _check_target(target, theta.num_classes, name)
-
-
 def predict_proba(x, theta: Centroids) -> np.ndarray:
     """Class probabilities: softmax of the negative distances, max-shifted for stability."""
     _, _, _, weights, total = _checked_evaluation(x, theta)
@@ -196,9 +191,17 @@ def _loss_and_grad(evaluation, target: int):
     return float(np.log(total) - nearest + dists[target]), -np.add.reduce(diffs, axis=0), probs
 
 
+def _answered(x, target, theta: Centroids, name="target class"):
+    """The checked ``target``, :func:`_loss_and_grad` at ``x`` (loss, input gradient,
+    probabilities), its distances and :func:`grad_centroids` rows, from one evaluation."""
+    evaluation = _checked_evaluation(x, theta)
+    target = _check_target(target, theta.num_classes, name)
+    return (target, *_loss_and_grad(evaluation, target), evaluation[1], evaluation[0])
+
+
 def nll_loss(x, target: int, theta: Centroids) -> float:
     """Negative log-likelihood of ``target`` at ``x``; always finite."""
-    return _loss_and_grad(*_checked(x, target, theta))[0]
+    return _answered(x, target, theta)[1]
 
 
 def grad_centroids(x, target: int, theta: Centroids) -> np.ndarray:
@@ -206,9 +209,7 @@ def grad_centroids(x, target: int, theta: Centroids) -> np.ndarray:
 
     Row y is (p_y - 1[y=target]) * (x - mu_y) / max(||x - mu_y||, floor).
     """
-    evaluation, target = _checked(x, target, theta)
-    _loss_and_grad(evaluation, target)  # leaves the rows in the differences
-    return evaluation[0]
+    return _answered(x, target, theta)[5]
 
 
 def grad_input(x, target: int, theta: Centroids) -> np.ndarray:
@@ -217,7 +218,7 @@ def grad_input(x, target: int, theta: Centroids) -> np.ndarray:
     Computed as the negated column sum of :func:`grad_centroids`, so the
     identity grad_input + sum_y grad_centroids[y] == 0 holds exactly.
     """
-    return _loss_and_grad(*_checked(x, target, theta))[1]
+    return _answered(x, target, theta)[2]
 
 
 def refit_with_perturbation(batch: LabeledBatch, delta: np.ndarray) -> Centroids:

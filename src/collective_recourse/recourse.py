@@ -34,8 +34,8 @@ from .dataset import LabeledBatch, _frozen
 from .model import (
     GRAD_NORM_FLOOR,
     Centroids,
+    _answered,
     _check_target,
-    _checked,
     _checked_evaluation,
     _evaluate,
     _loss_and_grad,
@@ -87,6 +87,14 @@ class EpsilonBudget:
         object.__setattr__(self, "epsilon", epsilon)
 
 
+def _row_mask(mask, labels) -> np.ndarray:
+    """``mask`` as booleans; a ValueError unless it holds one flag per label."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != labels.shape:
+        raise ValueError(f"mask shape {mask.shape} does not match {labels.size} rows")
+    return mask
+
+
 @dataclass(frozen=True)
 class PerturbationMatrix:
     """Per-row perturbations held as one move per class: row i of the N x d
@@ -101,7 +109,6 @@ class PerturbationMatrix:
     def __post_init__(self):
         moves = np.ascontiguousarray(self.moves, dtype=float)
         labels = np.asarray(self.labels)
-        mask = np.asarray(self.participation_mask, dtype=bool)
         if moves.ndim != 2:
             raise ValueError(f"moves must be 2-D, got shape {moves.shape}")
         if not np.isfinite(moves).all():
@@ -109,8 +116,7 @@ class PerturbationMatrix:
         indices = labels.ndim == 1 and labels.dtype.kind in "iu"
         if not indices or labels.size and not 0 <= labels.min() <= labels.max() < len(moves):
             raise ValueError(f"labels must be a vector of class indices in [0, {len(moves) - 1}]")
-        if mask.shape != labels.shape:
-            raise ValueError(f"mask shape {mask.shape} does not match {labels.size} rows")
+        mask = _row_mask(self.participation_mask, labels)
         object.__setattr__(self, "moves", _frozen(moves))
         object.__setattr__(self, "labels", _frozen(labels))
         object.__setattr__(self, "participation_mask", _frozen(mask))
@@ -280,13 +286,19 @@ def individual_recourse(
     baseline loss.
     """
     x_q = query.features
-    query_evaluation, goal = _checked(x_q, query.goal_class, theta, "goal class")
+    answer = _answered(x_q, query.goal_class, theta, "goal class")
+    return _individual(x_q, theta, answer, budget, cfg, extra_candidates)
+
+
+def _individual(x_q, theta, answer, budget, cfg, extra_candidates):
+    """:func:`individual_recourse` from the query's ``_answered``, which gives
+    the loss, gradient and probabilities at delta = 0."""
+    goal = answer[0]
     candidates = [np.array(c, dtype=float) for c in extra_candidates]
     for i, candidate in enumerate(candidates):
         if candidate.shape != x_q.shape or not np.isfinite(candidate).all():
             raise ValueError(f"extra candidate {i} is not a finite vector of dimension {x_q.size}")
-    mu = theta.mu
-    eps, mode = budget.epsilon, cfg.projection_mode
+    mu, eps, mode = theta.mu, budget.epsilon, cfg.projection_mode
     to_goal = mu[goal] - x_q
     reaches_goal = mode == "ball" and math.sqrt(to_goal.dot(to_goal)) <= eps
     trace = []
@@ -301,9 +313,8 @@ def individual_recourse(
             starts.append(_project(noise * eps, eps, mode))
         # Without this step the iterates stall at the kink on the goal centroid.
         starts.append(_project(to_goal, eps, mode))
-        evaluations = [query_evaluation] + [_evaluate(x_q + delta, mu) for delta in starts[1:]]
-        for delta, evaluation in zip(starts, evaluations):
-            loss, grad, probs = _loss_and_grad(evaluation, goal)
+        at_starts = [answer[1:4]] + [_loss_and_grad(_evaluate(x_q + d, mu), goal) for d in starts[1:]]
+        for delta, (loss, grad, probs) in zip(starts, at_starts):
             trace.append(loss)
             if loss < best_loss:
                 best_loss, best_delta, best_probs = loss, delta, probs
@@ -327,9 +338,10 @@ def individual_recourse(
     )
 
 
-def _collective_answer(theta, share, x_q, goal, eps, mode):
+def _collective_answer(theta, share, x_q, answer, eps, mode):
     """Refit centroids under the exact collective answer, each class's row move,
-    and the query's loss and flip there, from one checked evaluation.
+    and the query's loss and flip there, from one checked evaluation. The goal
+    and the distances to the fitted centroids are read from the query's ``_answered``.
 
     ``share`` holds each class's participating share f_y = m_y / n_y of its
     rows. Every participating row of class y moves by row y of the returned
@@ -338,8 +350,8 @@ def _collective_answer(theta, share, x_q, goal, eps, mode):
     mu + f * moves. With full participation that is exact up to one rounding
     of mu + move.
     """
+    goal, dists = answer[0], answer[4]
     away = theta.mu - x_q
-    dists = np.linalg.norm(away, axis=1)
     units = np.zeros_like(away)
     units[:, 0] = 1.0
     off = dists > GRAD_NORM_FLOOR
@@ -411,20 +423,18 @@ def collective_recourse(
     The perturbation is returned as those k moves, not as N x d rows.
     """
     theta = fit(batch)
-    query_evaluation, goal = _checked(query.features, query.goal_class, theta, "goal class")
-    baseline = _loss_and_grad(query_evaluation, goal)[0]
+    answer = _answered(query.features, query.goal_class, theta, "goal class")
     k, labels = batch.num_classes, batch.labels
-    mask = np.ones(len(labels), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    # LabeledBatch guarantees that every class has a row to divide by. A mask
-    # of another shape than the labels' fails the weighted count.
+    mask = np.ones(len(labels), dtype=bool) if mask is None else _row_mask(mask, labels)
+    # LabeledBatch guarantees that every class has a row to divide by.
     share = np.bincount(labels, weights=mask, minlength=k) / np.bincount(labels, minlength=k)
     post, moves, achieved, flipped = _collective_answer(
-        theta, share, query.features, goal, budget.epsilon, cfg.projection_mode
+        theta, share, query.features, answer, budget.epsilon, cfg.projection_mode
     )
     return RecourseResult(
         perturbation=PerturbationMatrix(moves, labels, mask),
         achieved_loss=achieved,
         flipped=flipped,
-        loss_trace=np.array([baseline, achieved]),
+        loss_trace=np.array([answer[1], achieved]),
         post_centroids=post,
     )

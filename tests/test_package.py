@@ -1,3 +1,4 @@
+import ast
 import re
 import types
 from pathlib import Path
@@ -32,3 +33,29 @@ def test_readme_library_quickstart_runs(monkeypatch, capsys):
     ind_loss, col_loss, flipped = capsys.readouterr().out.split()
     assert float(col_loss) < float(ind_loss)
     assert flipped in ("True", "False")
+
+
+def test_every_imported_name_is_used():
+    # The unused-import check (pyflakes' F401) without a linter: each name a
+    # module imports must be read in that module or listed in its __all__
+    # (the package root's re-exports), unless its line is marked "# noqa: F401".
+    unused = []
+    for path in sorted((ROOT / "src" / "collective_recourse").glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        nodes = list(ast.walk(ast.parse(source)))
+        used = {node.id for node in nodes if isinstance(node, ast.Name)}
+        for node in nodes:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+            ):
+                used |= {element.value for element in node.value.elts}
+        for node in nodes:
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                        unused.append(f"{path.name}:{alias.lineno}: {name}")
+    assert not unused

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from collective_recourse import model, recourse
 from collective_recourse.dataset import LabeledBatch, SyntheticSpec, load_embeddings, synth_blobs
-from collective_recourse.harness import describe_query, make_query
+from collective_recourse.harness import describe_query, make_query, sweep_epsilon
 from collective_recourse.model import (
     Centroids,
     distances,
@@ -458,6 +458,7 @@ def test_each_point_is_evaluated_once(embeddings_path, count_calls, mode, init):
     # The query is checked and answered from one evaluation, every further
     # trace entry is one evaluation, and flipped reads the winner's. The
     # collective solver evaluates the query once per model, fitted and refit.
+    # A sweep answers the query once for all its budgets.
     batch = load_embeddings(embeddings_path)
     theta = fit(batch)
     row = np.flatnonzero(distances(batch.features, theta).argmin(axis=1) != batch.labels)[0]
@@ -476,6 +477,14 @@ def test_each_point_is_evaluated_once(embeddings_path, count_calls, mode, init):
     del calls[:]
     describe_query(theta, query)
     assert len(calls) == 1
+    epsilons, lengths, warm = (0.0, 0.3, 1.0), [], ()
+    for eps in epsilons:  # the sweep's individual solves, each warm-started from the last
+        res = individual_recourse(query, theta, EpsilonBudget(eps), cfg, extra_candidates=warm)
+        lengths.append(len(res.loss_trace))
+        warm = (res.perturbation,)
+    del calls[:]
+    sweep_epsilon(theta, query, epsilons, cfg)
+    assert len(calls) == 1 + sum(n - 1 for n in lengths) + len(epsilons)
 
 
 @pytest.mark.parametrize("mode", ["ball", "sphere"])
@@ -706,6 +715,8 @@ def test_collective_post_centroids_are_closed_form_within_refit_rounding(
     u = np.finfo(float).eps / 2
     cfg = SolverConfig(projection_mode=mode)
     for (where, query), (participation, mask) in itertools.product(queries.items(), masks.items()):
+        away = theta.mu - query.features
+        norms = np.linalg.norm(away, axis=1)
         for eps in (0.0, 0.1, 0.5, 1.0, 3.0):
             res = collective_recourse(batch, query, EpsilonBudget(eps), cfg, mask=mask)
             delta, taking_part = res.perturbation.delta, res.perturbation.participation_mask
@@ -717,6 +728,10 @@ def test_collective_post_centroids_are_closed_form_within_refit_rounding(
                 n, m = rows.sum(), (rows & taking_part).sum()
                 v = delta[rows & taking_part][0] if m else np.zeros(batch.dim)
                 assert np.all(delta[rows & taking_part] == v), case
+                # A participating competitor moves eps straight away from the query
+                # (one that sits on the query moves along e0 instead).
+                if m and y != query.goal_class and away[y].any():
+                    assert np.array_equal(v, eps * (away[y] / norms[y])), (case, y)
                 expected = theta.mu[y] + (m / n) * v
                 assert post[y].tobytes() == expected.tobytes(), (case, y)
                 gamma = (n + 2) * u / (1 - (n + 2) * u)
@@ -764,8 +779,10 @@ def test_collective_shape_errors(three_blob_pair):
     batch, query = three_blob_pair
     with pytest.raises(ValueError):
         collective_recourse(batch, QuerySpec(np.zeros(5), 0), EpsilonBudget(0.1))
-    with pytest.raises(ValueError):
-        collective_recourse(batch, query, EpsilonBudget(0.1), mask=np.ones(7, dtype=bool))
+    # Named before the share is counted, not by np.bincount.
+    for mask, shape in ((np.ones(7, dtype=bool), r"\(7,\)"), (np.ones((3, 1), dtype=bool), r"\(3, 1\)")):
+        with pytest.raises(ValueError, match=rf"^mask shape {shape} does not match 3 rows$"):
+            collective_recourse(batch, query, EpsilonBudget(0.1), mask=mask)
 
 
 def test_uniform_shift_bound(collinear_pair):
