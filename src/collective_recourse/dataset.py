@@ -17,7 +17,7 @@ batch's features and labels, centroids, perturbations) are written by
 
 The C reader holds the GIL, so a thread cannot share its work. Where the data
 rows fill at least 4 MiB, a usable second CPU exists (``os.sched_getaffinity``)
-and no other Python thread runs, :func:`read_split` cuts the rows at line
+and no other Python thread runs, :func:`_read_split` cuts the rows at line
 breaks into one range per usable CPU (at least 2 MiB each), and each range
 but the last is parsed in a child made with ``os.fork()``. Every worker
 reads the file that was opened for the header, by offset, so a file
@@ -317,7 +317,7 @@ def _read_numeric(path) -> np.ndarray | None:
     header's, or a value is non-finite: only :func:`read_rows` and
     :func:`read_reals` then say what is wrong, and where. Where it returns
     values, they are bit for bit those of :func:`read_reals`, also where
-    :func:`read_split` parses them.
+    :func:`_read_split` parses them.
     """
     try:
         # A pipe is left unopened, for read_rows to read once: drained here,
@@ -335,7 +335,7 @@ def _read_numeric(path) -> np.ndarray | None:
             if workers < 2:
                 values = _parse_lines(handle)
             else:
-                values = read_split(handle.fileno(), start, workers)
+                values = _read_split(handle.fileno(), start, workers)
     except (OSError, ValueError, Warning, csv.Error):
         return None
     if values is None or values.shape[1] != len(header) or not np.all(np.isfinite(values)):
@@ -359,7 +359,7 @@ def _worker_count(size: int) -> int:
 _ROW_START = re.compile(rb"[\r\n](?=[^\r\n])")
 
 
-def read_split(fd: int, start: int, workers: int) -> np.ndarray | None:
+def _read_split(fd: int, start: int, workers: int) -> np.ndarray | None:
     """:func:`_parse_lines` over the bytes of an open file from ``start`` to
     its end, in parallel.
 

@@ -6,9 +6,11 @@ class probabilities are the softmax of those scores. Fitting is the
 per-class mean, which makes the post-update parameters under a training-set
 perturbation available in closed form.
 
-Every answer about a single point and its check come from one evaluation of
-its distances to the centroids, and ``_answered`` gives all of a query's at once;
-:func:`distances` and :func:`nll_from_distances` are the batch forms.
+The single-point layer is one unchecked kernel, ``_evaluate(x, mu, target)``,
+which gives the loss, both gradients and the probabilities from the point's
+distances to the centroids, and ``_answered``, which checks the point and the
+class and answers from one such evaluation; :func:`distances` and
+:func:`nll_from_distances` are the batch forms.
 """
 
 from __future__ import annotations
@@ -107,50 +109,68 @@ def _row_blocks(count: int) -> list[slice]:
     return [slice(lo, lo + size) for lo in [*range(0, count - size, _BLOCK_ROWS), count - size]]
 
 
-def _evaluate(x, mu):
-    """The model at one point: x - mu_y, the distances d_y = ||x - mu_y||,
-    their minimum, the max-shifted softmax weights exp(min(d) - d_y) and
-    their sum. Every single-point answer of this module is read from these.
+def _evaluate(x, mu, target):
+    """The model at one point for class ``target``, unchecked: the loss, the
+    input gradient, the probabilities, the distances d_y = ||x - mu_y|| and
+    the :func:`grad_centroids` rows, all from x - mu_y and those distances.
+
+    The loss is the log-sum-exp of :func:`nll_from_distances`, bit for bit:
+    its scores - max(scores) is exactly min(dists) - dists. The max-shifted
+    softmax weights exp(min(d) - d_y) become the probabilities, and the
+    differences the rows, built with p - onehot; the floor is applied only
+    when the nearest distance is at or below it, since elsewhere it changes
+    no value.
     """
     diffs = x - mu
     # The value np.linalg.norm(diffs, axis=1) computes, without its call
-    # overhead; sqrt and exp write into the arrays just made for them.
+    # overhead; every in-place step below acts on an array made here.
     dists = np.add.reduce(diffs * diffs, axis=1)
     np.sqrt(dists, out=dists)
     nearest = np.minimum.reduce(dists)
-    weights = np.subtract(nearest, dists)
-    np.exp(weights, out=weights)
-    return diffs, dists, nearest, weights, np.add.reduce(weights)
+    probs = np.subtract(nearest, dists)
+    np.exp(probs, out=probs)
+    total = np.add.reduce(probs)
+    probs /= total
+    p_target = probs[target]
+    probs[target] = p_target - 1.0
+    norms = dists if nearest > GRAD_NORM_FLOOR else np.maximum(dists, GRAD_NORM_FLOOR)
+    diffs /= norms[:, None]
+    diffs *= probs[:, None]
+    probs[target] = p_target
+    return float(np.log(total) - nearest + dists[target]), -np.add.reduce(diffs, axis=0), probs, dists, diffs
 
 
-def _checked_evaluation(x, theta: Centroids):
-    """:func:`_evaluate` at ``x``; a ValueError unless ``x`` is a vector of the
-    model's dimension with finite squared distances to every centroid.
+def _answered(x, target, theta: Centroids, name="target class"):
+    """The checked ``target``, then :func:`_evaluate` at ``x`` for it; a ValueError
+    unless ``x`` is a vector of the model's dimension, ``target`` a class index
+    (checked before the kernel, which indexes by it) and every squared distance
+    finite.
 
-    Each public single-point function answers from this evaluation, so its
-    answer and its check come from one evaluation. A NaN or infinite feature
-    fails the check, and so does a finite point far enough out (about 1e154)
-    that a squared distance overflows and the loss would be NaN. The solvers'
-    unchecked kernel evaluates such points inside the search, where they lose.
+    Each public single-point function answers from this, so its answer and its
+    check come from one evaluation. A NaN or infinite feature fails the check,
+    and so does a finite point far enough out (about 1e154) that a squared
+    distance overflows and the loss would be NaN. The solvers' unchecked kernel
+    evaluates such points inside the search, where they lose.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (theta.dim,):
         raise ValueError(f"expected a vector of dimension {theta.dim}, got shape {x.shape}")
+    target = _check_target(target, theta.num_classes, name)
     # Overflowing squares are inf; with no finite distance the softmax takes inf - inf.
     with np.errstate(over="ignore", invalid="ignore"):
-        evaluation = _evaluate(x, theta.mu)
-        farthest = np.maximum.reduce(evaluation[1])
+        answer = _evaluate(x, theta.mu, target)
+        farthest = np.maximum.reduce(answer[3])
     if not math.isfinite(farthest):
         if not np.isfinite(x).all():
             raise ValueError("point contains non-finite values")
         raise ValueError("point lies so far from the centroids that its squared distances overflow")
-    return evaluation
+    return (target, *answer)
 
 
 def predict_proba(x, theta: Centroids) -> np.ndarray:
     """Class probabilities: softmax of the negative distances, max-shifted for stability."""
-    _, _, _, weights, total = _checked_evaluation(x, theta)
-    return weights / total
+    # The probabilities do not depend on the class asked for.
+    return _answered(x, 0, theta)[3]
 
 
 def predict(x, theta: Centroids) -> int:
@@ -168,35 +188,6 @@ def nll_from_distances(dists: np.ndarray, target: int) -> np.ndarray:
     top = scores.max(axis=1, keepdims=True)
     lse = np.log(np.exp(scores - top).sum(axis=1)) + top[:, 0]
     return lse - scores[:, target]
-
-
-def _loss_and_grad(evaluation, target: int):
-    """:func:`nll_loss`, :func:`grad_input` and :func:`predict_proba` from an :func:`_evaluate`.
-
-    The loss is the log-sum-exp of :func:`nll_from_distances`, bit for bit:
-    its scores - max(scores) is exactly min(dists) - dists. The evaluation's
-    weights become the probabilities, and its differences the rows of
-    :func:`grad_centroids`, built with p - onehot; the floor is applied only
-    when the nearest distance is at or below it, since elsewhere it changes
-    no value.
-    """
-    diffs, dists, nearest, probs, total = evaluation
-    probs /= total
-    p_target = probs[target]
-    probs[target] = p_target - 1.0
-    norms = dists if nearest > GRAD_NORM_FLOOR else np.maximum(dists, GRAD_NORM_FLOOR)
-    diffs /= norms[:, None]
-    diffs *= probs[:, None]
-    probs[target] = p_target
-    return float(np.log(total) - nearest + dists[target]), -np.add.reduce(diffs, axis=0), probs
-
-
-def _answered(x, target, theta: Centroids, name="target class"):
-    """The checked ``target``, :func:`_loss_and_grad` at ``x`` (loss, input gradient,
-    probabilities), its distances and :func:`grad_centroids` rows, from one evaluation."""
-    evaluation = _checked_evaluation(x, theta)
-    target = _check_target(target, theta.num_classes, name)
-    return (target, *_loss_and_grad(evaluation, target), evaluation[1], evaluation[0])
 
 
 def nll_loss(x, target: int, theta: Centroids) -> float:

@@ -36,9 +36,7 @@ from .model import (
     Centroids,
     _answered,
     _check_target,
-    _checked_evaluation,
     _evaluate,
-    _loss_and_grad,
     fit,
     # Not called here; bench/test_bench.py looks the refit reference up on this module.
     refit_with_perturbation,  # noqa: F401
@@ -235,7 +233,7 @@ def _spg(x_q, goal, mu, delta, loss, grad, eps, mode, steps):
         while alpha * length > tol:
             # The full step needs no product: 1.0 * direction is direction.
             trial = _project(delta + (direction if alpha == 1.0 else alpha * direction), eps, mode)
-            loss, trial_grad, probs = _loss_and_grad(_evaluate(x_q + trial, mu), goal)
+            loss, trial_grad, probs, _, _ = _evaluate(x_q + trial, mu, goal)
             yield trial, loss, probs
             s = trial - delta
             if loss <= ceiling + _ARMIJO * float(grad.dot(s)):
@@ -313,7 +311,7 @@ def _individual(x_q, theta, answer, budget, cfg, extra_candidates):
             starts.append(_project(noise * eps, eps, mode))
         # Without this step the iterates stall at the kink on the goal centroid.
         starts.append(_project(to_goal, eps, mode))
-        at_starts = [answer[1:4]] + [_loss_and_grad(_evaluate(x_q + d, mu), goal) for d in starts[1:]]
+        at_starts = [answer[1:4]] + [_evaluate(x_q + d, mu, goal)[:3] for d in starts[1:]]
         for delta, (loss, grad, probs) in zip(starts, at_starts):
             trace.append(loss)
             if loss < best_loss:
@@ -375,13 +373,12 @@ def _collective_answer(theta, share, x_q, answer, eps, mode):
         mu = theta.mu + share[:, None] * moves
     post = Centroids(mu)
     try:
-        evaluation = _checked_evaluation(x_q, post)
+        _, loss, _, probs, *_ = _answered(x_q, goal, post)
     except ValueError:
         # The query passed this check against the fitted centroids; only the refit can fail it.
         raise ValueError(
             "the refit centroids lie so far from the query that its squared distances overflow"
         ) from None
-    loss, _, probs = _loss_and_grad(evaluation, goal)
     return post, moves, loss, int(probs.argmax()) == goal
 
 

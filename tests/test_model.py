@@ -14,7 +14,6 @@ from collective_recourse.dataset import DatasetError, LabeledBatch, SyntheticSpe
 from collective_recourse.model import (
     GRAD_NORM_FLOOR,
     Centroids,
-    _loss_and_grad,
     distances,
     fit,
     grad_centroids,
@@ -261,7 +260,7 @@ def _kernel_points(draw):
 @given(_kernel_points())
 def test_fused_loss_and_grad_equals_public_pair_bitwise(point):
     x, target, theta = point
-    loss, grad, _ = _loss_and_grad(model._evaluate(x, theta.mu), target)
+    loss, grad, *_ = model._evaluate(x, theta.mu, target)
     # References outside the single-point kernel: the batch loss form and the
     # negated column sum of the centroid gradient.
     reference = nll_from_distances(distances(x[None], theta), target)[0]
@@ -279,6 +278,32 @@ def test_fused_loss_and_grad_equals_public_pair_bitwise(point):
     rows = (p - np.eye(theta.num_classes)[target])[:, None] * units
     assert grad_centroids(x, target, theta).tobytes() == rows.tobytes()
     assert grad.tobytes() == (-rows.sum(axis=0)).tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_kernel_points())
+def test_kernel_probabilities_and_distances_do_not_depend_on_the_class(point):
+    # predict_proba reads the probabilities of the kernel for class 0.
+    x, _, theta = point
+    answers = [model._evaluate(x, theta.mu, target) for target in range(theta.num_classes)]
+    for _, _, probs, dists, _ in answers:
+        assert probs.tobytes() == answers[0][2].tobytes()
+        assert dists.tobytes() == answers[0][3].tobytes()
+    assert predict_proba(x, theta).tobytes() == answers[0][2].tobytes()
+
+
+def test_answered_checks_the_shape_then_the_class_then_the_point():
+    # The kernel indexes by the class, so the class is checked before the
+    # point's values are; the shape comes first of all.
+    for target in (0, 2, 1.0):
+        with pytest.raises(ValueError, match=r"^expected a vector of dimension 2, got shape \(3,\)$"):
+            model._answered(np.array([np.nan, 0.0, 0.0]), target, TWO)
+    with pytest.raises(ValueError, match=r"^goal class 2 outside \[0, 1\]$"):
+        model._answered(np.array([np.nan, 0.0]), 2, TWO, "goal class")
+    with pytest.raises(ValueError, match=r"^target class must be an integer, got inf$"):
+        model._answered(np.array([np.inf, 0.0]), math.inf, TWO)
+    with pytest.raises(ValueError, match="^point contains non-finite values$"):
+        model._answered(np.array([np.inf, 0.0]), 1, TWO)
 
 
 def test_grad_input_matches_finite_differences():

@@ -59,3 +59,32 @@ def test_every_imported_name_is_used():
                     if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
                         unused.append(f"{path.name}:{alias.lineno}: {name}")
     assert not unused
+
+
+def test_every_private_module_name_is_read():
+    # Dead private code without a linter: each module-level _name (function,
+    # class or constant) defined in a package module must be read somewhere
+    # in src/, as a name or as an attribute of its module.
+    defined, read = [], set()
+    for path in sorted((ROOT / "src" / "collective_recourse").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [target.id for target in nodes if isinstance(target, ast.Name)]
+            else:
+                targets = []
+            defined += [
+                f"{path.name}:{node.lineno}: {name}"
+                for name in targets
+                if name.startswith("_") and not name.startswith("__")
+            ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert len(defined) > 50
+    assert [entry for entry in defined if entry.rsplit(" ", 1)[1] not in read] == []
