@@ -31,6 +31,8 @@ from .harness import (
 )
 from .model import fit, save_centroids_csv, training_accuracy
 from .recourse import (
+    _INITS,
+    _MODES,
     EpsilonBudget,
     SolverConfig,
     collective_recourse,
@@ -105,8 +107,8 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--steps", type=int, default=defaults.steps, help="iteration cap of the individual solver"
     )
-    parser.add_argument("--mode", choices=("ball", "sphere"), default=defaults.projection_mode)
-    parser.add_argument("--init", choices=("zero", "random"), default=defaults.init)
+    parser.add_argument("--mode", choices=_MODES, default=defaults.projection_mode)
+    parser.add_argument("--init", choices=_INITS, default=defaults.init)
     parser.add_argument("--seed", type=int, default=defaults.seed)
 
 

@@ -8,41 +8,28 @@ whose label column already holds integer class indices.
 
 This module is the package's only CSV reader and writer: centroid files,
 sweep reports and perturbation files are also read by :func:`read_rows` and
-:func:`read_reals`. :func:`load_embeddings` first tries numpy's C reader on
-a regular file, and falls back to those two to report a bad file; a pipe or
-other non-regular file is read once, by them alone. Float matrices (a
-batch's features and labels, centroids, perturbations) are written by
-:func:`_write_matrix`, and the sweep report, which mixes reals and flags, by
-:func:`write_rows`.
+:func:`read_reals`. Each input is opened once, by :func:`_opened`, which
+spools a pipe to an unnamed temporary file. :func:`load_embeddings` first
+tries numpy's C reader on that file, and falls back to those two on it to
+report a bad file. Float matrices (a batch's features and labels,
+centroids, perturbations) are written by :func:`_write_matrix`, and the
+sweep report, which mixes reals and flags, by :func:`write_rows`.
 
-The C reader holds the GIL, so a thread cannot share its work. Where the data
-rows fill at least 4 MiB, a usable second CPU exists (``os.sched_getaffinity``)
-and no other Python thread runs, :func:`_read_split` cuts the rows at line
-breaks into one range per usable CPU (at least 2 MiB each), and each range
-but the last is parsed in a child made with ``os.fork()``. Every worker
-reads the file that was opened for the header, by offset, so a file
-replaced at its path during the read cannot mix two files. The children's
-shapes are read first, then their values straight into the rows of the one
-result, bit for bit the serial result; this process's own range is copied
-in last. The load holds that matrix and one range, never two matrices, and
-the batch holds read-only views of it (see :func:`_frozen`). If any worker
-fails, the file is read cell by cell, as after a failed serial read.
-Otherwise this process alone parses the rows, with :func:`_parse_lines`.
-
-A write is split the same way, through the same fork code (:func:`_forked`).
-:func:`_write_matrix` formats 32 rows at a time with one ``%.17g`` line
-format, and where :func:`_worker_count` allows for the formatted size,
-counted at 25 bytes a cell, and the path is a regular file, it cuts the
-rows into one range per usable CPU. This process formats the first range
-straight into the file; a forked child formats each other range whole, then
-sends it through a pipe, and the pipes are copied into the file in order.
-The bytes are those of a serial write, which is also what a failed worker
-leads to. README.md gives the times of both on a 20 000 x 64 file.
+The C reader holds the GIL, so a thread cannot share its work. Where the
+data rows fill at least 4 MiB, a usable second CPU exists and no other
+Python thread runs, :func:`_read_split` parses one range of rows per usable
+CPU, all but the last in children made with ``os.fork()``, into the one
+matrix that the batch then views, bit for bit the serial result.
+:func:`_write_matrix` splits a write the same way, byte for byte a serial
+write. Each child writes its part to an unnamed temporary file (see
+:func:`_forked`). If a worker fails, the file is read cell by cell, or
+written serially. README.md gives the times on a 20 000 x 64 file.
 """
 
 from __future__ import annotations
 
 import codecs
+import contextlib
 import csv
 import io
 import math
@@ -50,7 +37,9 @@ import mmap
 import operator
 import os
 import re
+import shutil
 import stat
+import tempfile
 import threading
 import warnings
 from collections import Counter
@@ -189,21 +178,42 @@ def _blank(row: list[str]) -> bool:
     return not any(cell.strip() for cell in row)
 
 
-def read_rows(path) -> tuple[list[list[str]], list[int]]:
+@contextlib.contextmanager
+def _opened(path):
+    """The file at ``path``, open for binary reads: a regular file as it is,
+    and any other, such as a pipe, read once into an unnamed temporary file
+    (in TMPDIR). Every reader reads this one open file, so a file replaced
+    at its path meanwhile cannot mix two files.
+    """
+    if not Path(path).exists():
+        raise DatasetError(f"missing file: {path}")
+    with open(path, "rb") as data:
+        if stat.S_ISREG(os.fstat(data.fileno()).st_mode):
+            yield data
+            return
+        with tempfile.TemporaryFile() as spool:
+            shutil.copyfileobj(data, spool)
+            yield spool
+
+
+def read_rows(path, data=None) -> tuple[list[list[str]], list[int]]:
     """Every non-blank row of a comma-separated file, header row included,
     and the file line number of each (blank lines are counted, not returned).
 
     A leading UTF-8 byte order mark is dropped, so it cannot become part of
     the first cell. A file that is not UTF-8 is rejected with the line of its
     first bad byte, and one the csv module cannot split (such as a cell over
-    its field size limit) with the line it stopped at. The file is read
-    once, so a pipe is named as exactly as a file.
+    its field size limit) with the line it stopped at. ``data``, by default
+    ``path`` opened by :func:`_opened`, is read from its start.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DatasetError(f"missing file: {path}")
+    if data is None:
+        with _opened(path) as data:
+            return read_rows(path, data)
+    data.seek(0)
     rows, lines = [], []
-    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
+    with open(
+        data.fileno(), newline="", encoding="utf-8-sig", errors="surrogateescape", closefd=False
+    ) as handle:
         reader = csv.reader(_utf8_lines(handle, path))
         try:
             for row in reader:
@@ -308,24 +318,20 @@ def _recorded(lines, seen: list):
         yield line
 
 
-def _read_numeric(path) -> np.ndarray | None:
-    """The rows below the header as numpy's C reader parses them, or None.
+def _read_numeric(data) -> np.ndarray | None:
+    """The rows below the header of the open regular file ``data``, read
+    from its start, as numpy's C reader parses them, or None.
 
     The header is the first non-blank row, as for :func:`read_rows`. None
-    means the path is not a regular file, the reader raised or warned (a
-    file without data rows warns), a row's cell count differs from the
-    header's, or a value is non-finite: only :func:`read_rows` and
-    :func:`read_reals` then say what is wrong, and where. Where it returns
-    values, they are bit for bit those of :func:`read_reals`, also where
-    :func:`_read_split` parses them.
+    means the reader raised or warned (a file without data rows warns), a
+    row's cell count differs from the header's, or a value is non-finite:
+    only :func:`read_rows` and :func:`read_reals` then say what is wrong,
+    and where. Where it returns values, they are bit for bit those of
+    :func:`read_reals`, also where :func:`_read_split` parses them.
     """
     try:
-        # A pipe is left unopened, for read_rows to read once: drained here,
-        # it would be empty there, and a FIFO opened and closed unread would
-        # cut off its writer.
-        if not stat.S_ISREG(os.stat(path).st_mode):
-            return None
-        with open(path, newline="", encoding="utf-8-sig") as handle:
+        data.seek(0)
+        with open(data.fileno(), newline="", encoding="utf-8-sig", closefd=False) as handle:
             head = []  # the lines up to the header, whose length locates the data
             header = next(
                 (row for row in csv.reader(_recorded(handle, head)) if not _blank(row)), []
@@ -369,10 +375,10 @@ def _read_split(fd: int, start: int, workers: int) -> np.ndarray | None:
     without data rows. The cuts are found in a read-only map of the file,
     whose length is the end of the data; a file shortened while they are
     searched can still raise SIGBUS. A forked child parses each range but
-    the last, and sends back its shape and float64 values through a pipe;
-    this process parses the last range, and :func:`_received` puts the parts
-    in file order into one matrix. None if the parts' column counts differ;
-    a ChildProcessError if a child failed.
+    the last, and writes its shape and float64 values to its part; this
+    process parses the last range, and :func:`_received` puts the parts in
+    file order into one matrix. None if the parts' column counts differ; a
+    ChildProcessError if a child failed.
     """
     with mmap.mmap(fd, 0, access=mmap.ACCESS_READ) as view:
         if view[: len(codecs.BOM_UTF8)] == codecs.BOM_UTF8:
@@ -383,38 +389,35 @@ def _read_split(fd: int, start: int, workers: int) -> np.ndarray | None:
             match.end() if (match := _ROW_START.search(view, target)) else stop
             for target in (start + (stop - start) * i // workers - 1 for i in range(workers))
         ]
-    ranges = [(lo, hi) for lo, hi in zip(cuts, cuts[1:] + [stop]) if lo < hi]
-    if not ranges:
+    jobs = [(fd, lo, hi) for lo, hi in zip(cuts, cuts[1:] + [stop]) if lo < hi]
+    if not jobs:
         return None  # no data rows: numpy's reader would warn
-    return _forked(
-        ranges[:-1],
-        lambda lo, hi: _send_range(fd, lo, hi),
-        lambda: _parse_range(fd, *ranges[-1]),
-        _received,
-    )
+    with _forked(jobs[:-1], _send_range, lambda: _parse_range(*jobs[-1])) as (last, parts):
+        return _received(last, parts)
 
 
-def _forked(ranges, child, here, receive):
-    """Run ``child(lo, hi)`` for each range in a forked child, and ``here()``
-    in this process meanwhile; then ``receive`` the result of ``here()`` and
-    the children's pipes, in order.
+@contextlib.contextmanager
+def _forked(jobs, child, here):
+    """Run ``child(*job)`` for each of ``jobs`` in a forked child, and
+    ``here()`` in this process meanwhile; then give the result of ``here()``
+    and the children's parts, in order, each at its start.
 
-    A child writes the buffers that ``child`` returns to its pipe and exits,
-    with status 0 only if all of them were sent. Every pipe is closed and
-    every child reaped before this returns or raises. Returns what
-    ``receive`` returns, or raises a ChildProcessError if a child failed.
+    A part is an unnamed temporary file made before the fork. A child writes
+    the buffers that ``child`` yields to its part as they come, and exits
+    with status 0 only if all were written. Every child is reaped before the
+    parts are given, or a ChildProcessError raised if one failed, and every
+    part is closed once the ``with`` block ends.
     """
-    children, pipes = [], []
-    try:
-        for lo, hi in ranges:
-            read_end, write_end = os.pipe()
-            pipes.append(read_end)
-            try:
+    with contextlib.ExitStack() as stack:
+        parts = [stack.enter_context(tempfile.TemporaryFile()) for _ in jobs]
+        children = []
+        try:
+            for job, part in zip(jobs, parts):
                 with warnings.catch_warnings():
                     # Python 3.12+ warns on a fork whenever another OS thread
                     # exists, such as numpy's BLAS pool. No other Python thread
                     # runs (see _worker_count), and the child only computes,
-                    # writes to its pipe and exits.
+                    # writes to its part and exits.
                     warnings.filterwarnings(
                         "ignore", "This process .* is multi-threaded", DeprecationWarning
                     )
@@ -422,22 +425,20 @@ def _forked(ranges, child, here, receive):
                 if pid == 0:
                     status = 1
                     try:
-                        with open(write_end, "wb") as sink:
-                            sink.writelines(child(lo, hi))
+                        part.writelines(child(*job))
+                        part.flush()
                         status = 0
                     finally:
                         os._exit(status)
-            finally:
-                os.close(write_end)
-            children.append(pid)
-        received = receive(here(), pipes)
-    finally:
-        for pipe in pipes:
-            os.close(pipe)
-        failed = sum(os.waitpid(pid, 0)[1] != 0 for pid in children)
-    if failed:
-        raise ChildProcessError(f"{failed} of {len(children)} forked workers failed")
-    return received
+                children.append(pid)
+            last = here()
+        finally:
+            failed = sum(os.waitpid(pid, 0)[1] != 0 for pid in children)
+        if failed:
+            raise ChildProcessError(f"{failed} of {len(children)} forked workers failed")
+        for part in parts:
+            part.seek(0)
+        yield last, parts
 
 
 class _ByteRange(io.RawIOBase):
@@ -466,45 +467,29 @@ def _parse_range(fd: int, start: int, stop: int) -> np.ndarray:
 
 
 def _send_range(fd: int, start: int, stop: int):
-    """In a forked child: a range of the open file ``fd`` parsed, as the
-    buffers that :func:`_received` reads, its shape and then its values.
-    """
+    """A range parsed, as the buffers :func:`_received` reads: shape, values."""
     values = _parse_range(fd, start, stop)
     return np.array(values.shape, dtype=np.int64), values
 
 
-def _received(last: np.ndarray, pipes) -> np.ndarray | None:
-    """The matrices the children wrote to ``pipes``, then ``last``, as the
-    rows of one matrix; None if a child wrote less than its shape, or if
-    the column counts differ.
+def _received(last: np.ndarray, parts) -> np.ndarray | None:
+    """The matrices the children wrote to ``parts``, then ``last``, as the
+    rows of one matrix; None if the column counts differ.
 
     Every child's shape is read first, so that the matrix is made once and
     each child's values are read straight into its rows.
     """
-    shapes = np.empty((len(pipes), 2), dtype=np.int64)
-    if not all(_filled(pipe, shape) for pipe, shape in zip(pipes, shapes)):
-        return None
+    shapes = np.empty((len(parts), 2), dtype=np.int64)
+    for part, shape in zip(parts, shapes):
+        part.readinto(shape)
     if np.any(shapes[:, 1] != last.shape[1]):
         return None
     values = np.empty((int(shapes[:, 0].sum()) + len(last), last.shape[1]))
-    lo = 0
-    for pipe, rows in zip(pipes, shapes[:, 0]):
-        if not _filled(pipe, values[lo : lo + rows]):
-            return None
-        lo += rows
-    values[lo:] = last
+    *blocks, own = np.split(values, np.cumsum(shapes[:, 0]))
+    for part, block in zip(parts, blocks):
+        part.readinto(block)
+    own[:] = last
     return values
-
-
-def _filled(fd: int, buffer) -> bool:
-    """Whether reading the pipe ``fd`` filled ``buffer`` before its end."""
-    view = memoryview(buffer).cast("B")
-    while view:
-        count = os.readv(fd, [view])
-        if not count:
-            return False
-        view = view[count:]
-    return True
 
 
 # An upper bound on the bytes of one cell as written, with its separator:
@@ -514,9 +499,6 @@ _CELL_BYTES = 25
 # Rows formatted by one % operation, and stacked side by side one block at a
 # time, so that no copy of the whole matrix is made.
 _BLOCK_ROWS = 32
-
-# The most bytes copied from a child's pipe at once: one Linux pipe buffer.
-_PIECE_BYTES = 1 << 16
 
 
 def _write_matrix(path, columns, header=None) -> None:
@@ -556,35 +538,25 @@ def _wrote_split(handle, line: str, columns, rows: int, workers: int) -> bool:
     say whether that worked.
 
     This process formats the first range straight into the file, while a
-    forked child formats each other range whole before it writes it to its
-    pipe: a child that wrote while it formatted would wait on its full pipe.
-    The pipes are then copied into the file in order. If a worker fails,
-    the file is put back to where the rows begin, for a serial write: what
-    the split wrote is a prefix of that write, which overwrites all of it.
+    forked child writes each other range to its part, a block at a time as
+    it is formatted (see :func:`_forked`). The parts are then copied into
+    the file in order. If a worker fails, the file is put back to where the
+    rows begin, for a serial write: what the split wrote is a prefix of that
+    write, which overwrites all of it.
     """
     start = handle.tell()
     cuts = [rows * i // workers for i in range(workers + 1)]
-    ranges = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+    jobs = [(line, columns, lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
     try:
-        _forked(
-            ranges[1:],
-            lambda lo, hi: list(_formatted(line, columns, lo, hi)),
-            lambda: handle.writelines(_formatted(line, columns, *ranges[0])),
-            lambda _, pipes: _copy(pipes, handle),
-        )
+        with _forked(
+            jobs[1:], _formatted, lambda: handle.writelines(_formatted(*jobs[0]))
+        ) as (_, parts):
+            for part in parts:
+                shutil.copyfileobj(part, handle)
     except OSError:
         handle.seek(start)
         return False
     return True
-
-
-def _copy(pipes, sink) -> None:
-    """Copy what each child writes to its pipe into ``sink``, in order, a
-    piece at a time.
-    """
-    for pipe in pipes:
-        while piece := os.read(pipe, _PIECE_BYTES):
-            sink.write(piece)
 
 
 def _format_cell(value) -> str:
@@ -658,27 +630,31 @@ def load_embeddings(path) -> LabeledBatch:
     The label column holds literal class indices; every index 0..max must be
     occupied (a skipped index means an empty class and is rejected).
 
-    numpy's C reader parses a regular file, in parallel where it holds 4 MiB
-    of rows or more (see :func:`_read_numeric`). A file it rejects, or one
-    with a label that is not a nonnegative integer, is read again cell by
-    cell, which names the first bad line and column; a pipe is read cell by
-    cell only, and once.
+    The input is opened once (see :func:`_opened`), so a pipe is spooled to
+    a temporary file and read like a file. numpy's C reader parses it, in
+    parallel where it holds 4 MiB of rows or more (see
+    :func:`_read_numeric`). A file it rejects, or one with a label that is
+    not a nonnegative integer, is read again cell by cell from the same
+    file, which names the first bad line and column.
     """
-    values = _read_numeric(path)
-    if values is None or values.shape[1] < 2 or np.any(_bad_labels(values[:, -1])):
-        (header, *data_rows), (_, *data_lines) = read_rows(path)
-        if len(header) < 2:
-            raise DatasetError(f"{path}: need at least one embedding column plus a label column")
-        if not data_rows:
-            raise DatasetError(f"{path}: no rows")
-        values = read_reals(path, data_rows, data_lines, header)
-        bad = _bad_labels(values[:, -1])
-        if np.any(bad):
-            row = int(np.argmax(bad))
-            raise DatasetError(
-                f"{path}: label must be a nonnegative integer at line {data_lines[row]}, "
-                f"got {data_rows[row][-1]!r}"
-            )
+    with _opened(path) as data:
+        values = _read_numeric(data)
+        if values is None or values.shape[1] < 2 or np.any(_bad_labels(values[:, -1])):
+            (header, *data_rows), (_, *data_lines) = read_rows(path, data)
+            if len(header) < 2:
+                raise DatasetError(
+                    f"{path}: need at least one embedding column plus a label column"
+                )
+            if not data_rows:
+                raise DatasetError(f"{path}: no rows")
+            values = read_reals(path, data_rows, data_lines, header)
+            bad = _bad_labels(values[:, -1])
+            if np.any(bad):
+                row = int(np.argmax(bad))
+                raise DatasetError(
+                    f"{path}: label must be a nonnegative integer at line {data_lines[row]}, "
+                    f"got {data_rows[row][-1]!r}"
+                )
     labels = values[:, -1]
     # N rows occupy at most N classes, so a label >= N leaves one of 0..N-1
     # empty: counting labels clipped to N finds it without sizing the count

@@ -43,6 +43,13 @@ from .model import (
 )
 
 _ZERO_NORM = 1e-12
+# What SolverConfig takes, and the CLI offers, as projection_mode and init.
+_MODES = ("ball", "sphere")
+_INITS = ("zero", "random")
+# Rounding can leave a vector rescaled to norm eps just above eps. Scaled by
+# min(_SHRINK, eps / norm), each nonzero normal float moves at least half an
+# ulp toward zero, so the norm falls to eps or below within a few steps.
+_SHRINK = 1.0 - 2.0**-53
 # Spectral projected gradient: non-monotone memory, Armijo constant, stop
 # threshold (times eps) and Barzilai-Borwein step safeguards. Once steps are
 # below sqrt(machine epsilon) of the budget, the loss has settled to rounding
@@ -160,10 +167,9 @@ class SolverConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.projection_mode not in ("ball", "sphere"):
-            raise ValueError(f"projection_mode must be 'ball' or 'sphere', got {self.projection_mode!r}")
-        if self.init not in ("zero", "random"):
-            raise ValueError(f"init must be 'zero' or 'random', got {self.init!r}")
+        for name, allowed in (("projection_mode", _MODES), ("init", _INITS)):
+            if (value := getattr(self, name)) not in allowed:
+                raise ValueError(f"{name} must be {' or '.join(map(repr, allowed))}, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
@@ -194,12 +200,18 @@ class RecourseResult:
 def _project(v: np.ndarray, epsilon: float, mode: str) -> np.ndarray:
     """:func:`project_ball` or :func:`normalize_sphere` of a float vector, by ``mode``.
 
-    Makes no copy: in ball mode a feasible ``v`` is returned as is.
+    Makes no copy: in ball mode a feasible ``v`` is returned as is. In
+    sphere mode a finite norm that rounds above ``epsilon`` is shrunk.
     """
     norm = math.sqrt(v.dot(v))
     if mode == "ball":
         return v if norm <= epsilon else v * (epsilon / norm)
-    return v * (epsilon / norm) if norm > _ZERO_NORM else np.zeros_like(v)
+    if norm <= _ZERO_NORM:
+        return np.zeros_like(v)
+    v = v * (epsilon / norm)
+    while epsilon < (norm := math.sqrt(v.dot(v))) < math.inf:
+        v *= min(_SHRINK, epsilon / norm)
+    return v
 
 
 def project_ball(v: np.ndarray, epsilon: float) -> np.ndarray:
@@ -370,6 +382,12 @@ def _collective_answer(theta, share, x_q, answer, eps, mode):
         moves = np.zeros_like(units)
         moving = steps != 0.0
         moves[moving] = steps[moving, None] * units[moving]
+        # A finite row norm, as PerturbationMatrix.row_norms reads it, that
+        # rounds above eps is shrunk.
+        norms = np.linalg.norm(moves, axis=1)
+        while np.any(over := (eps < norms) & (norms < math.inf)):
+            moves[over] *= np.minimum(_SHRINK, eps / norms[over, None])
+            norms = np.linalg.norm(moves, axis=1)
         mu = theta.mu + share[:, None] * moves
     post = Centroids(mu)
     try:

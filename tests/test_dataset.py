@@ -1,3 +1,4 @@
+import contextlib
 import faulthandler
 import os
 import re
@@ -401,6 +402,12 @@ def test_save_load_round_trip_keeps_every_bit(tmp_path_factory, batch):
     assert np.array_equal(back.labels, batch.labels)
 
 
+def _c_read(path):
+    """dataset._read_numeric over the file at ``path``, opened as load_embeddings opens it."""
+    with open(path, "rb") as data:
+        return dataset._read_numeric(data)
+
+
 def _load_embeddings_by_cells(path):
     """load_embeddings from read_rows and read_reals alone: the reference for its fast path."""
     (header, *rows), (_, *lines) = read_rows(path)
@@ -488,7 +495,7 @@ def test_load_embeddings_parse_paths_agree(tmp_path, name):
     # No warning may reach the caller, such as numpy's on a file without data rows.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert (dataset._read_numeric(path) is not None) == fast
+        assert (_c_read(path) is not None) == fast
         assert _outcome(load, path) == _outcome(_load_embeddings_by_cells, path)
     assert not caught
 
@@ -498,7 +505,7 @@ def test_load_embeddings_fast_path_keeps_every_bit(embeddings_path, tmp_path):
     centers = np.random.default_rng(5).standard_normal((4, 16))
     save_csv(synth_blobs(SyntheticSpec(centers, 300, 1.0, seed=5)), synth)
     for path in (embeddings_path, synth):
-        assert dataset._read_numeric(path) is not None
+        assert _c_read(path) is not None
         batch = load_embeddings(path)
         features, labels = _load_embeddings_by_cells(path)
         assert batch.features.tobytes() == features.tobytes()
@@ -607,13 +614,13 @@ def test_split_read_equals_serial_read(tmp_path, monkeypatch, forks, name, worke
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        serial = dataset._read_numeric(path)
+        serial = _c_read(path)
         assert (serial is not None) == fast
         serial_outcome = _outcome(load, path)
         assert not forks
         fds = _open_fds()
         _split_forced(monkeypatch, workers)
-        split = dataset._read_numeric(path)
+        split = _c_read(path)
         assert (split is None) == (serial is None)
         if serial is not None:
             assert split.shape == serial.shape and split.tobytes() == serial.tobytes()
@@ -640,7 +647,7 @@ def test_split_read_names_a_bad_line_in_a_child_range(tmp_path, monkeypatch, for
         return parse_range(p, start, stop)
 
     monkeypatch.setattr(dataset, "_parse_range", recorded)
-    assert dataset._read_numeric(path) is None
+    assert _c_read(path) is None
     # This process parsed only the last range, which starts after the bad line.
     assert len(forks) == 1 and len(seen) == 1
     assert path.read_bytes()[: seen[0][0]].count(b"\n") >= line
@@ -668,7 +675,7 @@ def test_failed_split_worker_gives_the_cell_by_cell_answer(tmp_path, monkeypatch
     # A read that waits for ever on a child ends the run with a traceback.
     faulthandler.dump_traceback_later(60, exit=True)
     try:
-        assert dataset._read_numeric(path) is None
+        assert _c_read(path) is None
         batch = load_embeddings(path)
     finally:
         faulthandler.cancel_dump_traceback_later()
@@ -679,16 +686,59 @@ def test_failed_split_worker_gives_the_cell_by_cell_answer(tmp_path, monkeypatch
     assert _no_children_left()
 
 
-def test_c_reader_leaves_a_fifo_unopened(tmp_path):
-    # Opening a FIFO blocks until a writer opens it, and closing it unread
-    # would cut that writer off before read_rows reads it.
+def _load_from_fifo(tmp_path, content, load=load_embeddings):
+    """``load`` of a FIFO that a thread writes ``content`` to; the thread has
+    finished once the FIFO is read to its end, and is joined before any
+    worker is counted, since a second Python thread rules out a fork."""
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(content,))
+    worker_count = dataset._worker_count
+
+    def joined(size):
+        writer.join(60)
+        assert not writer.is_alive()
+        return worker_count(size)
+
+    writer.start()
     faulthandler.dump_traceback_later(60, exit=True)
     try:
-        assert dataset._read_numeric(fifo) is None
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataset, "_worker_count", joined)
+            return load(fifo)
     finally:
+        writer.join(60)
         faulthandler.cancel_dump_traceback_later()
+
+
+def test_fifo_is_spooled_and_parsed_by_the_split_c_reader(tmp_path, monkeypatch, forks):
+    # About 5 MB of rows: two ranges of at least _RANGE_BYTES.
+    path = tmp_path / "x.csv"
+    _write_large(path)
+    content = path.read_bytes()
+    forks.clear()  # the save's own split, where this host has a second CPU
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    on_path = load_embeddings(path)
+    assert len(forks) == 1
+    cell_reads = []
+    monkeypatch.setattr(dataset, "read_rows", lambda *args: cell_reads.append(args))
+    fds = _open_fds()
+    batch, peak = _peak_bytes(lambda: _load_from_fifo(tmp_path, content))
+    assert len(forks) == 2 and not cell_reads
+    assert batch.features.tobytes() == on_path.features.tobytes()
+    assert batch.labels.tobytes() == on_path.labels.tobytes()
+    assert peak < 1.6 * batch.features.base.nbytes
+    assert _open_fds() == fds
+    assert _no_children_left()
+
+
+@pytest.mark.parametrize(
+    "load", [load_embeddings, lambda p: load_csv(p, "label")], ids=["load_embeddings", "load_csv"]
+)
+def test_fifo_with_a_bad_cell_is_named_by_line_and_column(tmp_path, load):
+    where = f"{tmp_path / 'fifo'}: unparsable value 'x' at line 3, column 'e1'"
+    with pytest.raises(DatasetError, match=f"^{re.escape(where)}$"):
+        _load_from_fifo(tmp_path, b"e0,e1,label\n1,2,0\n3,x,1\n", load)
 
 
 @pytest.mark.parametrize("tail", [b"", b"3,4,1"], ids=["line-break", "mid-row"])
@@ -701,7 +751,7 @@ def test_split_read_of_a_file_shortened_after_its_size_was_read(
     path, short = tmp_path / "x.csv", tmp_path / "short.csv"
     path.write_bytes(head + b"3,4,10\n1,2,0\n3,4,10\n" * 1334)
     short.write_bytes(head)
-    serial = dataset._read_numeric(short)
+    serial = _c_read(short)
     assert serial is not None and serial[-1, -1] == (1 if tail else 0)
 
     def shortened(size):
@@ -712,7 +762,7 @@ def test_split_read_of_a_file_shortened_after_its_size_was_read(
     fds = _open_fds()
     faulthandler.dump_traceback_later(60, exit=True)
     try:
-        split = dataset._read_numeric(path)
+        split = _c_read(path)
     finally:
         faulthandler.cancel_dump_traceback_later()
     assert split.shape == serial.shape and split.tobytes() == serial.tobytes()
@@ -757,7 +807,7 @@ def test_split_read_is_used_only_where_it_pays(tmp_path, monkeypatch, forks, why
     if why == "second-thread":
         thread.start()
     try:
-        values = dataset._read_numeric(path)
+        values = _c_read(path)
     finally:
         stop.set()
         if thread.is_alive():
@@ -906,10 +956,10 @@ def test_split_read_fills_one_matrix(tmp_path, monkeypatch, forks):
     # the peak is one matrix and this process's own part, not two matrices.
     path = tmp_path / "x.csv"
     _write_large(path)
-    serial = dataset._read_numeric(path)
+    serial = _c_read(path)
     _split_forced(monkeypatch, 2)
     forks.clear()
-    values, peak = _peak_bytes(lambda: dataset._read_numeric(path))
+    values, peak = _peak_bytes(lambda: _c_read(path))
     assert len(forks) == 1
     assert values.tobytes() == serial.tobytes()
     assert peak < 1.6 * values.nbytes
@@ -930,7 +980,7 @@ def test_load_embeddings_hands_out_views_of_the_parsed_matrix(tmp_path, monkeypa
 
 
 def test_load_embeddings_of_a_fifo_hands_out_views_of_the_parsed_matrix(tmp_path):
-    # A pipe is read cell by cell, into the one matrix the batch then views.
+    # A pipe is spooled and parsed like a file, into the one matrix the batch then views.
     path, fifo = tmp_path / "x.csv", tmp_path / "fifo"
     save_csv(_edge_batch(120), path)
     os.mkfifo(fifo)
@@ -945,3 +995,32 @@ def test_load_embeddings_of_a_fifo_hands_out_views_of_the_parsed_matrix(tmp_path
     assert batch.features.tobytes() == load_embeddings(path).features.tobytes()
     assert not batch.features.flags.writeable and not batch.features.base.flags.writeable
     assert batch.features.base.shape == (batch.num_rows, batch.dim + 1)
+
+
+@pytest.mark.parametrize("fails", [None, "here", "child", "receive"])
+def test_forked_leaves_nothing_behind(forks, fails):
+    # Every child is reaped and every part closed, whether the children, this
+    # process's own work or the reading of the parts (the with block) fail.
+    def child(lo, hi):
+        if fails == "child":
+            raise ValueError("child failed")
+        yield bytes(range(lo, hi))
+        yield b"!"
+
+    def here():
+        if fails == "here":
+            raise ValueError("here failed")
+        return "here"
+
+    fds = _open_fds()
+    error = ChildProcessError if fails == "child" else ValueError
+    match = "2 of 2 forked workers failed" if fails == "child" else f"{fails} failed"
+    with pytest.raises(error, match=match) if fails else contextlib.nullcontext():
+        with dataset._forked([(0, 3), (3, 5)], child, here) as (last, parts):
+            if fails == "receive":
+                raise ValueError("receive failed")
+            assert last == "here"
+            assert [part.read() for part in parts] == [b"\x00\x01\x02!", b"\x03\x04!"]
+    assert len(forks) == 2
+    assert _open_fds() == fds
+    assert _no_children_left()

@@ -154,6 +154,24 @@ def test_normalize_sphere():
     assert np.array_equal(normalize_sphere(np.zeros(2), 1.0), [0.0, 0.0])
 
 
+@pytest.mark.parametrize("mode", ["ball", "sphere"])
+def test_no_answer_exceeds_its_budget_by_rounding(embeddings_path, mode):
+    # Zero slack, by the norms the package reports, on every goal/base pair
+    # of embeddings_d10 at five budgets: unclipped, 374 of the 450 collective
+    # answers per mode and 61 sphere-mode individual answers read above eps.
+    batch = load_embeddings(embeddings_path)
+    theta = fit(batch)
+    cfg = SolverConfig(projection_mode=mode)
+    for goal, base in itertools.permutations(range(batch.num_classes), 2):
+        query = make_query(theta, goal, base, 0.25)
+        for eps in (0.1, 0.3, 0.7, 1.3, 3.0):
+            budget = EpsilonBudget(eps)
+            individual = individual_recourse(query, theta, budget, cfg)
+            assert np.linalg.norm(individual.perturbation) <= eps, (goal, base, eps)
+            collective = collective_recourse(batch, query, budget, cfg)
+            assert collective.perturbation.row_norms().max() <= eps, (goal, base, eps)
+
+
 def test_individual_zero_budget(collinear_pair):
     batch, query = collinear_pair
     theta = fit(batch)
@@ -729,9 +747,16 @@ def test_collective_post_centroids_are_closed_form_within_refit_rounding(
                 v = delta[rows & taking_part][0] if m else np.zeros(batch.dim)
                 assert np.all(delta[rows & taking_part] == v), case
                 # A participating competitor moves eps straight away from the query
-                # (one that sits on the query moves along e0 instead).
+                # (one that sits on the query moves along e0 instead); where that
+                # move's row norm rounds above eps, it is shrunk by a few ulps.
                 if m and y != query.goal_class and away[y].any():
-                    assert np.array_equal(v, eps * (away[y] / norms[y])), (case, y)
+                    w = eps * (away[y] / norms[y])
+                    if np.linalg.norm(w[None], axis=1)[0] <= eps:
+                        assert np.array_equal(v, w), (case, y)
+                    else:
+                        assert np.all(np.abs(v - w) <= 4 * u * np.abs(w)), (case, y)
+                        assert np.all(np.abs(v) <= np.abs(w)), (case, y)
+                assert np.all(res.perturbation.row_norms() <= eps), case
                 expected = theta.mu[y] + (m / n) * v
                 assert post[y].tobytes() == expected.tobytes(), (case, y)
                 gamma = (n + 2) * u / (1 - (n + 2) * u)
