@@ -6,14 +6,16 @@ CSV with a named label column (string labels mapped to class indices in
 first-appearance order) and the canonical embedding layout ``e0..e{d-1},label``
 whose label column already holds integer class indices.
 
-This module is the package's only CSV reader and writer: centroid files,
-sweep reports and perturbation files are also read by :func:`read_rows` and
-:func:`read_reals`. Each input is opened once, by :func:`_opened`, which
-spools a pipe to an unnamed temporary file. :func:`load_embeddings` first
-tries numpy's C reader on that file, and falls back to those two on it to
-report a bad file. Float matrices (a batch's features and labels,
-centroids, perturbations) are written by :func:`_write_matrix`, and the
-sweep report, which mixes reals and flags, by :func:`write_rows`.
+This module is the package's only CSV reader and writer. Each input is
+opened once, by :func:`_opened`, which spools a pipe to an unnamed temporary
+file. :func:`load_embeddings` first tries numpy's C reader on that file.
+Every other read (a labeled CSV, a centroid file, a sweep report, a file the
+C reader rejects) is one pass: :func:`read_rows` yields each row as it reads
+it and :func:`read_reals` converts that row, so no reader holds every row's
+cells, and an error names the first fault in file order. Float matrices (a
+batch's features and labels, centroids, perturbations) are written by
+:func:`_write_matrix`, and the sweep report, which mixes reals and flags,
+by :func:`write_rows`.
 
 The C reader holds the GIL, so a thread cannot share its work. Where the
 data rows fill at least 4 MiB, a usable second CPU exists and no other
@@ -196,21 +198,19 @@ def _opened(path):
             yield spool
 
 
-def read_rows(path, data=None) -> tuple[list[list[str]], list[int]]:
-    """Every non-blank row of a comma-separated file, header row included,
-    and the file line number of each (blank lines are counted, not returned).
+def read_rows(path, data):
+    """Each non-blank row of the file at ``path``, open as ``data`` (see
+    :func:`_opened`), as ``(line, cells)`` when the csv module reads it from
+    the start: the header row first, with ``line`` counting blank lines too.
 
     A leading UTF-8 byte order mark is dropped, so it cannot become part of
-    the first cell. A file that is not UTF-8 is rejected with the line of its
-    first bad byte, and one the csv module cannot split (such as a cell over
-    its field size limit) with the line it stopped at. ``data``, by default
-    ``path`` opened by :func:`_opened`, is read from its start.
+    the first cell. A byte that is not UTF-8, and a line the csv module
+    cannot split (such as a cell over its field size limit), are rejected
+    by their line when reached; a file without rows, at its end. The caller
+    keeps ``data`` open, and so closes it when a row fails.
     """
-    if data is None:
-        with _opened(path) as data:
-            return read_rows(path, data)
     data.seek(0)
-    rows, lines = [], []
+    found = False
     with open(
         data.fileno(), newline="", encoding="utf-8-sig", errors="surrogateescape", closefd=False
     ) as handle:
@@ -218,13 +218,12 @@ def read_rows(path, data=None) -> tuple[list[list[str]], list[int]]:
         try:
             for row in reader:
                 if not _blank(row):
-                    rows.append(row)
-                    lines.append(reader.line_num)
+                    found = True
+                    yield reader.line_num, row
         except csv.Error as err:
             raise DatasetError(f"{path}: line {reader.line_num}: {err}") from None
-    if not rows:
+    if not found:
         raise DatasetError(f"{path}: no rows")
-    return rows, lines
 
 
 # A byte that is not UTF-8, as the "surrogateescape" error handler decodes it.
@@ -256,35 +255,21 @@ def _parse_cell(text: str, line: int, column, path) -> float:
     return value
 
 
-def read_reals(path, rows, lines, header=None, columns=None) -> np.ndarray:
-    """The cells of ``columns`` (default: all) as a finite float matrix.
-
-    ``rows`` are the data rows below ``header``, or every row of a headerless
-    file, and ``lines`` their file line numbers (see :func:`read_rows`); each
-    row must have one cell per header (or first-row) column. All cells are
-    converted in one call. Only if that fails are the rows rescanned, so the
-    first short or long row, unparsable cell or non-finite value in file
-    order is reported by line and column.
+def read_reals(path, line: int, row: list[str], names, columns=None) -> np.ndarray:
+    """The cells of ``columns`` (default: all) of the row at file ``line`` as
+    finite floats. The row must have one cell per name of ``names``: the
+    header, or a headerless file's first row's ``range``. The cells are
+    converted in one call; only if that fails is each parsed in turn, so
+    that the first unparsable or non-finite one is named with its column.
     """
-    names = range(len(rows[0])) if header is None else header
+    if len(row) != len(names):
+        raise DatasetError(f"{path}: line {line} has {len(row)} cells, expected {len(names)}")
     picked = range(len(names)) if columns is None else columns
-    # Rows of one length make an N x m matrix that owns its data; a reshape
-    # would return a view of a writable array, which _frozen copies.
-    if all(len(row) == len(names) for row in rows):
-        cells = rows if columns is None else [[row[j] for j in columns] for row in rows]
-        try:
-            values = np.array(cells, dtype=float)
-        except ValueError:
-            pass
-        else:
-            if np.all(np.isfinite(values)):
-                return values
-    values = []
-    for line, row in zip(lines, rows):
-        if len(row) != len(names):
-            raise DatasetError(f"{path}: line {line} has {len(row)} cells, expected {len(names)}")
-        values.append([_parse_cell(row[j], line, names[j], path) for j in picked])
-    return np.array(values)
+    with contextlib.suppress(ValueError):
+        values = np.array(row if columns is None else [row[j] for j in columns], dtype=float)
+        if np.all(np.isfinite(values)):
+            return values
+    return np.array([_parse_cell(row[j], line, names[j], path) for j in picked])
 
 
 # ASCII separators that numpy's reader strips from a cell as whitespace,
@@ -293,7 +278,7 @@ _SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 # The least data, in bytes, that one worker of a split read is given. A file
 # is split only if its data rows fill two such ranges: below that, the fork
-# and the pipe cost more than the second CPU saves.
+# and the worker's temporary file cost more than the second CPU saves.
 _RANGE_BYTES = 2 << 20
 
 
@@ -587,40 +572,43 @@ def load_csv(path, label_column: str, feature_columns=None) -> LabeledBatch:
     file this yields setosa=0, versicolor=1, virginica=2).
     ``feature_columns`` restricts and orders the feature set, naming each
     column once and never the label column; by default every non-label
-    column is used in file order. No standardization is applied.
+    column is used in file order. No standardization is applied. Each row
+    is converted as it is read, so an error names the first fault in file
+    order.
     """
-    (header, *data_rows), (_, *data_lines) = read_rows(path)
-    repeated = [name for name, count in Counter(header).items() if count > 1]
-    if repeated:
-        raise DatasetError(f"{path}: header repeats column name(s) {repeated}")
-    if label_column not in header:
-        raise DatasetError(f"{path}: missing column {label_column!r} (header: {header})")
-    if feature_columns is None:
-        feature_columns = [name for name in header if name != label_column]
-    missing = [name for name in feature_columns if name not in header]
-    if missing:
-        raise DatasetError(f"{path}: missing feature column(s) {missing}")
-    repeated = [name for name, count in Counter(feature_columns).items() if count > 1]
-    if repeated:
-        raise DatasetError(f"{path}: feature columns repeat name(s) {repeated}")
-    if label_column in feature_columns:
-        raise DatasetError(f"{path}: label column {label_column!r} is among the feature columns")
-    if not feature_columns:
-        raise DatasetError(f"{path}: no feature columns selected")
-    if not data_rows:
+    with _opened(path) as data:
+        rows = read_rows(path, data)
+        _, header = next(rows)
+        if repeated := [name for name, count in Counter(header).items() if count > 1]:
+            raise DatasetError(f"{path}: header repeats column name(s) {repeated}")
+        if label_column not in header:
+            raise DatasetError(f"{path}: missing column {label_column!r} (header: {header})")
+        if feature_columns is None:
+            feature_columns = [name for name in header if name != label_column]
+        if missing := [name for name in feature_columns if name not in header]:
+            raise DatasetError(f"{path}: missing feature column(s) {missing}")
+        if repeated := [name for name, count in Counter(feature_columns).items() if count > 1]:
+            raise DatasetError(f"{path}: feature columns repeat name(s) {repeated}")
+        if label_column in feature_columns:
+            raise DatasetError(
+                f"{path}: label column {label_column!r} is among the feature columns"
+            )
+        if not feature_columns:
+            raise DatasetError(f"{path}: no feature columns selected")
+        columns = [header.index(name) for name in feature_columns]
+        label_idx = header.index(label_column)
+        label_to_class: dict[str, int] = {}
+        features, labels = [], []
+        for line, row in rows:
+            features.append(read_reals(path, line, row, header, columns))
+            labels.append(label_to_class.setdefault(row[label_idx].strip(), len(label_to_class)))
+    if not features:
         raise DatasetError(f"{path}: no data rows")
-
-    features = read_reals(
-        path, data_rows, data_lines, header, [header.index(name) for name in feature_columns]
-    )
-    label_idx = header.index(label_column)
-    label_to_class: dict[str, int] = {}
-    labels = [
-        label_to_class.setdefault(row[label_idx].strip(), len(label_to_class))
-        for row in data_rows
-    ]
     if len(label_to_class) < 2:
         raise DatasetError(f"{path}: found only {len(label_to_class)} distinct label(s)")
+    # Read-only, the stacked matrix is the batch's own: it is not copied.
+    features = np.array(features)
+    features.setflags(write=False)
     return LabeledBatch(features, np.asarray(labels), len(label_to_class))
 
 
@@ -634,27 +622,27 @@ def load_embeddings(path) -> LabeledBatch:
     a temporary file and read like a file. numpy's C reader parses it, in
     parallel where it holds 4 MiB of rows or more (see
     :func:`_read_numeric`). A file it rejects, or one with a label that is
-    not a nonnegative integer, is read again cell by cell from the same
-    file, which names the first bad line and column.
+    not a nonnegative integer, is read again row by row from the same file,
+    which names the first fault in file order by its line and column.
     """
     with _opened(path) as data:
         values = _read_numeric(data)
         if values is None or values.shape[1] < 2 or np.any(_bad_labels(values[:, -1])):
-            (header, *data_rows), (_, *data_lines) = read_rows(path, data)
+            rows = read_rows(path, data)
+            _, header = next(rows)
             if len(header) < 2:
                 raise DatasetError(
                     f"{path}: need at least one embedding column plus a label column"
                 )
-            if not data_rows:
+            values = []
+            for line, row in rows:
+                values.append(read_reals(path, line, row, header))
+                if _bad_labels(values[-1][-1]):
+                    where = f"at line {line}, got {row[-1]!r}"
+                    raise DatasetError(f"{path}: label must be a nonnegative integer {where}")
+            if not values:
                 raise DatasetError(f"{path}: no rows")
-            values = read_reals(path, data_rows, data_lines, header)
-            bad = _bad_labels(values[:, -1])
-            if np.any(bad):
-                row = int(np.argmax(bad))
-                raise DatasetError(
-                    f"{path}: label must be a nonnegative integer at line {data_lines[row]}, "
-                    f"got {data_rows[row][-1]!r}"
-                )
+            values = np.array(values)
     labels = values[:, -1]
     # N rows occupy at most N classes, so a label >= N leaves one of 0..N-1
     # empty: counting labels clipped to N finds it without sizing the count

@@ -17,7 +17,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .dataset import DatasetError, LabeledBatch, read_reals, read_rows, write_rows
+from .dataset import DatasetError, LabeledBatch, _opened, read_reals, read_rows, write_rows
 from .model import Centroids, _answered, _check_target
 from .recourse import EpsilonBudget, QuerySpec, SolverConfig, _collective_answer, _individual
 
@@ -159,18 +159,20 @@ def write_report_csv(report: SweepReport, path) -> None:
 
 def read_report_csv(path) -> SweepReport:
     """Read a CSV written by :func:`write_report_csv`."""
-    (header, *rows), (_, *lines) = read_rows(path)
-    if header != list(REPORT_COLUMNS):
-        raise DatasetError(f"{path}: unexpected header {header}")
-    reals = read_reals(path, rows, lines, header, range(4)).tolist()
-    for row, line in zip(rows, lines):
-        for name, cell in zip(header[4:], row[4:]):
-            if cell not in ("true", "false"):
-                raise DatasetError(
-                    f"{path}: flag {cell!r} at line {line}, column {name!r} is not true or false"
-                )
-    flags = ([cell == "true" for cell in row[4:]] for row in rows)
-    return SweepReport(tuple(SweepRow(*r, *f) for r, f in zip(reals, flags)))
+    with _opened(path) as data:
+        rows = read_rows(path, data)
+        _, header = next(rows)
+        if header != list(REPORT_COLUMNS):
+            raise DatasetError(f"{path}: unexpected header {header}")
+        report = []
+        for line, row in rows:
+            reals = read_reals(path, line, row, header, range(4)).tolist()
+            for name, cell in zip(header[4:], row[4:]):
+                if cell not in ("true", "false"):
+                    where = f"line {line}, column {name!r}"
+                    raise DatasetError(f"{path}: flag {cell!r} at {where} is not true or false")
+            report.append(SweepRow(*reals, *(cell == "true" for cell in row[4:])))
+    return SweepReport(tuple(report))
 
 
 # Fixed plot geometry; coordinates are emitted with a stable format so the

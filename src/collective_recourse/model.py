@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import LabeledBatch, _frozen, _write_matrix, read_reals, read_rows
+from .dataset import LabeledBatch, _frozen, _opened, _write_matrix, read_reals, read_rows
 
 # Shared floor for distance denominators: keeps gradients bounded at a
 # centroid and makes the input/centroid gradient identity exact.
@@ -242,4 +242,9 @@ def save_centroids_csv(theta: Centroids, path) -> None:
 
 def load_centroids_csv(path) -> Centroids:
     """Read a centroid matrix written by :func:`save_centroids_csv`."""
-    return Centroids(read_reals(path, *read_rows(path)))
+    with _opened(path) as data:
+        names, mu = None, []
+        for line, row in read_rows(path, data):
+            names = names or range(len(row))  # the first row's columns, as a header
+            mu.append(read_reals(path, line, row, names))
+    return Centroids(np.array(mu))

@@ -233,8 +233,10 @@ def _spg(x_q, goal, mu, delta, loss, grad, eps, mode, steps):
     point until a point passes a non-monotone Armijo test against the worst
     of the last ``_MEMORY`` accepted losses. It stops once the step falls to
     2**-26 * eps or below (the square root of float64's machine epsilon,
-    relative to the budget: the loss has settled to rounding by then), or
-    after ``steps`` iterations.
+    relative to the budget: the loss has settled to rounding by then), once
+    the last ``_MEMORY`` accepted losses are equal (a step on a sphere below
+    rounding stays about eps long, but moves no loss), or after ``steps``
+    iterations.
     """
     tol = _STOP * eps
     recent = deque([loss], maxlen=_MEMORY)
@@ -259,6 +261,8 @@ def _spg(x_q, goal, mu, delta, loss, grad, eps, mode, steps):
         lam = min(_LAMBDA_MAX, max(_LAMBDA_MIN, float(s.dot(s)) / sy)) if sy > 0 else _LAMBDA_MAX
         delta, grad = trial, trial_grad
         recent.append(loss)
+        if recent.count(loss) == _MEMORY:
+            return
 
 
 def individual_recourse(

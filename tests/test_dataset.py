@@ -409,19 +409,25 @@ def _c_read(path):
 
 
 def _load_embeddings_by_cells(path):
-    """load_embeddings from read_rows and read_reals alone: the reference for its fast path."""
-    (header, *rows), (_, *lines) = read_rows(path)
-    if len(header) < 2:
-        raise DatasetError(f"{path}: need at least one embedding column plus a label column")
-    if not rows:
+    """load_embeddings from read_rows and read_reals alone: the reference for its fast path.
+
+    It converts every row before it checks any label, so it stays independent
+    of the loader's one pass; the two agree on every file with a single fault.
+    """
+    with dataset._opened(path) as data:
+        rows = read_rows(path, data)
+        _, header = next(rows)
+        if len(header) < 2:
+            raise DatasetError(f"{path}: need at least one embedding column plus a label column")
+        read = [(line, row, read_reals(path, line, row, header)) for line, row in rows]
+    if not read:
         raise DatasetError(f"{path}: no rows")
-    values = read_reals(path, rows, lines, header)
+    values = np.array([reals for _, _, reals in read])
     labels = values[:, -1]
-    for row, label in enumerate(labels):
+    for (line, row, _), label in zip(read, labels):
         if label < 0 or label != np.floor(label):
             raise DatasetError(
-                f"{path}: label must be a nonnegative integer at line {lines[row]}, "
-                f"got {rows[row][-1]!r}"
+                f"{path}: label must be a nonnegative integer at line {line}, got {row[-1]!r}"
             )
     counts = np.bincount(np.minimum(labels, len(labels)).astype(int))
     if np.any(counts == 0):
@@ -540,6 +546,75 @@ def test_cell_over_the_csv_field_limit_is_named_by_file_line(tmp_path, line):
         load_embeddings(path)
     with pytest.raises(DatasetError, match=f"^{re.escape(where)}$"):
         load_csv(path, "label")
+
+
+@pytest.mark.parametrize(
+    "load", [load_embeddings, lambda p: load_csv(p, "label")], ids=["load_embeddings", "load_csv"]
+)
+def test_a_bad_cell_is_named_before_a_later_bad_byte(tmp_path, load):
+    # Rows are converted as they are read, so the first fault in file order
+    # is named, whatever its kind.
+    path = tmp_path / "x.csv"
+    path.write_bytes(b"e0,label\n1,0\n1x,1\n2,1\n2,\xff\n")
+    where = f"{path}: unparsable value '1x' at line 3, column 'e0'"
+    with pytest.raises(DatasetError, match=f"^{re.escape(where)}$"):
+        load(path)
+
+
+def test_a_header_fault_is_named_before_a_later_bad_byte(tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_bytes(b"a,a,label\n1,2,u\n\xff,3,v\n")
+    where = f"{path}: header repeats column name(s) ['a']"
+    with pytest.raises(DatasetError, match=f"^{re.escape(where)}$"):
+        load_csv(path, "label")
+
+
+def test_a_bad_label_is_named_before_a_later_bad_cell(tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_text("e0,label\n1,0\n2,-1\n3,x\n")
+    where = f"{path}: label must be a nonnegative integer at line 3, got '-1'"
+    with pytest.raises(DatasetError, match=f"^{re.escape(where)}$"):
+        load_embeddings(path)
+
+
+@pytest.mark.parametrize(
+    "load, content",
+    [
+        (lambda p: load_csv(p, "label"), b"a,a,label\n1,2,u\n3,4,v\n"),
+        (lambda p: load_csv(p, "label"), b"a,label\n1,u\n2,u\n"),
+        (load_embeddings, b"e0,label\n1,0\n2,-1\n3,1\n"),
+        (load_embeddings, b"label\n0\n1\n"),
+    ],
+)
+def test_a_failing_load_closes_its_file_before_raising(tmp_path, load, content):
+    # The caller holds the exception, and through its traceback the row
+    # reader; the file is closed all the same.
+    path = tmp_path / "x.csv"
+    path.write_bytes(content)
+    fds = _open_fds()
+    with pytest.raises(DatasetError) as held:
+        load(path)
+    assert held.value.__traceback__ is not None
+    assert _open_fds() == fds
+
+
+def test_load_csv_converts_each_row_as_it_reads_it(tmp_path, synth_20k_batch):
+    # 20 000 x 64 features with string labels: no list of every row's cells
+    # is held, and the stacked matrix is the batch's own, not copied.
+    numeric, named = tmp_path / "numeric.csv", tmp_path / "named.csv"
+    save_csv(synth_20k_batch, numeric)
+    header, *rows = numeric.read_text().splitlines()
+    with open(named, "w") as handle:
+        handle.write(header + "\n")
+        for row in rows:
+            cells, _, label = row.rpartition(",")
+            handle.write(f"{cells},class{label}\n")
+    del rows
+    batch, peak = _peak_bytes(lambda: load_csv(named, "label"))
+    assert batch.features.tobytes() == synth_20k_batch.features.tobytes()
+    assert np.array_equal(batch.labels, synth_20k_batch.labels)
+    assert batch.features.base is None and not batch.features.flags.writeable
+    assert peak <= 3 * batch.features.nbytes
 
 
 # Files for a forced split (see _split_forced), as in _PARSE_CASES. The

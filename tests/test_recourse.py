@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collective_recourse import model, recourse
-from collective_recourse.dataset import LabeledBatch, SyntheticSpec, load_embeddings, synth_blobs
+from collective_recourse.dataset import (
+    LabeledBatch,
+    SyntheticSpec,
+    load_csv,
+    load_embeddings,
+    synth_blobs,
+)
 from collective_recourse.harness import describe_query, make_query, sweep_epsilon
 from collective_recourse.model import (
     Centroids,
@@ -503,6 +509,63 @@ def test_each_point_is_evaluated_once(embeddings_path, count_calls, mode, init):
     del calls[:]
     sweep_epsilon(theta, query, epsilons, cfg)
     assert len(calls) == 1 + sum(n - 1 for n in lengths) + len(epsilons)
+
+
+@pytest.mark.parametrize(
+    "data, eps, evaluations",
+    [
+        ("iris", 1e-160, None),
+        ("iris", 1e-20, None),
+        ("iris", 3e-16, None),
+        ("embeddings", 1e-160, None),
+        # Above rounding the losses move, and the search runs as before.
+        ("iris", 1e-15, 28),
+    ],
+)
+def test_sphere_solve_below_rounding_stops_early(
+    iris_batch, embeddings_path, count_calls, data, eps, evaluations
+):
+    # Below rounding every sphere point has the baseline loss, so every
+    # trial passes the Armijo test while each step stays about eps long: the
+    # search stops on a run of equal accepted losses, not at the steps cap.
+    if data == "iris":
+        theta = fit(iris_batch)
+        query = make_query(theta, 1, 2, 0.25)
+    else:
+        theta = fit(load_embeddings(embeddings_path))
+        query = QuerySpec(np.zeros(theta.dim), 1)
+    baseline = nll_loss(query.features, query.goal_class, theta)
+    calls = count_calls("_evaluate")
+    res = individual_recourse(
+        query, theta, EpsilonBudget(eps), SolverConfig(projection_mode="sphere")
+    )
+    assert len(calls) == len(res.loss_trace)
+    if evaluations is None:
+        assert len(calls) <= 20
+        assert res.achieved_loss == baseline and not res.flipped
+    else:
+        assert len(calls) == evaluations
+        assert res.achieved_loss < baseline
+
+
+def test_random_start_finds_the_sphere_minimum_the_zero_start_misses(iris_path):
+    # On a circle (d = 2, k = 3) the sphere-mode problem has two local
+    # minima. From the zero start the search settles in the worse one, a
+    # seeded random start reaches the circle's minimum and flips the query.
+    batch = load_csv(iris_path, "species", ["sepal_length", "sepal_width"])
+    theta = fit(batch)
+    x_q = np.array([4.9, 2.4])  # a training row of class 1, predicted 0
+    assert predict(x_q, theta) == 0
+    query, budget = QuerySpec(x_q, 1), EpsilonBudget(2.0)
+    angles = np.linspace(0.0, 2.0 * np.pi, 400_001)
+    circle = x_q + 2.0 * np.column_stack([np.cos(angles), np.sin(angles)])
+    grid = nll_from_distances(distances(circle, theta), 1).min()
+    zero = individual_recourse(query, theta, budget, SolverConfig(projection_mode="sphere"))
+    seeded = individual_recourse(
+        query, theta, budget, SolverConfig(projection_mode="sphere", init="random", seed=0)
+    )
+    assert abs(seeded.achieved_loss - grid) <= 1e-9 and seeded.flipped
+    assert zero.achieved_loss > grid + 0.1 and not zero.flipped
 
 
 @pytest.mark.parametrize("mode", ["ball", "sphere"])
