@@ -244,7 +244,10 @@ def _utf8_lines(lines, path):
 
 
 def _parse_cell(text: str, line: int, column, path) -> float:
+    stripped = text.strip()
     try:
+        if not stripped.isascii() or "_" in stripped:
+            raise ValueError  # float() reads 1_000, ١ and １; numpy's C reader does not
         value = float(text)
     except ValueError:
         raise DatasetError(
@@ -258,17 +261,20 @@ def _parse_cell(text: str, line: int, column, path) -> float:
 def read_reals(path, line: int, row: list[str], names, columns=None) -> np.ndarray:
     """The cells of ``columns`` (default: all) of the row at file ``line`` as
     finite floats. The row must have one cell per name of ``names``: the
-    header, or a headerless file's first row's ``range``. The cells are
-    converted in one call; only if that fails is each parsed in turn, so
-    that the first unparsable or non-finite one is named with its column.
+    header, or a headerless file's first row's ``range``. A cell holds what
+    numpy's C reader reads: an ASCII real without ``_``, spaces around it
+    allowed. A row is converted in one call, or else a cell at a time, so
+    that the first bad cell is named with its column.
     """
     if len(row) != len(names):
         raise DatasetError(f"{path}: line {line} has {len(row)} cells, expected {len(names)}")
     picked = range(len(names)) if columns is None else columns
-    with contextlib.suppress(ValueError):
-        values = np.array(row if columns is None else [row[j] for j in columns], dtype=float)
-        if np.all(np.isfinite(values)):
-            return values
+    cells = row if columns is None else [row[j] for j in columns]
+    if (text := "".join(cells)).isascii() and "_" not in text:
+        with contextlib.suppress(ValueError):
+            values = np.array(cells, dtype=float)
+            if np.all(np.isfinite(values)):
+                return values
     return np.array([_parse_cell(row[j], line, names[j], path) for j in picked])
 
 
@@ -282,10 +288,13 @@ _SEPARATORS = "\x1c\x1d\x1e\x1f"
 _RANGE_BYTES = 2 << 20
 
 
-def _lines_without_separators(lines):
+def _checked_lines(lines):
+    """The lines, up to one with a separator or an odd count of quotes. A cell
+    whose value holds a quote does not parse, so then every quoted cell of a
+    parsed file ends on its line, and a split read's ranges start outside one."""
     for line in lines:
-        if any(char in line for char in _SEPARATORS):
-            raise ValueError("separator character in a cell")
+        if ('"' in line and line.count('"') % 2) or any(char in line for char in _SEPARATORS):
+            raise ValueError("a separator character, or a quoted cell that spans lines")
         yield line
 
 
@@ -293,8 +302,8 @@ def _parse_lines(lines) -> np.ndarray:
     """numpy's C reader over the data lines of a file, with warnings as errors."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        # comments=None: the default would drop a row such as "#3,4,1".
-        return np.loadtxt(_lines_without_separators(lines), delimiter=",", comments=None, ndmin=2)
+        # comments=None keeps a row such as "#3,4,1"; quoted cells read as csv reads them.
+        return np.loadtxt(_checked_lines(lines), delimiter=",", comments=None, quotechar='"', ndmin=2)
 
 
 def _recorded(lines, seen: list):
@@ -566,10 +575,10 @@ def write_rows(path, rows, header=None) -> None:
 def load_csv(path, label_column: str, feature_columns=None) -> LabeledBatch:
     """Load a labeled CSV into a batch.
 
-    The file must have a header row that names each column once; cells use
-    ``.`` decimals and comma separators. Distinct label strings are mapped
-    to class indices in order of first appearance (for the canonical Iris
-    file this yields setosa=0, versicolor=1, virginica=2).
+    The file must have a header row that names each column once; its cells
+    are reals as :func:`read_reals` reads them. Distinct labels, stripped and
+    never blank, map to class indices in order of first appearance (for the
+    canonical Iris file setosa=0, versicolor=1, virginica=2).
     ``feature_columns`` restricts and orders the feature set, naming each
     column once and never the label column; by default every non-label
     column is used in file order. No standardization is applied. Each row
@@ -601,7 +610,9 @@ def load_csv(path, label_column: str, feature_columns=None) -> LabeledBatch:
         features, labels = [], []
         for line, row in rows:
             features.append(read_reals(path, line, row, header, columns))
-            labels.append(label_to_class.setdefault(row[label_idx].strip(), len(label_to_class)))
+            if not (label := row[label_idx].strip()):
+                raise DatasetError(f"{path}: blank label at line {line}, column {label_column!r}")
+            labels.append(label_to_class.setdefault(label, len(label_to_class)))
     if not features:
         raise DatasetError(f"{path}: no data rows")
     if len(label_to_class) < 2:

@@ -200,13 +200,13 @@ class RecourseResult:
 def _project(v: np.ndarray, epsilon: float, mode: str) -> np.ndarray:
     """:func:`project_ball` or :func:`normalize_sphere` of a float vector, by ``mode``.
 
-    Makes no copy: in ball mode a feasible ``v`` is returned as is. In
-    sphere mode a finite norm that rounds above ``epsilon`` is shrunk.
+    Makes no copy: in ball mode a feasible ``v`` is returned as is. In both
+    modes any other is rescaled, and a finite norm rounding above ``epsilon`` shrunk.
     """
     norm = math.sqrt(v.dot(v))
-    if mode == "ball":
-        return v if norm <= epsilon else v * (epsilon / norm)
-    if norm <= _ZERO_NORM:
+    if mode == "ball" and norm <= epsilon:
+        return v
+    if mode == "sphere" and norm <= _ZERO_NORM:
         return np.zeros_like(v)
     v = v * (epsilon / norm)
     while epsilon < (norm := math.sqrt(v.dot(v))) < math.inf:
@@ -215,12 +215,12 @@ def _project(v: np.ndarray, epsilon: float, mode: str) -> np.ndarray:
 
 
 def project_ball(v: np.ndarray, epsilon: float) -> np.ndarray:
-    """Nearest point of the L2 ball of radius epsilon: rescale only if outside."""
+    """Nearest point of the radius-epsilon L2 ball: rescale only if outside, to norm <= epsilon."""
     return _project(np.array(v, dtype=float), epsilon, "ball")
 
 
 def normalize_sphere(v: np.ndarray, epsilon: float) -> np.ndarray:
-    """Rescale onto the radius-epsilon sphere; the zero vector stays zero."""
+    """Rescale onto the radius-epsilon sphere, to norm <= epsilon; the zero vector stays zero."""
     return _project(np.array(v, dtype=float), epsilon, "sphere")
 
 
@@ -229,24 +229,23 @@ def _spg(x_q, goal, mu, delta, loss, grad, eps, mode, steps):
     its loss and class probabilities.
 
     Starts from the feasible ``delta`` with the given loss and gradient. Each
-    iteration projects a Barzilai-Borwein step, then halves the way to that
-    point until a point passes a non-monotone Armijo test against the worst
-    of the last ``_MEMORY`` accepted losses. It stops once the step falls to
-    2**-26 * eps or below (the square root of float64's machine epsilon,
-    relative to the budget: the loss has settled to rounding by then), once
-    the last ``_MEMORY`` accepted losses are equal (a step on a sphere below
-    rounding stays about eps long, but moves no loss), or after ``steps``
-    iterations.
+    iteration evaluates a projected Barzilai-Borwein step, then halves the way
+    to it, projecting again, until a point passes a non-monotone Armijo test
+    against the worst of the last ``_MEMORY`` accepted losses. It stops once
+    the step falls to ``_STOP * eps`` or below, once the last ``_MEMORY``
+    accepted losses are equal (a step on a sphere below rounding stays about
+    eps long, but moves no loss), or after ``steps`` iterations.
     """
     tol = _STOP * eps
     recent = deque([loss], maxlen=_MEMORY)
     lam = min(_LAMBDA_MAX, eps / max(math.sqrt(grad.dot(grad)), _ZERO_NORM))
     for _ in range(steps):
-        direction = _project(delta - lam * grad, eps, mode) - delta
+        trial = _project(delta - lam * grad, eps, mode)
+        direction = trial - delta
         length, ceiling, alpha = math.sqrt(direction.dot(direction)), max(recent), 1.0
         while alpha * length > tol:
-            # The full step needs no product: 1.0 * direction is direction.
-            trial = _project(delta + (direction if alpha == 1.0 else alpha * direction), eps, mode)
+            if alpha < 1.0:
+                trial = _project(delta + alpha * direction, eps, mode)
             loss, trial_grad, probs, _, _ = _evaluate(x_q + trial, mu, goal)
             yield trial, loss, probs
             s = trial - delta
@@ -283,9 +282,9 @@ def individual_recourse(
     spectral projected gradient method (Birgin, Martinez & Raydan, SIAM J.
     Optim. 2000) for at most ``cfg.steps`` iterations; in sphere mode it
     starts from the best candidate on the sphere, since delta = 0 is an
-    isolated point there. Every evaluated point is feasible, and the
-    returned perturbation is the best of them (the first, on a tie), so the
-    achieved loss never exceeds the baseline.
+    isolated point there. Every evaluated point is feasible, by the norm
+    ``np.linalg.norm`` reports, and the returned perturbation is the best
+    of them (the first, on a tie), so the achieved loss never exceeds the baseline.
 
     The loss is lowest at the goal centroid: by the triangle inequality each
     other centroid is at most its distance to the goal centroid farther

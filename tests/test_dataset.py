@@ -120,6 +120,9 @@ def test_ragged_row(tmp_path):
             "label column 'label' is among the feature columns",
         ),
         (("a,label\n1,0\n2,1\n", ["a", "a"]), "feature columns repeat name(s) ['a']"),
+        # A blank label, empty or whitespace only, is not a class of its own.
+        ("a,label\n1,u\n2,\n3,v\n4, \n", "blank label at line 3, column 'label'"),
+        ("label,a\nu,1\n\t,2\nv,3\n", "blank label at line 3, column 'label'"),
     ],
 )
 def test_load_csv_rejects_layout(tmp_path, text, why):
@@ -449,10 +452,14 @@ _PARSE_CASES = {
     "no-break-space": ("e0,label\n\xa01,0\n2,1\n".encode(), True),
     "whitespace-row": (b"e0,label\n1,0\n   \n2,1\n", False),
     "commas-row": (b"e0,e1,label\n1,2,0\n,,\n3,4,1\n", False),
-    "quoted-cells": (b'e0,label\n"1",0\n2,"1"\n', False),
+    "quoted-cells": (b'e0,label\n"1",0\n2,"1"\n', True),
+    "quoted-spaces": (b'e0,e1,label\n" 1 ","2" ,0\n3,4,1\n', True),
     "quoted-multiline-cell": (b'e0,label\n"1\n",0\n2,1\n', False),
     "underscore-digits": (b"e0,label\n1_000,0\n2,1\n", False),
     "fullwidth-digit": ("e0,label\n\uff11,0\n2,1\n".encode(), False),
+    "arabic-indic-digit": ("e0,label\n2,0\n\u0661,1\n".encode(), False),
+    "underscore-after-space": (b"e0,e1,label\n1,2,0\n3, 4_0,1\n", False),
+    "thin-space-around-value": ("e0,label\n\u20091,0\n2\u2009,1\n".encode(), True),
     "hash-cell": (b"e0,label\n#3,0\n2,1\n", False),
     "hash-after-value": (b"e0,label\n0 # c,0\n2,1\n", False),
     "fortran-exponent": (b"e0,label\n1D2,0\n2,1\n", False),
@@ -480,6 +487,14 @@ _PARSE_CASES = {
 }
 
 
+# Cases whose fault is in the labels or the layout that load_embeddings
+# requires; load_csv maps labels by their text and checks its own layout.
+_LABEL_OR_LAYOUT_FAULTS = {
+    "fractional-label", "negative-label", "skipped-class", "one-class", "header-only",
+    "single-column",
+}
+
+
 def _outcome(load, path):
     try:
         features, labels = load(path)
@@ -498,12 +513,33 @@ def test_load_embeddings_parse_paths_agree(tmp_path, name):
         batch = load_embeddings(p)
         return batch.features, batch.labels
 
+    def load_labeled(p):
+        batch = load_csv(p, "label")
+        return batch.features, batch.labels
+
     # No warning may reach the caller, such as numpy's on a file without data rows.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert (_c_read(path) is not None) == fast
-        assert _outcome(load, path) == _outcome(_load_embeddings_by_cells, path)
+        expected = _outcome(_load_embeddings_by_cells, path)
+        assert _outcome(load, path) == expected
+        # load_csv reads the same cells: but for a fault in the labels or the
+        # layout, it loads the same batch or names the same fault.
+        if name not in _LABEL_OR_LAYOUT_FAULTS:
+            assert _outcome(load_labeled, path) == expected
     assert not caught
+
+
+@pytest.mark.parametrize("cell", ["1_000", "\u0661", "\uff11", " 4_0 ", "1e1_0"])
+def test_a_cell_the_c_reader_rejects_no_reader_loads(tmp_path, cell):
+    # float() reads digit-group underscores and any script's digits.
+    path = tmp_path / "x.csv"
+    path.write_text(f"e0,e1,label\n1,2,0\n3,{cell},1\n", encoding="utf-8")
+    assert _c_read(path) is None
+    message = f"{path}: unparsable value {cell!r} at line 3, column 'e1'"
+    for load in (load_embeddings, lambda p: load_csv(p, "label")):
+        with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+            load(path)
 
 
 def test_load_embeddings_fast_path_keeps_every_bit(embeddings_path, tmp_path):

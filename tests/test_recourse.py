@@ -176,6 +176,26 @@ def test_no_answer_exceeds_its_budget_by_rounding(embeddings_path, mode):
             assert np.linalg.norm(individual.perturbation) <= eps, (goal, base, eps)
             collective = collective_recourse(batch, query, budget, cfg)
             assert collective.perturbation.row_norms().max() <= eps, (goal, base, eps)
+    # Every row asking for the next class. With a ball rescale by eps / norm
+    # alone, 6 of these 2 000 ball-mode answers read above eps, such as row
+    # 181 asking for class 5 at eps 0.3 (norm 0.30000000000000004).
+    for row, label in enumerate(batch.labels):
+        query = QuerySpec(batch.features[row], (label + 1) % batch.num_classes)
+        for eps in (0.1, 0.3, 0.7, 1.3, 3.0):
+            individual = individual_recourse(query, theta, EpsilonBudget(eps), cfg)
+            assert np.linalg.norm(individual.perturbation) <= eps, (row, eps)
+
+
+_VECTORS = st.lists(st.floats(-1e100, 1e100), min_size=1, max_size=16).map(np.array)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(v=_VECTORS, eps=st.floats(0.0, 1e100))
+def test_projections_never_leave_the_budget(v, eps):
+    # Rescaled by eps / norm alone, 38 326 of 198 306 seeded normal vectors
+    # outside the ball (d 1 to 16) read above eps.
+    assert np.linalg.norm(project_ball(v, eps)) <= eps
+    assert np.linalg.norm(normalize_sphere(v, eps)) <= eps
 
 
 def test_individual_zero_budget(collinear_pair):
@@ -312,11 +332,13 @@ def _reference_individual(query, theta, budget, cfg, extra_candidates=()):
         recent = [loss]
         lam = min(1e30, eps / max(np.linalg.norm(grad), 1e-12))
         for _ in range(cfg.steps):
-            direction = project(delta - lam * grad, eps) - delta
+            # A full step evaluates the projected point itself.
+            full = project(delta - lam * grad, eps)
+            direction = full - delta
             length, alpha = np.linalg.norm(direction), 1.0
             accepted = False
             while alpha * length > 2**-26 * eps:
-                trial = project(delta + alpha * direction, eps)
+                trial = full if alpha == 1 else project(delta + alpha * direction, eps)
                 loss, trial_grad = evaluate(trial)
                 if loss <= max(recent[-10:]) + 1e-4 * grad.dot(trial - delta):
                     accepted = True
