@@ -29,7 +29,7 @@ from .harness import (
     sweep_epsilon,
     write_report_csv,
 )
-from .model import fit, save_centroids_csv, training_accuracy
+from .model import fit, training_accuracy
 from .recourse import (
     _INITS,
     _MODES,
@@ -137,16 +137,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     querying.add_argument(
         "--goal-class",
-        "--class-a",
-        dest="goal_class",
         type=int,
         required=True,
         help="class the query should be pushed toward",
     )
     querying.add_argument(
         "--base-class",
-        "--class-b",
-        dest="base_class",
         type=int,
         required=True,
         help="class whose region the query starts in",
@@ -216,7 +212,7 @@ def _run_fit(args) -> int:
         print(f"centroid[{y}]=" + ",".join(map(_format_cell, theta.mu[y])))
     print(f"training_accuracy={_format_cell(training_accuracy(batch, theta))}")
     if args.out is not None:
-        save_centroids_csv(theta, args.out)
+        _write_matrix(args.out, (theta.mu,))
         print(f"wrote centroids: {args.out}")
     return 0
 

@@ -6,16 +6,17 @@ CSV with a named label column (string labels mapped to class indices in
 first-appearance order) and the canonical embedding layout ``e0..e{d-1},label``
 whose label column already holds integer class indices.
 
-This module is the package's only CSV reader and writer. Each input is
-opened once, by :func:`_opened`, which spools a pipe to an unnamed temporary
-file. :func:`load_embeddings` first tries numpy's C reader on that file.
-Every other read (a labeled CSV, a centroid file, a sweep report, a file the
-C reader rejects) is one pass: :func:`read_rows` yields each row as it reads
-it and :func:`read_reals` converts that row, so no reader holds every row's
-cells, and an error names the first fault in file order. Float matrices (a
-batch's features and labels, centroids, perturbations) are written by
-:func:`_write_matrix`, and the sweep report, which mixes reals and flags,
-by :func:`write_rows`.
+This module is the package's only CSV reader and writer. The package reads
+two inputs, a labeled CSV (:func:`load_csv`) and an embedding CSV
+(:func:`load_embeddings`), and reads none of the files it writes. Each input
+is opened once, by :func:`_opened`, which spools a pipe to an unnamed
+temporary file. :func:`load_embeddings` first tries numpy's C reader on that
+file. A labeled CSV, and a file the C reader rejects, is read in one pass:
+:func:`_read_rows` yields each row as it reads it and :func:`_read_reals`
+converts that row, so no reader holds every row's cells, and an error names
+the first fault in file order. Float matrices (a batch's features and
+labels, centroids, perturbations) are written by :func:`_write_matrix`, and
+the sweep report, which mixes reals and flags, by :func:`write_rows`.
 
 The C reader holds the GIL, so a thread cannot share its work. Where the
 data rows fill at least 4 MiB, a usable second CPU exists and no other
@@ -198,7 +199,7 @@ def _opened(path):
             yield spool
 
 
-def read_rows(path, data):
+def _read_rows(path, data):
     """Each non-blank row of the file at ``path``, open as ``data`` (see
     :func:`_opened`), as ``(line, cells)`` when the csv module reads it from
     the start: the header row first, with ``line`` counting blank lines too.
@@ -258,13 +259,13 @@ def _parse_cell(text: str, line: int, column, path) -> float:
     return value
 
 
-def read_reals(path, line: int, row: list[str], names, columns=None) -> np.ndarray:
+def _read_reals(path, line: int, row: list[str], names, columns=None) -> np.ndarray:
     """The cells of ``columns`` (default: all) of the row at file ``line`` as
-    finite floats. The row must have one cell per name of ``names``: the
-    header, or a headerless file's first row's ``range``. A cell holds what
-    numpy's C reader reads: an ASCII real without ``_``, spaces around it
-    allowed. A row is converted in one call, or else a cell at a time, so
-    that the first bad cell is named with its column.
+    finite floats. The row must have one cell per name of the header
+    ``names``. A cell holds what numpy's C reader reads: an ASCII real
+    without ``_``, spaces around it allowed. A row is converted in one call,
+    or else a cell at a time, so that the first bad cell is named with its
+    column.
     """
     if len(row) != len(names):
         raise DatasetError(f"{path}: line {line} has {len(row)} cells, expected {len(names)}")
@@ -316,12 +317,12 @@ def _read_numeric(data) -> np.ndarray | None:
     """The rows below the header of the open regular file ``data``, read
     from its start, as numpy's C reader parses them, or None.
 
-    The header is the first non-blank row, as for :func:`read_rows`. None
+    The header is the first non-blank row, as for :func:`_read_rows`. None
     means the reader raised or warned (a file without data rows warns), a
     row's cell count differs from the header's, or a value is non-finite:
-    only :func:`read_rows` and :func:`read_reals` then say what is wrong,
+    only :func:`_read_rows` and :func:`_read_reals` then say what is wrong,
     and where. Where it returns values, they are bit for bit those of
-    :func:`read_reals`, also where :func:`_read_split` parses them.
+    :func:`_read_reals`, also where :func:`_read_split` parses them.
     """
     try:
         data.seek(0)
@@ -576,7 +577,7 @@ def load_csv(path, label_column: str, feature_columns=None) -> LabeledBatch:
     """Load a labeled CSV into a batch.
 
     The file must have a header row that names each column once; its cells
-    are reals as :func:`read_reals` reads them. Distinct labels, stripped and
+    are reals as :func:`_read_reals` reads them. Distinct labels, stripped and
     never blank, map to class indices in order of first appearance (for the
     canonical Iris file setosa=0, versicolor=1, virginica=2).
     ``feature_columns`` restricts and orders the feature set, naming each
@@ -586,7 +587,7 @@ def load_csv(path, label_column: str, feature_columns=None) -> LabeledBatch:
     order.
     """
     with _opened(path) as data:
-        rows = read_rows(path, data)
+        rows = _read_rows(path, data)
         _, header = next(rows)
         if repeated := [name for name, count in Counter(header).items() if count > 1]:
             raise DatasetError(f"{path}: header repeats column name(s) {repeated}")
@@ -609,7 +610,7 @@ def load_csv(path, label_column: str, feature_columns=None) -> LabeledBatch:
         label_to_class: dict[str, int] = {}
         features, labels = [], []
         for line, row in rows:
-            features.append(read_reals(path, line, row, header, columns))
+            features.append(_read_reals(path, line, row, header, columns))
             if not (label := row[label_idx].strip()):
                 raise DatasetError(f"{path}: blank label at line {line}, column {label_column!r}")
             labels.append(label_to_class.setdefault(label, len(label_to_class)))
@@ -639,7 +640,7 @@ def load_embeddings(path) -> LabeledBatch:
     with _opened(path) as data:
         values = _read_numeric(data)
         if values is None or values.shape[1] < 2 or np.any(_bad_labels(values[:, -1])):
-            rows = read_rows(path, data)
+            rows = _read_rows(path, data)
             _, header = next(rows)
             if len(header) < 2:
                 raise DatasetError(
@@ -647,7 +648,7 @@ def load_embeddings(path) -> LabeledBatch:
                 )
             values = []
             for line, row in rows:
-                values.append(read_reals(path, line, row, header))
+                values.append(_read_reals(path, line, row, header))
                 if _bad_labels(values[-1][-1]):
                     where = f"at line {line}, got {row[-1]!r}"
                     raise DatasetError(f"{path}: label must be a nonnegative integer {where}")

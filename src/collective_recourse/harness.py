@@ -17,7 +17,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .dataset import DatasetError, LabeledBatch, _opened, read_reals, read_rows, write_rows
+from .dataset import LabeledBatch, write_rows
 from .model import Centroids, _answered, _check_target
 from .recourse import EpsilonBudget, QuerySpec, SolverConfig, _collective_answer, _individual
 
@@ -56,9 +56,6 @@ class SweepReport:
             ):
                 raise ValueError("zero-budget row must match the baseline loss")
         object.__setattr__(self, "rows", rows)
-
-    def epsilons(self) -> list[float]:
-        return [row.epsilon for row in self.rows]
 
 
 def standardize_features(batch: LabeledBatch) -> LabeledBatch:
@@ -155,24 +152,6 @@ def write_report_csv(report: SweepReport, path) -> None:
         write_rows(path, map(astuple, report.rows), REPORT_COLUMNS)
     except OSError as err:
         raise OSError(f"cannot write report to {path}: {err}") from err
-
-
-def read_report_csv(path) -> SweepReport:
-    """Read a CSV written by :func:`write_report_csv`."""
-    with _opened(path) as data:
-        rows = read_rows(path, data)
-        _, header = next(rows)
-        if header != list(REPORT_COLUMNS):
-            raise DatasetError(f"{path}: unexpected header {header}")
-        report = []
-        for line, row in rows:
-            reals = read_reals(path, line, row, header, range(4)).tolist()
-            for name, cell in zip(header[4:], row[4:]):
-                if cell not in ("true", "false"):
-                    where = f"line {line}, column {name!r}"
-                    raise DatasetError(f"{path}: flag {cell!r} at {where} is not true or false")
-            report.append(SweepRow(*reals, *(cell == "true" for cell in row[4:])))
-    return SweepReport(tuple(report))
 
 
 # Fixed plot geometry; coordinates are emitted with a stable format so the

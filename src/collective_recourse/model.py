@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import LabeledBatch, _frozen, _opened, _write_matrix, read_reals, read_rows
+from .dataset import LabeledBatch, _frozen
 
 # Shared floor for distance denominators: keeps gradients bounded at a
 # centroid and makes the input/centroid gradient identity exact.
@@ -233,18 +233,3 @@ def training_accuracy(batch: LabeledBatch, theta: Centroids) -> float:
     """Fraction of batch rows whose nearest centroid matches their label."""
     dists = distances(batch.features, theta)
     return float(np.mean(np.argmin(dists, axis=1) == batch.labels))
-
-
-def save_centroids_csv(theta: Centroids, path) -> None:
-    """Write the centroid matrix as k rows x d comma-separated columns."""
-    _write_matrix(path, (theta.mu,))
-
-
-def load_centroids_csv(path) -> Centroids:
-    """Read a centroid matrix written by :func:`save_centroids_csv`."""
-    with _opened(path) as data:
-        names, mu = None, []
-        for line, row in read_rows(path, data):
-            names = names or range(len(row))  # the first row's columns, as a header
-            mu.append(read_reals(path, line, row, names))
-    return Centroids(np.array(mu))

@@ -33,8 +33,9 @@ from collective_recourse import (
     sweep_epsilon,
     synth_blobs,
     training_accuracy,
+    write_report_csv,
 )
-from collective_recourse.harness import read_report_csv
+from collective_recourse.cli import parse_eps_grid
 from collective_recourse.model import grad_centroids, grad_input
 from collective_recourse.oracle import (
     GridSpec,
@@ -291,17 +292,21 @@ def test_criterion_9_embedding_pipeline_end_to_end(embeddings_path, tmp_path, ve
             ]
         ),
     ]
-    everywhere = strict = False
-    if report_path.exists():
-        everywhere, strict = _dominance(read_report_csv(report_path))
+    # The CLI's report is the library's on the same inputs, byte for byte.
     batch = load_embeddings(embeddings_path)
-    acc = training_accuracy(batch, fit(batch))
+    theta = fit(batch)
+    report = sweep_epsilon(theta, make_query(theta, 0, 1, 0.25), parse_eps_grid("0:1:0.1"))
+    library_path = tmp_path / "library_report.csv"
+    write_report_csv(report, library_path)
+    same = report_path.exists() and report_path.read_bytes() == library_path.read_bytes()
+    everywhere, strict = _dominance(report)
+    acc = training_accuracy(batch, theta)
     runtime = time.perf_counter() - t0
-    ok = codes == [0, 0, 0] and everywhere and strict >= 1
+    ok = codes == [0, 0, 0] and same and everywhere and strict >= 1
     verdict(
         9,
         ok,
-        f"d=10 embedding CLI fit/query/sweep exit codes {codes}; collective dominates "
-        f"with {strict} strictly better interior budgets; training accuracy {acc:.4f} "
-        f"(informational); runtime {runtime:.1f}s",
+        f"d=10 embedding CLI fit/query/sweep exit codes {codes}; CLI report equals the "
+        f"library's: {same}; collective dominates with {strict} strictly better interior "
+        f"budgets; training accuracy {acc:.4f} (informational); runtime {runtime:.1f}s",
     )

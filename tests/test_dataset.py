@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -19,12 +19,10 @@ from collective_recourse.dataset import (
     SyntheticSpec,
     load_csv,
     load_embeddings,
-    read_reals,
-    read_rows,
     save_csv,
     synth_blobs,
 )
-from collective_recourse.model import fit, save_centroids_csv
+from collective_recourse.model import fit
 
 
 def test_iris_shape(iris_batch):
@@ -412,17 +410,17 @@ def _c_read(path):
 
 
 def _load_embeddings_by_cells(path):
-    """load_embeddings from read_rows and read_reals alone: the reference for its fast path.
+    """load_embeddings from _read_rows and _read_reals alone: the reference for its fast path.
 
     It converts every row before it checks any label, so it stays independent
     of the loader's one pass; the two agree on every file with a single fault.
     """
     with dataset._opened(path) as data:
-        rows = read_rows(path, data)
+        rows = dataset._read_rows(path, data)
         _, header = next(rows)
         if len(header) < 2:
             raise DatasetError(f"{path}: need at least one embedding column plus a label column")
-        read = [(line, row, read_reals(path, line, row, header)) for line, row in rows]
+        read = [(line, row, dataset._read_reals(path, line, row, header)) for line, row in rows]
     if not read:
         raise DatasetError(f"{path}: no rows")
     values = np.array([reals for _, _, reals in read])
@@ -528,6 +526,60 @@ def test_load_embeddings_parse_paths_agree(tmp_path, name):
         if name not in _LABEL_OR_LAYOUT_FAULTS:
             assert _outcome(load_labeled, path) == expected
     assert not caught
+
+
+# What may be put into a real's text: digits, ASCII or not, the other
+# characters of a real, quotes, words and controls, and ASCII and Unicode
+# whitespace that either reader might strip; never a comma or a line break,
+# so that each text stays one cell of one row.
+_CELL_PIECES = (
+    "1", "\u0661", "\uff11", ".", "e", "+", "-", "_", '"', "'", "#", "nan", "inf", "x", "d",
+    " ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x00", "\x85", "\xa0", "\u2009", "\u3000",
+)
+
+
+@st.composite
+def _cells(draw):
+    """A real's text (sign, digits, fraction, exponent, each may be empty),
+    with up to two pieces put in anywhere."""
+    parts = (("", "-"), ("", "25"), ("", ".5"), ("", "e-3"))
+    text = "".join(draw(st.sampled_from(options)) for options in parts)
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(_CELL_PIECES)) + text[at:]
+    return text
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(cell=_cells())
+@example(cell="\u20091\xa0")
+@example(cell="\xa0-2.5\u2009")
+@example(cell="+1")
+@example(cell="-1")
+@example(cell=".5")
+@example(cell="5.")
+@example(cell="1E+05")
+@example(cell='"1"2')
+@example(cell=' "1"')
+@example(cell="1_000")  # float() reads these three; numpy's C reader does not
+@example(cell="\u0661")
+@example(cell="\uff11")
+def test_both_readers_take_one_cell_grammar(tmp_path_factory, cell):
+    # One cell beside a label, so that no text makes the row blank: numpy's C
+    # reader and the row reader accept the same texts, with the same bits.
+    path = tmp_path_factory.mktemp("cell") / "x.csv"
+    path.write_text(f"e0,label\n{cell},0\n", encoding="utf-8", newline="")
+    fast = _c_read(path)
+    try:
+        with dataset._opened(path) as data:
+            rows = dataset._read_rows(path, data)
+            _, header = next(rows)
+            slow = np.array([dataset._read_reals(path, line, row, header) for line, row in rows])
+    except DatasetError:
+        slow = None
+    assert (fast is None) == (slow is None)
+    if slow is not None:
+        assert fast.tobytes() == slow.tobytes()
 
 
 @pytest.mark.parametrize("cell", ["1_000", "\u0661", "\uff11", " 4_0 ", "1e1_0"])
@@ -832,7 +884,7 @@ def test_fifo_is_spooled_and_parsed_by_the_split_c_reader(tmp_path, monkeypatch,
     on_path = load_embeddings(path)
     assert len(forks) == 1
     cell_reads = []
-    monkeypatch.setattr(dataset, "read_rows", lambda *args: cell_reads.append(args))
+    monkeypatch.setattr(dataset, "_read_rows", lambda *args: cell_reads.append(args))
     fds = _open_fds()
     batch, peak = _peak_bytes(lambda: _load_from_fifo(tmp_path, content))
     assert len(forks) == 2 and not cell_reads
@@ -942,7 +994,7 @@ def _write_one_row(path):
 
 def _write_centroids(path):
     centers = np.random.default_rng(9).standard_normal((10, 7))
-    save_centroids_csv(fit(synth_blobs(SyntheticSpec(centers, 5, 1.0, seed=9))), path)
+    dataset._write_matrix(path, (fit(synth_blobs(SyntheticSpec(centers, 5, 1.0, seed=9))).mu,))
 
 
 # Writes for a forced split (see _split_forced): (rows, write to a path).

@@ -1,24 +1,18 @@
 import re
 import tracemalloc
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from collective_recourse.dataset import (
-    DatasetError,
-    LabeledBatch,
-    SyntheticSpec,
-    load_embeddings,
-    synth_blobs,
-)
+from collective_recourse.dataset import LabeledBatch, SyntheticSpec, load_embeddings, synth_blobs
 from collective_recourse.harness import (
     REPORT_COLUMNS,
     SweepReport,
     SweepRow,
     describe_query,
     make_query,
-    read_report_csv,
     render_plot_svg,
     standardize_features,
     sweep_epsilon,
@@ -101,7 +95,7 @@ def test_sweep_report_invariants():
     with pytest.raises(ValueError, match="zero-budget"):
         SweepReport((_row(0.0, 1.0, 0.7, 1.0),))
     report = SweepReport((_row(0.0, 1.0, 1.0, 1.0), _row(0.5, 1.0, 0.8, 0.7)))
-    assert report.epsilons() == [0.0, 0.5]
+    assert [row.epsilon for row in report.rows] == [0.0, 0.5]
 
 
 def test_sweep_single_zero_epsilon(collinear_pair):
@@ -264,10 +258,10 @@ def test_report_csv_empty(tmp_path):
     assert path.read_text().splitlines() == [
         "epsilon,baseline_loss,individual_loss,collective_loss,individual_flipped,collective_flipped"
     ]
-    assert read_report_csv(path).rows == ()
 
 
 def test_report_csv_round_trip(tmp_path):
+    # Reals with 17 significant digits, which numpy's reader parses back bit for bit.
     report = SweepReport(
         (
             _row(0.0, 1.25, 1.25, 1.25),
@@ -276,9 +270,10 @@ def test_report_csv_round_trip(tmp_path):
     )
     path = tmp_path / "r.csv"
     write_report_csv(report, path)
-    assert len(path.read_text().splitlines()) == 3
-    back = read_report_csv(path)
-    assert back == report  # dataclass equality, bit-exact floats
+    assert path.read_text().splitlines()[0] == ",".join(REPORT_COLUMNS)
+    flag = {"true": 1.0, "false": 0.0}.__getitem__
+    back = np.loadtxt(path, delimiter=",", skiprows=1, converters={4: flag, 5: flag})
+    assert back.tobytes() == np.array([astuple(row) for row in report.rows], dtype=float).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -288,13 +283,6 @@ def test_unwritable_output_names_its_path(tmp_path, write, what):
     path = tmp_path / "missing" / "out"
     with pytest.raises(OSError, match=f"^{re.escape(f'cannot write {what} to {path}: ')}"):
         write(SweepReport((_row(0.0, 1.25, 1.25, 1.25),)), path)
-
-
-def test_report_csv_rejects_foreign_header(tmp_path):
-    path = tmp_path / "r.csv"
-    path.write_text("a,b\n1,2\n")
-    with pytest.raises(ValueError, match="header"):
-        read_report_csv(path)
 
 
 def _series_points(svg: str, label: str):
@@ -398,29 +386,3 @@ def test_standardize_constant_column():
     batch = LabeledBatch(np.array([[1.0, 5.0], [2.0, 5.0]]), np.array([0, 1]), 2)
     z = standardize_features(batch)
     assert np.allclose(z.features[:, 1], 0.0)  # centered, not divided by zero
-
-
-def test_report_csv_ignores_bom(tmp_path):
-    report = SweepReport((_row(0.0, 1.25, 1.25, 1.25), _row(0.5, 1.25, 0.75, 0.5, True, True)))
-    path = tmp_path / "r.csv"
-    write_report_csv(report, path)
-    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
-    assert read_report_csv(path) == report
-
-
-@pytest.mark.parametrize(
-    "row, where",
-    [
-        ("0.5,1,1\n", "line 3 has 3 cells, expected 6"),
-        ("0.5,x,1,1,false,false\n", "unparsable value 'x' at line 3, column 'baseline_loss'"),
-        ("inf,1,1,1,false,false\n", "non-finite value at line 3, column 'epsilon'"),
-        ("0.5,1,1,1,True,false\n", "flag 'True' at line 3, column 'individual_flipped'"),
-        ("0.5,1,1,1,false,1\n", "flag '1' at line 3, column 'collective_flipped'"),
-        ("0.5,1,1,1,,false\n", "flag '' at line 3, column 'individual_flipped'"),
-    ],
-)
-def test_report_csv_bad_row_names_location(tmp_path, row, where):
-    path = tmp_path / "r.csv"
-    path.write_text(",".join(REPORT_COLUMNS) + "\n0,1,1,1,false,false\n" + row)
-    with pytest.raises(DatasetError, match=re.escape(where)):
-        read_report_csv(path)

@@ -1,10 +1,14 @@
 import ast
 import re
+import shlex
+import shutil
 import types
 from pathlib import Path
 
+import pytest
+
 import collective_recourse
-from collective_recourse import oracle
+from collective_recourse import cli_main, oracle
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -33,6 +37,28 @@ def test_readme_library_quickstart_runs(monkeypatch, capsys):
     ind_loss, col_loss, flipped = capsys.readouterr().out.split()
     assert float(col_loss) < float(ind_loss)
     assert flipped in ("True", "False")
+
+
+def _readme_cli_commands():
+    """The ``collective-recourse`` commands of README.md's CLI block, as argv lists."""
+    section = (ROOT / "README.md").read_text().split("\n## CLI", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1).replace("\\\n", " ")
+    lines = [line for line in block.splitlines() if line.startswith("collective-recourse ")]
+    assert lines, "README.md's CLI block lists no command"
+    return [shlex.split(line)[1:] for line in lines]
+
+
+_README_COMMANDS = _readme_cli_commands()
+
+
+@pytest.mark.parametrize(
+    "argv", _README_COMMANDS, ids=[f"{argv[0]}-{i}" for i, argv in enumerate(_README_COMMANDS)]
+)
+def test_readme_cli_command_runs(argv, tmp_path, monkeypatch, capsys):
+    # Each command as README.md prints it, from a directory that holds the data.
+    shutil.copytree(ROOT / "data", tmp_path / "data")
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(argv) == 0, capsys.readouterr().err
 
 
 def test_every_imported_name_is_used():
