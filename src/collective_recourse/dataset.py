@@ -299,12 +299,16 @@ def _checked_lines(lines):
         yield line
 
 
-def _parse_lines(lines) -> np.ndarray:
-    """numpy's C reader over the data lines of a file, with warnings as errors."""
+def _parse_lines(lines, width: int) -> np.ndarray:
+    """numpy's C reader over a file's data lines, with warnings as errors: a
+    ValueError unless every row has ``width`` cells and every value is finite."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # comments=None keeps a row such as "#3,4,1"; quoted cells read as csv reads them.
-        return np.loadtxt(_checked_lines(lines), delimiter=",", comments=None, quotechar='"', ndmin=2)
+        values = np.loadtxt(_checked_lines(lines), delimiter=",", comments=None, quotechar='"', ndmin=2)
+    if values.shape[1] != width or not np.all(np.isfinite(values)):
+        raise ValueError(f"a row without {width} cells, or a non-finite value")
+    return values
 
 
 def _recorded(lines, seen: list):
@@ -317,11 +321,11 @@ def _read_numeric(data) -> np.ndarray | None:
     """The rows below the header of the open regular file ``data``, read
     from its start, as numpy's C reader parses them, or None.
 
-    The header is the first non-blank row, as for :func:`_read_rows`. None
-    means the reader raised or warned (a file without data rows warns), a
-    row's cell count differs from the header's, or a value is non-finite:
-    only :func:`_read_rows` and :func:`_read_reals` then say what is wrong,
-    and where. Where it returns values, they are bit for bit those of
+    The header is the first non-blank row, as for :func:`_read_rows`, and
+    :func:`_parse_lines` checks every row against its width. None means that
+    a parse raised or warned (a file without data rows warns): only
+    :func:`_read_rows` and :func:`_read_reals` then say what is wrong, and
+    where. Where it returns values, they are bit for bit those of
     :func:`_read_reals`, also where :func:`_read_split` parses them.
     """
     try:
@@ -334,14 +338,10 @@ def _read_numeric(data) -> np.ndarray | None:
             start = len("".join(head).encode())
             workers = _worker_count(os.fstat(handle.fileno()).st_size - start)
             if workers < 2:
-                values = _parse_lines(handle)
-            else:
-                values = _read_split(handle.fileno(), start, workers)
+                return _parse_lines(handle, len(header))
+            return _read_split(handle.fileno(), start, workers, len(header))
     except (OSError, ValueError, Warning, csv.Error):
         return None
-    if values is None or values.shape[1] != len(header) or not np.all(np.isfinite(values)):
-        return None
-    return values
 
 
 def _worker_count(size: int) -> int:
@@ -360,19 +360,19 @@ def _worker_count(size: int) -> int:
 _ROW_START = re.compile(rb"[\r\n](?=[^\r\n])")
 
 
-def _read_split(fd: int, start: int, workers: int) -> np.ndarray | None:
+def _read_split(fd: int, start: int, workers: int, width: int) -> np.ndarray:
     """:func:`_parse_lines` over the bytes of an open file from ``start`` to
-    its end, in parallel.
+    its end, in parallel, each row of ``width`` cells.
 
     ``start`` follows the header, as its length in UTF-8 without the byte
     order mark. The bytes are cut into at most ``workers`` ranges, each
     beginning on a line with at least one character, so that none is
     without data rows. The cuts are found in a read-only map of the file,
     whose length is the end of the data; a file shortened while they are
-    searched can still raise SIGBUS. A forked child parses each range but
-    the last, and writes its shape and float64 values to its part; this
+    searched can still raise SIGBUS. A forked child parses and checks each
+    range but the last, and writes only its float64 rows to its part; this
     process parses the last range, and :func:`_received` puts the parts in
-    file order into one matrix. None if the parts' column counts differ; a
+    file order into one matrix. A ValueError if no range holds data; a
     ChildProcessError if a child failed.
     """
     with mmap.mmap(fd, 0, access=mmap.ACCESS_READ) as view:
@@ -384,10 +384,12 @@ def _read_split(fd: int, start: int, workers: int) -> np.ndarray | None:
             match.end() if (match := _ROW_START.search(view, target)) else stop
             for target in (start + (stop - start) * i // workers - 1 for i in range(workers))
         ]
-    jobs = [(fd, lo, hi) for lo, hi in zip(cuts, cuts[1:] + [stop]) if lo < hi]
+    jobs = [(fd, lo, hi, width) for lo, hi in zip(cuts, cuts[1:] + [stop]) if lo < hi]
     if not jobs:
-        return None  # no data rows: numpy's reader would warn
-    with _forked(jobs[:-1], _send_range, lambda: _parse_range(*jobs[-1])) as (last, parts):
+        raise ValueError("no data rows")
+    with _forked(
+        jobs[:-1], lambda *job: [_parse_range(*job)], lambda: _parse_range(*jobs[-1])
+    ) as (last, parts):
         return _received(last, parts)
 
 
@@ -398,7 +400,7 @@ def _forked(jobs, child, here):
     and the children's parts, in order, each at its start.
 
     A part is an unnamed temporary file made before the fork. A child writes
-    the buffers that ``child`` yields to its part as they come, and exits
+    the buffers of ``child(*job)`` to its part as they come, and exits
     with status 0 only if all were written. Every child is reaped before the
     parts are given, or a ChildProcessError raised if one failed, and every
     part is closed once the ``with`` block ends.
@@ -451,36 +453,25 @@ class _ByteRange(io.RawIOBase):
         return count
 
 
-def _parse_range(fd: int, start: int, stop: int) -> np.ndarray:
+def _parse_range(fd: int, start: int, stop: int, width: int) -> np.ndarray:
     """:func:`_parse_lines` over the bytes ``start..stop`` of an open file,
     read as a stream of strict UTF-8 with the line breaks that
     :func:`_read_numeric` reads.
     """
     stream = io.BufferedReader(_ByteRange(fd, start, stop))
     with io.TextIOWrapper(stream, encoding="utf-8", newline="") as lines:
-        return _parse_lines(lines)
+        return _parse_lines(lines, width)
 
 
-def _send_range(fd: int, start: int, stop: int):
-    """A range parsed, as the buffers :func:`_received` reads: shape, values."""
-    values = _parse_range(fd, start, stop)
-    return np.array(values.shape, dtype=np.int64), values
+def _received(last: np.ndarray, parts) -> np.ndarray:
+    """The rows the children wrote to ``parts``, then ``last``, as one matrix.
 
-
-def _received(last: np.ndarray, parts) -> np.ndarray | None:
-    """The matrices the children wrote to ``parts``, then ``last``, as the
-    rows of one matrix; None if the column counts differ.
-
-    Every child's shape is read first, so that the matrix is made once and
-    each child's values are read straight into its rows.
+    Every row has ``last``'s width, so a part's size gives its row count:
+    the matrix is made once, and each child's rows are read straight into it.
     """
-    shapes = np.empty((len(parts), 2), dtype=np.int64)
-    for part, shape in zip(parts, shapes):
-        part.readinto(shape)
-    if np.any(shapes[:, 1] != last.shape[1]):
-        return None
-    values = np.empty((int(shapes[:, 0].sum()) + len(last), last.shape[1]))
-    *blocks, own = np.split(values, np.cumsum(shapes[:, 0]))
+    counts = [os.fstat(part.fileno()).st_size // last[0].nbytes for part in parts]
+    values = np.empty((sum(counts) + len(last), last.shape[1]))
+    *blocks, own = np.split(values, np.cumsum(counts))
     for part, block in zip(parts, blocks):
         part.readinto(block)
     own[:] = last

@@ -198,10 +198,11 @@ class RecourseResult:
 
 
 def _project(v: np.ndarray, epsilon: float, mode: str) -> np.ndarray:
-    """:func:`project_ball` or :func:`normalize_sphere` of a float vector, by ``mode``.
+    """A float vector put on the radius-``epsilon`` L2 ball or sphere, by ``mode``.
 
-    Makes no copy: in ball mode a feasible ``v`` is returned as is. In both
-    modes any other is rescaled, and a finite norm rounding above ``epsilon`` shrunk.
+    Ball mode returns a feasible ``v`` as is, without a copy; sphere mode
+    gives zeros for a norm of at most ``_ZERO_NORM``. Any other ``v`` is
+    rescaled onto the sphere, and a finite norm rounding above ``epsilon`` shrunk.
     """
     norm = math.sqrt(v.dot(v))
     if mode == "ball" and norm <= epsilon:
@@ -212,16 +213,6 @@ def _project(v: np.ndarray, epsilon: float, mode: str) -> np.ndarray:
     while epsilon < (norm := math.sqrt(v.dot(v))) < math.inf:
         v *= min(_SHRINK, epsilon / norm)
     return v
-
-
-def project_ball(v: np.ndarray, epsilon: float) -> np.ndarray:
-    """Nearest point of the radius-epsilon L2 ball: rescale only if outside, to norm <= epsilon."""
-    return _project(np.array(v, dtype=float), epsilon, "ball")
-
-
-def normalize_sphere(v: np.ndarray, epsilon: float) -> np.ndarray:
-    """Rescale onto the radius-epsilon sphere, to norm <= epsilon; the zero vector stays zero."""
-    return _project(np.array(v, dtype=float), epsilon, "sphere")
 
 
 def _spg(x_q, goal, mu, delta, loss, grad, eps, mode, steps):

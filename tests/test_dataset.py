@@ -795,6 +795,66 @@ def test_split_read_equals_serial_read(tmp_path, monkeypatch, forks, name, worke
         assert bool(forks) == (name not in _ONE_RANGE)
 
 
+@st.composite
+def _small_embedding_files(draw):
+    """A file of 1 to 4 columns and 2 to 40 rows of reals, each line ended
+    by LF, CRLF or a lone CR, with blank lines and a byte order mark drawn,
+    and at most one fault: a short row, an unparsable cell or an infinity.
+    Gives the file's bytes and whether it holds a fault."""
+    width = draw(st.integers(1, 4))
+    reals = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    rows = draw(st.lists(st.lists(reals, min_size=width, max_size=width), min_size=2, max_size=40))
+    fault = draw(st.sampled_from([None, "short", "unparsable", "inf"]))
+    if fault:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        column = draw(st.integers(0, width - 1))
+        if fault == "short":
+            del row[column]
+        else:
+            row[column] = "1x" if fault == "unparsable" else "inf"
+    header = [f"e{j}" for j in range(width - 1)] + ["label"]
+    text = ""
+    for cells in [header] + rows:
+        text += draw(st.sampled_from(["", "\n", "\r\n"]))  # a blank line, or none
+        text += ",".join(cells) + draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return (bom + text).encode(), fault is not None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(file=_small_embedding_files(), workers=st.integers(2, 4))
+def test_split_read_equals_serial_read_on_drawn_files(tmp_path_factory, file, workers):
+    # Every range's widths and values are checked where it is parsed, in a
+    # child or in this process: a split read gives the serial read's bits,
+    # or None where the serial read does, and leaves no child or file behind.
+    content, faulty = file
+    path = tmp_path_factory.mktemp("split") / "x.csv"
+    path.write_bytes(content)
+    serial = _c_read(path)
+    assert faulty or serial is not None
+    fds = _open_fds()
+    with pytest.MonkeyPatch.context() as patch:
+        _split_forced(patch, workers)
+        split = _c_read(path)
+    assert (split is None) == (serial is None)
+    if serial is not None:
+        assert split.shape == serial.shape and split.tobytes() == serial.tobytes()
+    assert _open_fds() == fds
+    assert _no_children_left()
+
+
+def test_split_read_of_a_file_without_data_rows_forks_nothing(tmp_path, monkeypatch, forks):
+    # Every cut falls at the end of the file, so no range holds data.
+    path = tmp_path / "x.csv"
+    path.write_bytes(b"e0,label\n" + b"\n" * 64)
+    _split_forced(monkeypatch, 2)
+    assert _c_read(path) is None
+    assert not forks
+    with pytest.raises(DatasetError, match=f"^{re.escape(f'{path}: no rows')}$"):
+        load_embeddings(path)
+    assert not forks
+
+
 @pytest.mark.parametrize(
     "name, line", [("split-bad-cell", 2), ("split-separator", 2), ("split-not-utf8", 1502)]
 )
@@ -805,9 +865,9 @@ def test_split_read_names_a_bad_line_in_a_child_range(tmp_path, monkeypatch, for
     seen = []
     parse_range = dataset._parse_range
 
-    def recorded(p, start, stop):
+    def recorded(p, start, stop, width):
         seen.append((start, stop))
-        return parse_range(p, start, stop)
+        return parse_range(p, start, stop, width)
 
     monkeypatch.setattr(dataset, "_parse_range", recorded)
     assert _c_read(path) is None
@@ -827,10 +887,10 @@ def test_failed_split_worker_gives_the_cell_by_cell_answer(tmp_path, monkeypatch
     parent = os.getpid()
     parse_range = dataset._parse_range
 
-    def failing(p, start, stop):
+    def failing(p, start, stop, width):
         if (os.getpid() == parent) == (where == "parent"):
             raise ValueError("worker failed")
-        return parse_range(p, start, stop)
+        return parse_range(p, start, stop, width)
 
     _split_forced(monkeypatch, 3)
     monkeypatch.setattr(dataset, "_parse_range", failing)

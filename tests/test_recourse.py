@@ -39,10 +39,9 @@ from collective_recourse.recourse import (
     PerturbationMatrix,
     QuerySpec,
     SolverConfig,
+    _project,
     collective_recourse,
     individual_recourse,
-    normalize_sphere,
-    project_ball,
 )
 
 L_COLLINEAR = 0.9130152523999526  # log(1 + e^0.4), the symmetric-instance optimum
@@ -148,16 +147,16 @@ def test_out_of_range_goal_class_is_rejected_by_both_solvers(collinear_pair):
 
 
 def test_project_ball():
-    assert np.array_equal(project_ball(np.array([0.1, 0.0]), 1.0), [0.1, 0.0])
-    assert np.allclose(project_ball(np.array([3.0, 4.0]), 1.0), [0.6, 0.8], atol=1e-15)
-    assert np.array_equal(project_ball(np.zeros(2), 0.7), [0.0, 0.0])
+    assert np.array_equal(_project(np.array([0.1, 0.0]), 1.0, "ball"), [0.1, 0.0])
+    assert np.allclose(_project(np.array([3.0, 4.0]), 1.0, "ball"), [0.6, 0.8], atol=1e-15)
+    assert np.array_equal(_project(np.zeros(2), 0.7, "ball"), [0.0, 0.0])
 
 
 def test_normalize_sphere():
-    assert np.allclose(normalize_sphere(np.array([3.0, 4.0]), 1.0), [0.6, 0.8], atol=1e-15)
+    assert np.allclose(_project(np.array([3.0, 4.0]), 1.0, "sphere"), [0.6, 0.8], atol=1e-15)
     # unlike the ball projection, interior points are pushed out to the sphere
-    assert np.allclose(normalize_sphere(np.array([0.1, 0.0]), 1.0), [1.0, 0.0], atol=1e-15)
-    assert np.array_equal(normalize_sphere(np.zeros(2), 1.0), [0.0, 0.0])
+    assert np.allclose(_project(np.array([0.1, 0.0]), 1.0, "sphere"), [1.0, 0.0], atol=1e-15)
+    assert np.array_equal(_project(np.zeros(2), 1.0, "sphere"), [0.0, 0.0])
 
 
 @pytest.mark.parametrize("mode", ["ball", "sphere"])
@@ -194,8 +193,8 @@ _VECTORS = st.lists(st.floats(-1e100, 1e100), min_size=1, max_size=16).map(np.ar
 def test_projections_never_leave_the_budget(v, eps):
     # Rescaled by eps / norm alone, 38 326 of 198 306 seeded normal vectors
     # outside the ball (d 1 to 16) read above eps.
-    assert np.linalg.norm(project_ball(v, eps)) <= eps
-    assert np.linalg.norm(normalize_sphere(v, eps)) <= eps
+    assert np.linalg.norm(_project(np.array(v, dtype=float), eps, "ball")) <= eps
+    assert np.linalg.norm(_project(np.array(v, dtype=float), eps, "sphere")) <= eps
 
 
 def test_individual_zero_budget(collinear_pair):
@@ -308,7 +307,10 @@ def _reference_individual(query, theta, budget, cfg, extra_candidates=()):
     """The individual solver written with the public, argument-checking calls:
     one nll_loss and one grad_input evaluation per point."""
     x_q, goal, eps, mode = query.features, query.goal_class, budget.epsilon, cfg.projection_mode
-    project = project_ball if mode == "ball" else normalize_sphere
+
+    def project(v, eps):
+        return _project(np.array(v, dtype=float), eps, mode)
+
     trace, points = [], []
 
     def evaluate(delta):
