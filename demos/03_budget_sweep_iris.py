@@ -26,7 +26,7 @@ OUT = Path(__file__).resolve().parent / "output"
 # 1. Fit and place the query a quarter of the way from class 1 to 2.
 batch = load_csv(ROOT / "data" / "iris.csv", label_column="species")
 theta = fit(batch)
-query = make_query(theta, class_a=1, class_b=2, alpha=0.25)
+query = make_query(theta, goal_class=1, base_class=2, alpha=0.25)
 
 # 2. Sweep eps = 0, 0.1, ..., 1.0. Each budget warm-starts from the
 #    previous solution, so the curves are monotone non-increasing.

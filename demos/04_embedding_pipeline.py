@@ -47,7 +47,7 @@ print(f"training accuracy: {training_accuracy(batch, theta):.4f}")
 
 # 3. Query between classes 0 and 1, biased toward the class-1 side so the
 #    base prediction needs flipping.
-query = make_query(theta, class_a=0, class_b=1, alpha=0.25)
+query = make_query(theta, goal_class=0, base_class=1, alpha=0.25)
 for key, value in describe_query(theta, query).items():
     print(f"  {key} = {value}")
 

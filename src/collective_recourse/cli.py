@@ -30,14 +30,7 @@ from .harness import (
     write_report_csv,
 )
 from .model import fit, training_accuracy
-from .recourse import (
-    _INITS,
-    _MODES,
-    EpsilonBudget,
-    SolverConfig,
-    collective_recourse,
-    individual_recourse,
-)
+from .recourse import _MODES, EpsilonBudget, SolverConfig, collective_recourse, individual_recourse
 
 # The snap of a grid's last point to its stop, relative to the stop.
 _GRID_SNAP = 1e-12
@@ -104,12 +97,13 @@ def _parse_feature_list(text: str) -> list[str]:
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     """The solver flags, with the defaults of :class:`SolverConfig`."""
     defaults = SolverConfig()
+    parser.add_argument("--steps", type=int, default=defaults.steps, help="iteration cap per search")
     parser.add_argument(
-        "--steps", type=int, default=defaults.steps, help="iteration cap of the individual solver"
+        "--mode",
+        choices=_MODES,
+        default=defaults.projection_mode,
+        help="ball: perturbation norms up to the budget; sphere: 0 or the budget",
     )
-    parser.add_argument("--mode", choices=_MODES, default=defaults.projection_mode)
-    parser.add_argument("--init", choices=_INITS, default=defaults.init)
-    parser.add_argument("--seed", type=int, default=defaults.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,9 +268,7 @@ def _validate_flags(args) -> None:
     if args.command != "fit":
         check_query_args(args.goal_class, args.base_class, args.alpha)
     if args.command in ("recourse", "sweep"):
-        args.cfg = SolverConfig(
-            steps=args.steps, projection_mode=args.mode, init=args.init, seed=args.seed
-        )
+        args.cfg = SolverConfig(steps=args.steps, projection_mode=args.mode)
     if args.command == "recourse":
         args.budget = EpsilonBudget(args.epsilon)
     if args.command == "sweep":

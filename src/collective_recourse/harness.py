@@ -72,26 +72,26 @@ def standardize_features(batch: LabeledBatch) -> LabeledBatch:
     return LabeledBatch(features, batch.labels, batch.num_classes)
 
 
-def check_query_args(class_a: int, class_b: int, alpha: float) -> None:
+def check_query_args(goal_class: int, base_class: int, alpha: float) -> None:
     """Reject a class pair or weight that no dataset makes valid for :func:`make_query`."""
-    if class_a == class_b:
-        raise ValueError("class_a and class_b must differ")
+    if goal_class == base_class:
+        raise ValueError("goal class and base class must differ")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
 
 
-def make_query(theta: Centroids, class_a: int, class_b: int, alpha: float) -> QuerySpec:
-    """Query point interpolated between two centroids, goal set to class_a.
+def make_query(theta: Centroids, goal_class: int, base_class: int, alpha: float) -> QuerySpec:
+    """Query point interpolated between two centroids, asking for the goal class.
 
-    ``x_q = alpha * mu_a + (1 - alpha) * mu_b``; small alpha places the query
-    deep inside class_b's region while asking for class_a, so reaching the
-    goal requires flipping the prediction.
+    ``x_q = alpha * mu_goal + (1 - alpha) * mu_base``; small alpha places the
+    query deep inside the base class's region while asking for the goal
+    class, so reaching the goal requires flipping the prediction.
     """
-    class_a = _check_target(class_a, theta.num_classes, "class_a")
-    class_b = _check_target(class_b, theta.num_classes, "class_b")
-    check_query_args(class_a, class_b, alpha)
-    x_q = alpha * theta.mu[class_a] + (1.0 - alpha) * theta.mu[class_b]
-    return QuerySpec(features=x_q, goal_class=class_a)
+    goal_class = _check_target(goal_class, theta.num_classes, "goal class")
+    base_class = _check_target(base_class, theta.num_classes, "base class")
+    check_query_args(goal_class, base_class, alpha)
+    x_q = alpha * theta.mu[goal_class] + (1.0 - alpha) * theta.mu[base_class]
+    return QuerySpec(features=x_q, goal_class=goal_class)
 
 
 def sweep_epsilon(

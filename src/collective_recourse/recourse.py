@@ -11,7 +11,9 @@ Two ways to lower the model's loss on a query point for a desired class:
 
 The individual solver runs the spectral projected gradient method to
 convergence from the best of a few candidate points, one of them the step
-toward the goal centroid, and reports the best point it evaluated. Each
+toward the goal centroid, in sphere mode a second time from the best of
+the points the budget away along the centroid offsets' orthonormal frame,
+and reports the best point it evaluated. Each
 evaluation is one query-to-centroid distance computation, which gives the
 loss, the gradient and the class probabilities there. The collective problem
 splits into one small problem per class and is solved exactly in closed
@@ -43,9 +45,8 @@ from .model import (
 )
 
 _ZERO_NORM = 1e-12
-# What SolverConfig takes, and the CLI offers, as projection_mode and init.
+# What SolverConfig takes, and the CLI offers, as projection_mode.
 _MODES = ("ball", "sphere")
-_INITS = ("zero", "random")
 # Rounding can leave a vector rescaled to norm eps just above eps. Scaled by
 # min(_SHRINK, eps / norm), each nonzero normal float moves at least half an
 # ulp toward zero, so the norm falls to eps or below within a few steps.
@@ -146,32 +147,29 @@ class PerturbationMatrix:
 class SolverConfig:
     """Solver settings.
 
-    ``projection_mode`` applies to both solvers. ``steps``, ``init`` and
-    ``seed`` drive the individual solver only; the collective solver is
-    exact and ignores them. ``steps`` caps the individual solver's
-    iterations. ``init="random"`` adds a seeded random point to the
-    candidates it starts from.
+    ``projection_mode`` applies to both solvers. ``steps`` caps each search
+    of the individual solver; the collective solver is exact and ignores it.
+    The individual solver derives its starts from its inputs, so no start
+    or seed can be set.
     """
 
     steps: int = 500
     projection_mode: str = "ball"
-    init: str = "zero"
-    seed: int = 0
+    # Not a field, so no constructor argument: the one start rule, kept only
+    # for bench/tracer.py, whose _solver_counts reads cfg.init under
+    # --trace 1. ROADMAP item 1b deletes it together with that read.
+    init = "zero"
 
     def __post_init__(self):
-        for name in ("steps", "seed"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        try:
+            object.__setattr__(self, "steps", operator.index(self.steps))
+        except TypeError:
+            raise ValueError(f"steps must be an integer, got {self.steps!r}") from None
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
-        for name, allowed in (("projection_mode", _MODES), ("init", _INITS)):
-            if (value := getattr(self, name)) not in allowed:
-                raise ValueError(f"{name} must be {' or '.join(map(repr, allowed))}, got {value!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if self.projection_mode not in _MODES:
+            allowed = " or ".join(map(repr, _MODES))
+            raise ValueError(f"projection_mode must be {allowed}, got {self.projection_mode!r}")
 
 
 @dataclass
@@ -180,14 +178,14 @@ class RecourseResult:
 
     ``loss_trace`` starts with the unperturbed baseline loss. For individual
     recourse it continues with one entry per extra candidate, one for the
-    random start if any, and then one per further evaluation (the step
-    toward the goal centroid first, then each point the iterations try),
-    and ``achieved_loss`` is its minimum. For collective recourse it is exactly
-    ``[baseline, achieved_loss]``. ``perturbation`` is the query's own
-    d-vector for individual recourse and a :class:`PerturbationMatrix` of
-    class moves for collective recourse. ``post_centroids`` equals
-    the base centroids for individual recourse and the refit centroids under
-    the best perturbation for collective recourse.
+    step toward the goal centroid and one per point the first search
+    evaluates; in sphere mode at a positive budget one per centroid-frame
+    start and one per point the second search evaluates follow. ``achieved_loss`` is its minimum.
+    For collective recourse it is exactly ``[baseline, achieved_loss]``.
+    ``perturbation`` is the query's own d-vector for individual recourse and
+    a :class:`PerturbationMatrix` of class moves for collective recourse.
+    ``post_centroids`` equals the base centroids for individual recourse and
+    the refit centroids under the best perturbation for collective recourse.
     """
 
     perturbation: np.ndarray | PerturbationMatrix
@@ -216,8 +214,8 @@ def _project(v: np.ndarray, epsilon: float, mode: str) -> np.ndarray:
 
 
 def _spg(x_q, goal, mu, delta, loss, grad, eps, mode, steps):
-    """Yield each point the spectral projected gradient method evaluates, with
-    its loss and class probabilities.
+    """Yield the loss, the point and the class probabilities of each point the
+    spectral projected gradient method evaluates.
 
     Starts from the feasible ``delta`` with the given loss and gradient. Each
     iteration evaluates a projected Barzilai-Borwein step, then halves the way
@@ -238,7 +236,7 @@ def _spg(x_q, goal, mu, delta, loss, grad, eps, mode, steps):
             if alpha < 1.0:
                 trial = _project(delta + alpha * direction, eps, mode)
             loss, trial_grad, probs, _, _ = _evaluate(x_q + trial, mu, goal)
-            yield trial, loss, probs
+            yield loss, trial, probs
             s = trial - delta
             if loss <= ceiling + _ARMIJO * float(grad.dot(s)):
                 break
@@ -267,15 +265,20 @@ def individual_recourse(
     Evaluates these candidates in turn: delta = 0, each of
     ``extra_candidates`` (for example the answer under a smaller budget,
     which is what makes loss-versus-budget sweeps monotone; each must be a
-    finite vector of the query's dimension) projected onto the budget, the
-    seeded random point when ``cfg.init`` is ``"random"``, and the step
-    toward the goal centroid. From the best of them it runs the
+    finite vector of the query's dimension) projected onto the budget, and
+    the step toward the goal centroid. From the best of them it runs the
     spectral projected gradient method (Birgin, Martinez & Raydan, SIAM J.
     Optim. 2000) for at most ``cfg.steps`` iterations; in sphere mode it
     starts from the best candidate on the sphere, since delta = 0 is an
-    isolated point there. Every evaluated point is feasible, by the norm
-    ``np.linalg.norm`` reports, and the returned perturbation is the best
-    of them (the first, on a tie), so the achieved loss never exceeds the baseline.
+    isolated point there. The method is local, and the sphere holds several
+    local minima, so at a positive budget sphere mode then runs a second
+    search of at most ``cfg.steps`` iterations from the best of the 2m points
+    +-eps * q_i (each +-q_i projected onto the sphere), where q_1..q_m are the
+    columns of the reduced QR factor of the centroid offsets (mu - x_q)^T and
+    m = min(d, k).
+    Every evaluated point is feasible, by the norm ``np.linalg.norm``
+    reports, and the returned perturbation is the best of them (the first,
+    on a tie), so the achieved loss never exceeds the baseline.
 
     The loss is lowest at the goal centroid: by the triangle inequality each
     other centroid is at most its distance to the goal centroid farther
@@ -305,30 +308,34 @@ def _individual(x_q, theta, answer, budget, cfg, extra_candidates):
     mu, eps, mode = theta.mu, budget.epsilon, cfg.projection_mode
     to_goal = mu[goal] - x_q
     reaches_goal = mode == "ball" and math.sqrt(to_goal.dot(to_goal)) <= eps
-    trace = []
-    best_loss = start_loss = math.inf
+    evaluated = []
     # Past a norm of about 1e154 squared norms overflow: such a point
     # evaluates to inf or NaN, and so never wins or passes the Armijo test.
     with np.errstate(over="ignore", invalid="ignore"):
-        starts = [np.zeros(x_q.shape)]
-        starts += [_project(candidate, eps, mode) for candidate in candidates]
-        if cfg.init == "random":
-            noise = np.random.default_rng(cfg.seed).standard_normal(x_q.shape)
-            starts.append(_project(noise * eps, eps, mode))
-        # Without this step the iterates stall at the kink on the goal centroid.
-        starts.append(_project(to_goal, eps, mode))
-        at_starts = [answer[1:4]] + [_evaluate(x_q + d, mu, goal)[:3] for d in starts[1:]]
-        for delta, (loss, grad, probs) in zip(starts, at_starts):
-            trace.append(loss)
+        zero = np.zeros(x_q.shape)
+        # Without the goal step the iterates stall at the kink on the goal centroid.
+        first = [zero, *(_project(c, eps, mode) for c in candidates), _project(to_goal, eps, mode)]
+        rounds = [first]
+        if mode == "sphere" and eps > 0:
+            # A second search, from the centroid frame: on the sphere the
+            # first one can settle in a worse local minimum.
+            frame = np.linalg.qr((mu - x_q).T)[0].T
+            rounds.append([_project(sign * q, eps, mode) for q in frame for sign in (1.0, -1.0)])
+        for starts in rounds:
+            start_loss = math.inf
+            for delta in starts:
+                loss, grad, probs = (
+                    answer[1:4] if delta is zero else _evaluate(x_q + delta, mu, goal)[:3]
+                )
+                evaluated.append((loss, delta, probs))
+                if loss < start_loss and (mode == "ball" or delta.any()):
+                    start_loss, start = loss, (delta, loss, grad)
+            if start_loss < math.inf and not reaches_goal:
+                evaluated.extend(_spg(x_q, goal, mu, *start, eps, mode, cfg.steps))
+        best_loss = math.inf
+        for loss, delta, probs in evaluated:
             if loss < best_loss:
                 best_loss, best_delta, best_probs = loss, delta, probs
-            if loss < start_loss and (mode == "ball" or delta.any()):
-                start_loss, start = loss, (delta, loss, grad)
-        if start_loss < math.inf and not reaches_goal:
-            for delta, loss, probs in _spg(x_q, goal, mu, *start, eps, mode, cfg.steps):
-                trace.append(loss)
-                if loss < best_loss:
-                    best_loss, best_delta, best_probs = loss, delta, probs
         # The winner is the query or has a finite loss, so its probabilities
         # are finite (a centroid at an overflowing distance gets 0).
         flipped = int(best_probs.argmax()) == goal
@@ -337,7 +344,7 @@ def _individual(x_q, theta, answer, budget, cfg, extra_candidates):
         perturbation=best_delta,
         achieved_loss=best_loss,
         flipped=flipped,
-        loss_trace=np.asarray(trace),
+        loss_trace=np.array([loss for loss, _, _ in evaluated]),
         post_centroids=theta,
     )
 

@@ -73,7 +73,7 @@ def test_criterion_1_training_accuracy(iris_batch, verdict):
 def test_criterion_2_collective_dominates_individual(iris_batch, verdict):
     t0 = time.perf_counter()
     theta = fit(iris_batch)
-    query = make_query(theta, class_a=1, class_b=2, alpha=0.25)
+    query = make_query(theta, goal_class=1, base_class=2, alpha=0.25)
     report = sweep_epsilon(theta, query, _tenths_grid())
     runtime = time.perf_counter() - t0
     everywhere, strict = _dominance(report)
@@ -252,7 +252,7 @@ def test_criterion_8_cli_outputs_are_deterministic(iris_path, tmp_path, verdict)
             sys.executable, "-m", "collective_recourse", "sweep",
             "--data", str(iris_path), "--label-col", "species",
             "--goal-class", "1", "--base-class", "2",
-            "--eps-grid", "0:0.4:0.2", "--init", "random", "--seed", "3",
+            "--eps-grid", "0:0.4:0.2", "--mode", "sphere",
             "--out", str(csv_path), "--plot", str(svg_path),
         ]
         proc = subprocess.run(cmd, capture_output=True, text=True)

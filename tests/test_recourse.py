@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -114,27 +115,28 @@ def test_solver_config_validation():
         SolverConfig(steps=0)
     with pytest.raises(ValueError):
         SolverConfig(projection_mode="cube")
-    with pytest.raises(ValueError):
-        SolverConfig(init="ones")
+    assert [f.name for f in fields(SolverConfig)] == ["steps", "projection_mode"]
 
 
 @pytest.mark.parametrize("init", ["zero", "random"])
 def test_solver_config_rejects_infinite_step_and_negative_seed(init):
-    # No step size can be set at all: the solver picks its own step lengths.
+    # No step size, start or seed can be set at all: the solver picks its
+    # own step lengths and derives its starts from its inputs.
     for step_size in (math.inf, 0.5):
         with pytest.raises(TypeError, match="step_size"):
-            SolverConfig(step_size=step_size, init=init)
-    with pytest.raises(ValueError, match="seed must be nonnegative"):
-        SolverConfig(seed=-1, init=init)
+            SolverConfig(step_size=step_size)
+    with pytest.raises(TypeError, match="init"):
+        SolverConfig(init=init)
+    with pytest.raises(TypeError, match="seed"):
+        SolverConfig(seed=-1)
 
 
 def test_solver_config_rejects_non_integral_steps_and_seed():
     with pytest.raises(ValueError, match=r"^steps must be an integer, got 2\.5$"):
         SolverConfig(steps=2.5)
-    with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.5$"):
-        SolverConfig(init="random", seed=1.5)
-    cfg = SolverConfig(steps=np.int64(3), seed=np.int64(2))
-    assert (type(cfg.steps), type(cfg.seed)) == (int, int)
+    with pytest.raises(TypeError, match="seed"):
+        SolverConfig(seed=1.5)
+    assert type(SolverConfig(steps=np.int64(3)).steps) is int
 
 
 def test_out_of_range_goal_class_is_rejected_by_both_solvers(collinear_pair):
@@ -246,7 +248,7 @@ def test_individual_sphere_mode(collinear_pair):
 def test_individual_deterministic(collinear_pair):
     batch, query = collinear_pair
     theta = fit(batch)
-    cfg = SolverConfig(init="random", seed=123)
+    cfg = SolverConfig(projection_mode="sphere")
     a = individual_recourse(query, theta, EpsilonBudget(0.4), cfg)
     b = individual_recourse(query, theta, EpsilonBudget(0.4), cfg)
     assert np.array_equal(a.perturbation, b.perturbation)
@@ -318,18 +320,22 @@ def _reference_individual(query, theta, budget, cfg, extra_candidates=()):
         points.append(delta)
         return trace[-1], grad_input(x_q + delta, goal, theta)
 
-    starts = [np.zeros_like(x_q)] + [project(c, eps) for c in extra_candidates]
-    if cfg.init == "random":
-        noise = np.random.default_rng(cfg.seed).standard_normal(x_q.shape)
-        starts.append(project(noise * eps, eps))
     to_goal = theta.mu[goal] - x_q
-    starts.append(project(to_goal, eps))
-    start = None
-    for delta in starts:
-        loss, grad = evaluate(delta)
-        if (mode == "ball" or delta.any()) and (start is None or loss < start[1]):
-            start = delta, loss, grad
-    if start is not None and not (mode == "ball" and np.linalg.norm(to_goal) <= eps):
+    rounds = [[np.zeros_like(x_q)] + [project(c, eps) for c in extra_candidates]]
+    rounds[0].append(project(to_goal, eps))
+    if mode == "sphere":
+        # The second search's starts: +-eps along each column of the reduced
+        # QR factor of the centroid offsets.
+        q = np.linalg.qr((theta.mu - x_q).T, mode="reduced")[0]
+        rounds.append([project(sign * q[:, i], eps) for i in range(q.shape[1]) for sign in (1, -1)])
+    for starts in rounds:
+        start = None
+        for delta in starts:
+            loss, grad = evaluate(delta)
+            if (mode == "ball" or delta.any()) and (start is None or loss < start[1]):
+                start = delta, loss, grad
+        if start is None or (mode == "ball" and np.linalg.norm(to_goal) <= eps):
+            continue
         delta, loss, grad = start
         recent = [loss]
         lam = min(1e30, eps / max(np.linalg.norm(grad), 1e-12))
@@ -352,14 +358,58 @@ def _reference_individual(query, theta, budget, cfg, extra_candidates=()):
             lam = min(1e30, max(1e-30, s.dot(s) / s.dot(y))) if s.dot(y) > 0 else 1e30
             delta, grad = trial, trial_grad
             recent.append(loss)
+            if recent[-10:].count(loss) == 10:
+                break
     best = int(np.argmin(trace))
     return np.asarray(trace), points[best], predict(x_q + points[best], theta) == goal
 
 
+def _random_start(start, dim, eps, seed):
+    """No candidate for ``start == "zero"``; for ``"random"``, one seeded random
+    point on the budget sphere, which a caller may pass as an extra candidate."""
+    if start == "zero":
+        return ()
+    with np.errstate(over="ignore"):  # the norm of a point of norm 1e308 overflows
+        return (_project(np.random.default_rng(seed).standard_normal(dim), eps, "sphere"),)
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """A list that gets, for each search the individual solver runs, the list
+    of the losses that search evaluates."""
+    searches, spg = [], recourse._spg
+
+    def recorded(*args):
+        searches.append([])
+        for point in spg(*args):
+            searches[-1].append(point[0])
+            yield point
+
+    monkeypatch.setattr(recourse, "_spg", recorded)
+    return searches
+
+
+def _rounds(trace, starts, searches):
+    """``trace`` cut into its rounds, each a pair (starts, search) of bytes.
+
+    ``starts`` holds each round's number of starts and ``searches`` the
+    losses of each search run; a round with no search has to be the last.
+    """
+    rounds, at = [], 0
+    for count, search in itertools.zip_longest(starts, searches, fillvalue=()):
+        search = np.asarray(search, dtype=float).tobytes()
+        end = at + count + len(search) // 8
+        assert trace[at + count : end].tobytes() == search
+        rounds.append((trace[at : at + count].tobytes(), search))
+        at = end
+    assert at == len(trace)
+    return rounds
+
+
 @pytest.mark.parametrize("data", ["iris", "embeddings"])
 @pytest.mark.parametrize("mode", ["ball", "sphere"])
-@pytest.mark.parametrize("init", ["zero", "random"])
-def test_individual_matches_per_step_reference_bitwise(iris_batch, embeddings_path, data, mode, init):
+@pytest.mark.parametrize("start", ["zero", "random"])
+def test_individual_matches_per_step_reference_bitwise(iris_batch, embeddings_path, data, mode, start):
     batch = iris_batch if data == "iris" else load_embeddings(embeddings_path)
     theta = fit(batch)
     # Misclassified rows, asking for their own label, plus a row asking for another class.
@@ -370,18 +420,18 @@ def test_individual_matches_per_step_reference_bitwise(iris_batch, embeddings_pa
         warm = None
         # Each larger budget is warm-started from the previous answer and from
         # an infeasible candidate, which must be projected; the last budget
-        # runs one iteration.
+        # runs one iteration per search.
         for eps, steps in ((0.3, 500), (1.0, 500), (1.5, 1)):
             budget = EpsilonBudget(eps)
-            cfg = SolverConfig(steps=steps, projection_mode=mode, init=init, seed=7)
-            cands = () if warm is None else (warm, np.full(batch.dim, 3.0))
+            cfg = SolverConfig(steps=steps, projection_mode=mode)
+            cands = _random_start(start, batch.dim, eps, 7)
+            cands += () if warm is None else (warm, np.full(batch.dim, 3.0))
             res = individual_recourse(query, theta, budget, cfg, extra_candidates=cands)
             trace, delta, flipped = _reference_individual(query, theta, budget, cfg, cands)
             assert res.loss_trace.tobytes() == trace.tobytes()
             assert res.perturbation.tobytes() == delta.tobytes()
             assert res.flipped == flipped
             warm = res.perturbation
-
 
 
 class _PreviousStop(float):
@@ -392,11 +442,15 @@ class _PreviousStop(float):
         return float(self) * max(1.0, eps)
 
 
-def test_individual_stop_rule_saves_evaluations_without_losing_loss(embeddings_path, monkeypatch):
+def test_individual_stop_rule_saves_evaluations_without_losing_loss(
+    embeddings_path, monkeypatch, searches
+):
     # A budget-relative step tolerance stops earlier on the same iterates:
-    # one trace is a prefix of the other, and the loss it gives up is rounding.
+    # the starts are the same, one of each two searches is a prefix of the
+    # other, and the loss it gives up is rounding.
     batch = load_embeddings(embeddings_path)
     theta = fit(batch)
+    frame = 2 * min(theta.dim, theta.num_classes)
     rows = np.flatnonzero(distances(batch.features, theta).argmin(axis=1) != batch.labels)
     cases = [
         (QuerySpec(batch.features[r], batch.labels[r]), eps, SolverConfig(projection_mode=m))
@@ -406,33 +460,46 @@ def test_individual_stop_rule_saves_evaluations_without_losing_loss(embeddings_p
     ]
 
     def solve_all():
-        return [individual_recourse(q, theta, EpsilonBudget(e), cfg) for q, e, cfg in cases]
+        solved = []
+        for q, e, cfg in cases:
+            del searches[:]
+            res = individual_recourse(q, theta, EpsilonBudget(e), cfg)
+            starts = [2] if cfg.projection_mode == "ball" else [2, frame]
+            solved.append((res, _rounds(res.loss_trace, starts, searches)))
+        return solved
 
     shipped = solve_all()
     monkeypatch.setattr(recourse, "_STOP", _PreviousStop(1e-13))
     previous = solve_all()
-    for new, old in zip(shipped, previous):
-        short, long = sorted((new.loss_trace.tobytes(), old.loss_trace.tobytes()), key=len)
-        assert long.startswith(short)
+    for (new, new_rounds), (old, old_rounds) in zip(shipped, previous):
+        assert len(new_rounds) == len(old_rounds)
+        for (starts, search), (old_starts, old_search) in zip(new_rounds, old_rounds):
+            assert starts == old_starts
+            short, long = sorted((search, old_search), key=len)
+            assert long.startswith(short)
         assert abs(new.achieved_loss - old.achieved_loss) <= 1e-14
         assert new.flipped == old.flipped
-    evaluations = [sum(len(r.loss_trace) for r in results) for results in (shipped, previous)]
+    evaluations = [sum(len(r.loss_trace) for r, _ in results) for results in (shipped, previous)]
     assert evaluations[0] < evaluations[1]
 
 
 @pytest.mark.parametrize("mode", ["ball", "sphere"])
-@pytest.mark.parametrize("init", ["zero", "random"])
-def test_individual_huge_budget_stays_finite(iris_batch, mode, init):
+@pytest.mark.parametrize("start", ["zero", "random"])
+def test_individual_huge_budget_stays_finite(iris_batch, mode, start):
     # Squared norms overflow past about 1e154, so points that far out
     # evaluate to inf or NaN; they must be passed over, without a warning.
     theta = fit(iris_batch)
     query = make_query(theta, 1, 2, 0.25)
-    cfg = SolverConfig(projection_mode=mode, init=init, seed=3)
+    cfg = SolverConfig(projection_mode=mode)
     baseline = nll_loss(query.features, 1, theta)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        moderate = individual_recourse(query, theta, EpsilonBudget(1e6), cfg)
-        huge = individual_recourse(query, theta, EpsilonBudget(1e308), cfg)
+        moderate, huge = (
+            individual_recourse(
+                query, theta, EpsilonBudget(eps), cfg, _random_start(start, theta.dim, eps, 3)
+            )
+            for eps in (1e6, 1e308)
+        )
     assert math.isfinite(huge.achieved_loss)
     assert huge.achieved_loss <= baseline
     assert np.all(np.isfinite(huge.perturbation))
@@ -501,8 +568,8 @@ def test_flipped_matches_public_predict(embeddings_path, mode):
 
 
 @pytest.mark.parametrize("mode", ["ball", "sphere"])
-@pytest.mark.parametrize("init", ["zero", "random"])
-def test_each_point_is_evaluated_once(embeddings_path, count_calls, mode, init):
+@pytest.mark.parametrize("start", ["zero", "random"])
+def test_each_point_is_evaluated_once(embeddings_path, count_calls, mode, start):
     # The query is checked and answered from one evaluation, every further
     # trace entry is one evaluation, and flipped reads the winner's. The
     # collective solver evaluates the query once per model, fitted and refit.
@@ -511,10 +578,11 @@ def test_each_point_is_evaluated_once(embeddings_path, count_calls, mode, init):
     theta = fit(batch)
     row = np.flatnonzero(distances(batch.features, theta).argmin(axis=1) != batch.labels)[0]
     query = QuerySpec(batch.features[row], batch.labels[row])
-    cfg = SolverConfig(projection_mode=mode, init=init, seed=3)
+    cfg = SolverConfig(projection_mode=mode)
     warm = individual_recourse(query, theta, EpsilonBudget(0.3), cfg).perturbation
     calls = count_calls("_evaluate")
-    for budget, candidates in ((EpsilonBudget(0.3), ()), (EpsilonBudget(1.0), (warm,))):
+    for eps, warm_start in ((0.3, ()), (1.0, (warm,))):
+        budget, candidates = EpsilonBudget(eps), _random_start(start, theta.dim, eps, 3) + warm_start
         del calls[:]
         res = individual_recourse(query, theta, budget, cfg, extra_candidates=candidates)
         assert len(res.loss_trace) > 2 + len(candidates)
@@ -542,16 +610,17 @@ def test_each_point_is_evaluated_once(embeddings_path, count_calls, mode, init):
         ("iris", 1e-20, None),
         ("iris", 3e-16, None),
         ("embeddings", 1e-160, None),
-        # Above rounding the losses move, and the search runs as before.
+        # Above rounding the losses move, and the first round (2 starts and
+        # its search) runs as before the frame search was added.
         ("iris", 1e-15, 28),
     ],
 )
 def test_sphere_solve_below_rounding_stops_early(
-    iris_batch, embeddings_path, count_calls, data, eps, evaluations
+    iris_batch, embeddings_path, count_calls, searches, data, eps, evaluations
 ):
     # Below rounding every sphere point has the baseline loss, so every
-    # trial passes the Armijo test while each step stays about eps long: the
-    # search stops on a run of equal accepted losses, not at the steps cap.
+    # trial passes the Armijo test while each step stays about eps long:
+    # each search stops on a run of equal accepted losses, not at the steps cap.
     if data == "iris":
         theta = fit(iris_batch)
         query = make_query(theta, 1, 2, 0.25)
@@ -564,18 +633,22 @@ def test_sphere_solve_below_rounding_stops_early(
         query, theta, EpsilonBudget(eps), SolverConfig(projection_mode="sphere")
     )
     assert len(calls) == len(res.loss_trace)
+    rounds = [2 + len(searches[0]), 2 * min(theta.dim, theta.num_classes) + len(searches[1])]
+    assert sum(rounds) == len(calls)
     if evaluations is None:
-        assert len(calls) <= 20
+        # 18 points for each search: 20 evaluations less the 2 first-round starts.
+        assert all(len(search) <= 18 for search in searches)
         assert res.achieved_loss == baseline and not res.flipped
     else:
-        assert len(calls) == evaluations
+        # Then the second round: 6 frame starts and a search of 26 points.
+        assert rounds == [evaluations, 6 + 26]
         assert res.achieved_loss < baseline
 
 
-def test_random_start_finds_the_sphere_minimum_the_zero_start_misses(iris_path):
+def test_frame_search_finds_the_sphere_minimum_the_first_search_misses(iris_path, searches):
     # On a circle (d = 2, k = 3) the sphere-mode problem has two local
-    # minima. From the zero start the search settles in the worse one, a
-    # seeded random start reaches the circle's minimum and flips the query.
+    # minima. The first search settles in the worse one; the second, from
+    # the centroid frame, reaches the circle's minimum and flips the query.
     batch = load_csv(iris_path, "species", ["sepal_length", "sepal_width"])
     theta = fit(batch)
     x_q = np.array([4.9, 2.4])  # a training row of class 1, predicted 0
@@ -584,12 +657,31 @@ def test_random_start_finds_the_sphere_minimum_the_zero_start_misses(iris_path):
     angles = np.linspace(0.0, 2.0 * np.pi, 400_001)
     circle = x_q + 2.0 * np.column_stack([np.cos(angles), np.sin(angles)])
     grid = nll_from_distances(distances(circle, theta), 1).min()
-    zero = individual_recourse(query, theta, budget, SolverConfig(projection_mode="sphere"))
-    seeded = individual_recourse(
-        query, theta, budget, SolverConfig(projection_mode="sphere", init="random", seed=0)
-    )
-    assert abs(seeded.achieved_loss - grid) <= 1e-9 and seeded.flipped
-    assert zero.achieved_loss > grid + 0.1 and not zero.flipped
+    res = individual_recourse(query, theta, budget, SolverConfig(projection_mode="sphere"))
+    assert abs(res.achieved_loss - grid) <= 1e-9 and res.flipped
+    first = res.loss_trace[: 2 + len(searches[0])]
+    assert first.min() > grid + 0.1
+
+
+def test_frame_search_is_never_beaten_by_a_random_start(embeddings_path):
+    # 2m = 20 frame starts in d = 10 with k = 10. A seeded random point,
+    # passed as an extra candidate, never leads to a lower loss.
+    batch = load_embeddings(embeddings_path)
+    theta = fit(batch)
+    rows = np.flatnonzero(distances(batch.features, theta).argmin(axis=1) != batch.labels)
+    cfg = SolverConfig(projection_mode="sphere")
+    for r in rows:
+        query = QuerySpec(batch.features[r], batch.labels[r])
+        for eps in (0.1, 1.0, 3.0):
+            budget = EpsilonBudget(eps)
+            default = individual_recourse(query, theta, budget, cfg).achieved_loss
+            seeded = min(
+                individual_recourse(
+                    query, theta, budget, cfg, (rng.standard_normal(theta.dim) * eps,)
+                ).achieved_loss
+                for rng in map(np.random.default_rng, range(5))
+            )
+            assert default <= seeded + 1e-12
 
 
 @pytest.mark.parametrize("mode", ["ball", "sphere"])
@@ -636,30 +728,39 @@ def test_individual_sphere_search_runs_on_the_sphere(eps):
 
 
 @pytest.mark.parametrize("mode", ["ball", "sphere"])
-@pytest.mark.parametrize("init", ["zero", "random"])
-def test_individual_zero_budget_is_exactly_zero(three_blob_pair, mode, init):
+@pytest.mark.parametrize("start", ["zero", "random"])
+def test_individual_zero_budget_is_exactly_zero(three_blob_pair, mode, start):
     batch, query = three_blob_pair
     theta = fit(batch)
-    cfg = SolverConfig(projection_mode=mode, init=init, seed=5)
-    res = individual_recourse(
-        query, theta, EpsilonBudget(0.0), cfg, extra_candidates=(np.array([-3.0, 1.0]),)
-    )
+    cfg = SolverConfig(projection_mode=mode)
+    cands = (np.array([-3.0, 1.0]), *_random_start(start, 2, 0.0, 5))
+    res = individual_recourse(query, theta, EpsilonBudget(0.0), cfg, extra_candidates=cands)
+    # Only the first round's starts: no search moves, and no frame is searched.
+    assert len(res.loss_trace) == 2 + len(cands)
     assert res.perturbation.tobytes() == np.zeros(2).tobytes()
     assert res.achieved_loss == nll_loss(query.features, 0, theta)
     assert not res.flipped
 
 
 @pytest.mark.parametrize("mode", ["ball", "sphere"])
-def test_individual_steps_cap_the_iterations(iris_batch, mode):
-    # One iteration evaluates a prefix of what the full run evaluates.
+def test_individual_steps_cap_the_iterations(iris_batch, mode, searches):
+    # From the same starts, one iteration of each search evaluates a prefix
+    # of what the full search evaluates.
     theta = fit(iris_batch)
     query = make_query(theta, 1, 2, 0.25)
-    full = individual_recourse(query, theta, EpsilonBudget(1.0), SolverConfig(projection_mode=mode))
-    one = individual_recourse(
-        query, theta, EpsilonBudget(1.0), SolverConfig(steps=1, projection_mode=mode)
-    )
-    assert 2 < len(one.loss_trace) < len(full.loss_trace)
-    assert one.loss_trace.tobytes() == full.loss_trace[: len(one.loss_trace)].tobytes()
+    starts = [2] if mode == "ball" else [2, 2 * min(theta.dim, theta.num_classes)]
+    solved = []
+    for steps in (500, 1):
+        del searches[:]
+        cfg = SolverConfig(steps=steps, projection_mode=mode)
+        res = individual_recourse(query, theta, EpsilonBudget(1.0), cfg)
+        solved.append((res, _rounds(res.loss_trace, starts, searches)))
+    (full, full_rounds), (one, one_rounds) = solved
+    assert len(full_rounds) == len(one_rounds) == len(starts)
+    for (starts, search), (one_starts, one_search) in zip(full_rounds, one_rounds):
+        assert one_starts == starts
+        assert 0 < len(one_search) < len(search)
+        assert search.startswith(one_search)
     assert one.achieved_loss >= full.achieved_loss
 
 
@@ -862,7 +963,7 @@ def test_collective_sphere_mode(three_blob_pair):
 
 def test_collective_deterministic(three_blob_pair):
     batch, query = three_blob_pair
-    cfg = SolverConfig(init="random", seed=9)
+    cfg = SolverConfig(projection_mode="sphere")
     a = collective_recourse(batch, query, EpsilonBudget(0.25), cfg)
     b = collective_recourse(batch, query, EpsilonBudget(0.25), cfg)
     assert np.array_equal(a.perturbation.delta, b.perturbation.delta)
