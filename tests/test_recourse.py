@@ -358,8 +358,6 @@ def _reference_individual(query, theta, budget, cfg, extra_candidates=()):
             lam = min(1e30, max(1e-30, s.dot(s) / s.dot(y))) if s.dot(y) > 0 else 1e30
             delta, grad = trial, trial_grad
             recent.append(loss)
-            if recent[-10:].count(loss) == 10:
-                break
     best = int(np.argmin(trace))
     return np.asarray(trace), points[best], predict(x_q + points[best], theta) == goal
 
@@ -610,8 +608,8 @@ def test_each_point_is_evaluated_once(embeddings_path, count_calls, mode, start)
         ("iris", 1e-20, None),
         ("iris", 3e-16, None),
         ("embeddings", 1e-160, None),
-        # Above rounding the losses move, and the first round (2 starts and
-        # its search) runs as before the frame search was added.
+        # Above rounding the losses move: the first round is 2 starts and a
+        # search of 26 points.
         ("iris", 1e-15, 28),
     ],
 )
@@ -636,7 +634,6 @@ def test_sphere_solve_below_rounding_stops_early(
     rounds = [2 + len(searches[0]), 2 * min(theta.dim, theta.num_classes) + len(searches[1])]
     assert sum(rounds) == len(calls)
     if evaluations is None:
-        # 18 points for each search: 20 evaluations less the 2 first-round starts.
         assert all(len(search) <= 18 for search in searches)
         assert res.achieved_loss == baseline and not res.flipped
     else:
