@@ -2,13 +2,14 @@
 
 Four subcommands: ``fit`` prints centroids and training accuracy, ``query``
 builds and describes an interpolated query point, ``recourse`` runs one solver
-at a single budget, and ``sweep`` runs both solvers over a budget grid and
-writes the CSV report (plus an optional SVG plot). Exit codes: 0 success,
-1 usage error, 2 data or solver error. Every run prints a one-line config
-echo of every flag, in ``--help`` order, so results can be reproduced from
-logs alone. Reals and flags are printed as in the CSV files the package
-writes: 17 significant digits, which round-trip any float64, and
-``true``/``false``.
+at a single budget (``--out`` also writes its perturbation rows), and
+``sweep`` runs both solvers over a budget grid and writes the CSV report
+(plus an optional SVG plot). ``fit`` writes no file: the centroids it prints
+parse back bit for bit. Exit codes: 0 success, 1 usage error, 2 data or
+solver error. Every run prints a one-line config echo of every flag, in
+``--help`` order, so results can be reproduced from logs alone. Reals and
+flags are printed as in the CSV files the package writes: 17 significant
+digits, which round-trip any float64, and ``true``/``false``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .harness import (
     describe_query,
     make_query,
     render_plot_svg,
-    standardize_features,
     sweep_epsilon,
     write_report_csv,
 )
@@ -119,11 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated subset of feature columns (requires --label-col)",
     )
-    data.add_argument(
-        "--standardize",
-        action="store_true",
-        help="z-score features before fitting",
-    )
 
     querying = argparse.ArgumentParser(add_help=False)
     querying.add_argument(
@@ -149,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fit = sub.add_parser("fit", parents=[data], help="fit centroids, print them and accuracy")
-    p_fit.add_argument("--out", default=None, help="write fitted centroids to this CSV")
     p_fit.set_defaults(run=_run_fit)
 
     p_query = sub.add_parser(
@@ -191,12 +185,8 @@ def _config_line(args) -> str:
 
 def _load_batch(args) -> LabeledBatch:
     if args.label_col is None:
-        batch = load_embeddings(args.data)
-    else:
-        batch = load_csv(args.data, args.label_col, feature_columns=args.feature_columns)
-    if args.standardize:
-        batch = standardize_features(batch)
-    return batch
+        return load_embeddings(args.data)
+    return load_csv(args.data, args.label_col, feature_columns=args.feature_columns)
 
 
 def _run_fit(args) -> int:
@@ -205,9 +195,6 @@ def _run_fit(args) -> int:
     for y in range(theta.num_classes):
         print(f"centroid[{y}]=" + ",".join(map(_format_cell, theta.mu[y])))
     print(f"training_accuracy={_format_cell(training_accuracy(batch, theta))}")
-    if args.out is not None:
-        _write_matrix(args.out, (theta.mu,))
-        print(f"wrote centroids: {args.out}")
     return 0
 
 
@@ -264,7 +251,7 @@ def _validate_flags(args) -> None:
     """Build the solver inputs from the flags; raises ValueError on bad ones."""
     if args.features is not None and args.label_col is None:
         raise ValueError("--features requires --label-col")
-    args.feature_columns = _parse_feature_list(args.features) if args.features else None
+    args.feature_columns = None if args.features is None else _parse_feature_list(args.features)
     if args.command != "fit":
         check_query_args(args.goal_class, args.base_class, args.alpha)
     if args.command in ("recourse", "sweep"):

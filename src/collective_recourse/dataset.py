@@ -15,8 +15,9 @@ file. A labeled CSV, and a file the C reader rejects, is read in one pass:
 :func:`_read_rows` yields each row as it reads it and :func:`_read_reals`
 converts that row, so no reader holds every row's cells, and an error names
 the first fault in file order. Float matrices (a batch's features and
-labels, centroids, perturbations) are written by :func:`_write_matrix`, and
-the sweep report, which mixes reals and flags, by :func:`write_rows`.
+labels, perturbation rows) are written by :func:`_write_matrix`, and the
+sweep report, which mixes reals and flags, by :func:`write_rows`, each below
+a header.
 
 The C reader holds the GIL, so a thread cannot share its work. Where the
 data rows fill at least 4 MiB, a usable second CPU exists and no other
@@ -47,7 +48,6 @@ import threading
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -188,7 +188,7 @@ def _opened(path):
     (in TMPDIR). Every reader reads this one open file, so a file replaced
     at its path meanwhile cannot mix two files.
     """
-    if not Path(path).exists():
+    if not os.path.exists(path):
         raise DatasetError(f"missing file: {path}")
     with open(path, "rb") as data:
         if stat.S_ISREG(os.fstat(data.fileno()).st_mode):
@@ -487,9 +487,9 @@ _CELL_BYTES = 25
 _BLOCK_ROWS = 32
 
 
-def _write_matrix(path, columns, header=None) -> None:
-    """Write float arrays side by side as comma-separated lines below an
-    optional header, each value with 17 significant digits.
+def _write_matrix(path, columns, header) -> None:
+    """Write float arrays side by side as comma-separated lines below the
+    column names ``header``, each value with 17 significant digits.
 
     ``columns`` are 2-D or 1-D arrays with one row per line, such as a
     batch's features and its labels (an integral label prints as an
@@ -502,8 +502,7 @@ def _write_matrix(path, columns, header=None) -> None:
     width = np.column_stack([column[:1] for column in columns]).shape[1]
     line = ",".join(["%.17g"] * width) + "\n"
     with open(path, "wb") as handle:
-        if header is not None:
-            handle.write((",".join(header) + "\n").encode())
+        handle.write((",".join(header) + "\n").encode())
         regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
         workers = _worker_count(rows * width * _CELL_BYTES) if regular else 1
         if workers < 2 or not _wrote_split(handle, line, columns, rows, workers):
@@ -551,16 +550,15 @@ def _format_cell(value) -> str:
     return format(value, ".17g")
 
 
-def write_rows(path, rows, header=None) -> None:
-    """Write rows of cells as comma-separated lines below an optional header.
+def write_rows(path, rows, header) -> None:
+    """Write rows of cells as comma-separated lines below the column names ``header``.
 
     Reals are printed with 17 significant digits and flags (Python bools) as
     ``true``/``false``; this serves rows that mix the two, such as the sweep
     report. A float matrix is written by :func:`_write_matrix`.
     """
     with open(path, "w", newline="") as handle:
-        if header is not None:
-            handle.write(",".join(header) + "\n")
+        handle.write(",".join(header) + "\n")
         handle.writelines(",".join(map(_format_cell, row)) + "\n" for row in rows)
 
 

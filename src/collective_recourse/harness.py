@@ -17,7 +17,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .dataset import LabeledBatch, write_rows
+from .dataset import write_rows
 from .model import Centroids, _answered, _check_target
 from .recourse import EpsilonBudget, QuerySpec, SolverConfig, _collective_answer, _individual
 
@@ -56,20 +56,6 @@ class SweepReport:
             ):
                 raise ValueError("zero-budget row must match the baseline loss")
         object.__setattr__(self, "rows", rows)
-
-
-def standardize_features(batch: LabeledBatch) -> LabeledBatch:
-    """Z-score each feature column; constant columns are left unscaled.
-
-    The scores are computed in one new array, which the batch holds as it is.
-    """
-    mean = batch.features.mean(axis=0)
-    std = batch.features.std(axis=0)
-    std = np.where(std > 0, std, 1.0)
-    features = np.subtract(batch.features, mean)
-    features /= std
-    features.setflags(write=False)
-    return LabeledBatch(features, batch.labels, batch.num_classes)
 
 
 def check_query_args(goal_class: int, base_class: int, alpha: float) -> None:

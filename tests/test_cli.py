@@ -11,7 +11,6 @@ from collective_recourse.cli import MAX_GRID_POINTS, cli_main, parse_eps_grid
 from collective_recourse.dataset import _format_cell, load_csv
 from collective_recourse.harness import (
     make_query,
-    standardize_features,
     sweep_epsilon,
     write_report_csv,
 )
@@ -113,12 +112,11 @@ def _echo(argv, capsys):
 def test_cli_config_echo_of_defaults(embeddings_path, tmp_path, capsys):
     data = f"--data={embeddings_path}"
     common = f"config: command={{}} data={embeddings_path} label_col=auto features=auto"
-    common += " standardize=false"
     query = "alpha=0.25 goal_class=0 base_class=1"
     solver = "steps=500 mode=ball"
     report = tmp_path / "report.csv"
     classes = ["--goal-class", "0", "--base-class", "1"]
-    assert _echo(["fit", data], capsys) == common.format("fit") + " out=auto"
+    assert _echo(["fit", data], capsys) == common.format("fit")
     assert _echo(["query", data, *classes], capsys) == f"{common.format('query')} {query}"
     argv = ["recourse", data, *classes, "--kind", "individual", "--epsilon", "0.5"]
     assert _echo(argv, capsys) == (
@@ -133,15 +131,15 @@ def test_cli_config_echo_of_defaults(embeddings_path, tmp_path, capsys):
 def test_cli_config_echo_of_every_flag(iris_path, tmp_path, capsys):
     # The flags are given out of the parser's order, which the echo keeps.
     out, plot = tmp_path / "out.csv", tmp_path / "plot.svg"
-    data = ["--standardize", "--features", "petal_width,sepal_length"]
+    data = ["--features", "petal_width,sepal_length"]
     data += ["--label-col", "species", "--data", str(iris_path)]
     common = f"config: command={{}} data={iris_path} label_col=species"
-    common += " features=petal_width,sepal_length standardize=true"
+    common += " features=petal_width,sepal_length"
     query = ["--base-class", "2", "--goal-class", "1", "--alpha", "0.5"]
     echo_query = "alpha=0.5 goal_class=1 base_class=2"
     solver = ["--mode", "sphere", "--steps", "30"]
     echo_solver = "steps=30 mode=sphere"
-    assert _echo(["fit", "--out", str(out), *data], capsys) == f"{common.format('fit')} out={out}"
+    assert _echo(["fit", *data], capsys) == common.format("fit")
     assert _echo(["query", *query, *data], capsys) == f"{common.format('query')} {echo_query}"
     argv = ["recourse", "--out", str(out), *solver, "--epsilon", "0.25", "--kind", "collective"]
     assert _echo([*argv, *query, *data], capsys) == (
@@ -168,24 +166,37 @@ def test_cli_missing_required_flag(capsys):
 
 
 def test_cli_missing_data_file(tmp_path, capsys):
-    code = cli_main(["fit", "--data", str(tmp_path / "nope.csv"), "--label-col", "x"])
-    assert code == 2
-    assert "missing file" in capsys.readouterr().err
+    # An empty path names no file, though Path("") is the current directory.
+    for data in (str(tmp_path / "nope.csv"), ""):
+        code = cli_main(["fit", "--data", data, "--label-col", "x"])
+        assert code == 2
+        assert f"error: missing file: {data}\n" in capsys.readouterr().err
 
 
-def test_cli_fit(iris_path, tmp_path, capsys):
-    out = tmp_path / "centroids.csv"
-    code = cli_main(
-        ["fit", "--data", str(iris_path), "--label-col", "species", "--out", str(out)]
-    )
-    assert code == 0
+def test_cli_fit(iris_path, capsys):
+    assert cli_main(["fit", "--data", str(iris_path), "--label-col", "species"]) == 0
     text = capsys.readouterr().out
     assert text.startswith("config: command=fit")
     assert "training_accuracy=0.92666666666666664" in text
-    assert text.count("centroid[") == 3
-    # The fitted centroids, which numpy's reader parses back bit for bit.
+    printed = [line for line in text.splitlines() if line.startswith("centroid[")]
+    assert [line.split("=")[0] for line in printed] == [f"centroid[{y}]" for y in range(3)]
+    # The printed centroids parse back bit for bit to the fitted ones.
     mu = fit(load_csv(iris_path, "species")).mu
-    assert np.loadtxt(out, delimiter=",").tobytes() == mu.tobytes()
+    parsed = np.array([[float(cell) for cell in line.split("=")[1].split(",")] for line in printed])
+    assert parsed.tobytes() == mu.tobytes()
+
+
+@pytest.mark.parametrize(
+    "flags", [["--standardize"], ["--out", "centroids.csv"]], ids=["standardize", "out"]
+)
+def test_cli_fit_rejects_removed_flags(iris_path, tmp_path, monkeypatch, capsys, flags):
+    # fit prints its centroids and writes no file; features are fitted as read.
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["fit", "--data", str(iris_path), "--label-col", "species", *flags]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"unrecognized arguments: {' '.join(flags)}" in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_fit_embeddings_without_label_col(embeddings_path, capsys):
@@ -404,7 +415,7 @@ def test_cli_sweep_bad_grid(iris_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
-def test_cli_sweep_standardize_and_sphere(iris_path, tmp_path, capsys):
+def test_cli_sweep_sphere(iris_path, tmp_path):
     out = tmp_path / "report.csv"
     argv = [
         "sweep",
@@ -414,13 +425,11 @@ def test_cli_sweep_standardize_and_sphere(iris_path, tmp_path, capsys):
         "--base-class", "2",
         "--eps-grid", "0.2:0.4:0.2",
         "--mode", "sphere",
-        "--standardize",
         "--steps", "50",
         "--out", str(out),
     ]
     assert cli_main(argv) == 0
-    assert "standardize=true" in capsys.readouterr().out
-    batch = standardize_features(load_csv(iris_path, "species"))
+    batch = load_csv(iris_path, "species")
     cfg = SolverConfig(steps=50, projection_mode="sphere")
     assert out.read_bytes() == _report_bytes(tmp_path, batch, [0.2, 0.4], cfg)
 
@@ -526,7 +535,7 @@ def test_cli_goal_equals_base_is_usage_error(iris_path, capsys):
 
 
 
-@pytest.mark.parametrize("features", [",", "a,,b"])
+@pytest.mark.parametrize("features", ["", ",", "a,,b"])
 def test_cli_empty_feature_name_is_usage_error(iris_path, capsys, features):
     argv = ["fit", "--data", str(iris_path), "--label-col", "species", "--features", features]
     assert cli_main(argv) == 1

@@ -68,6 +68,11 @@ def test_one_row_per_class_fit_recovers_rows(tmp_path):
 def test_missing_file(tmp_path):
     with pytest.raises(DatasetError, match="missing file"):
         load_csv(tmp_path / "nope.csv", "label")
+    # An empty path names no file, though Path("") is the current directory.
+    with pytest.raises(DatasetError, match="^missing file: $"):
+        load_csv("", "label")
+    with pytest.raises(DatasetError, match="^missing file: $"):
+        load_embeddings("")
 
 
 def test_missing_label_column(tmp_path):
@@ -1054,7 +1059,8 @@ def _write_one_row(path):
 
 def _write_centroids(path):
     centers = np.random.default_rng(9).standard_normal((10, 7))
-    dataset._write_matrix(path, (fit(synth_blobs(SyntheticSpec(centers, 5, 1.0, seed=9))).mu,))
+    mu = fit(synth_blobs(SyntheticSpec(centers, 5, 1.0, seed=9))).mu
+    dataset._write_matrix(path, (mu,), [f"d{j}" for j in range(mu.shape[1])])
 
 
 # Writes for a forced split (see _split_forced): (rows, write to a path).

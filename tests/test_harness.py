@@ -1,12 +1,11 @@
 import re
-import tracemalloc
 import warnings
 from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from collective_recourse.dataset import LabeledBatch, SyntheticSpec, load_embeddings, synth_blobs
+from collective_recourse.dataset import load_embeddings
 from collective_recourse.harness import (
     REPORT_COLUMNS,
     SweepReport,
@@ -14,7 +13,6 @@ from collective_recourse.harness import (
     describe_query,
     make_query,
     render_plot_svg,
-    standardize_features,
     sweep_epsilon,
     write_report_csv,
 )
@@ -357,32 +355,3 @@ def test_render_plot_deterministic(tmp_path):
     render_plot_svg(report, a)
     render_plot_svg(report, b)
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_standardize_features(iris_batch):
-    z = standardize_features(iris_batch)
-    assert np.allclose(z.features.mean(axis=0), 0.0, atol=1e-12)
-    assert np.allclose(z.features.std(axis=0), 1.0, atol=1e-12)
-    assert np.array_equal(z.labels, iris_batch.labels)
-
-
-def test_standardize_features_makes_one_new_matrix():
-    centers = np.random.default_rng(23).standard_normal((10, 64))
-    batch = synth_blobs(SyntheticSpec(centers, 400, 1.0, seed=23))
-    tracemalloc.start()
-    try:
-        z = standardize_features(batch)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    mean, std = batch.features.mean(axis=0), batch.features.std(axis=0)
-    assert z.features.tobytes() == ((batch.features - mean) / std).tobytes()
-    assert peak < 1.5 * batch.features.nbytes
-
-
-def test_standardize_constant_column():
-    from collective_recourse.dataset import LabeledBatch
-
-    batch = LabeledBatch(np.array([[1.0, 5.0], [2.0, 5.0]]), np.array([0, 1]), 2)
-    z = standardize_features(batch)
-    assert np.allclose(z.features[:, 1], 0.0)  # centered, not divided by zero

@@ -462,8 +462,8 @@ def test_training_accuracy_holds_no_copy_of_the_batch():
 
 
 def test_centroids_csv_round_trip(tmp_path, iris_batch):
-    # fit --out writes the centroids so; numpy's reader parses them back bit for bit.
+    # Written as a float matrix below a header, numpy's reader parses them back bit for bit.
     theta = fit(iris_batch)
     path = tmp_path / "centroids.csv"
-    _write_matrix(path, (theta.mu,))
-    assert np.loadtxt(path, delimiter=",").tobytes() == theta.mu.tobytes()
+    _write_matrix(path, (theta.mu,), [f"d{j}" for j in range(theta.dim)])
+    assert np.loadtxt(path, delimiter=",", skiprows=1).tobytes() == theta.mu.tobytes()
