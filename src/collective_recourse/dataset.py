@@ -75,6 +75,15 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return out
 
 
+def _integer(value, name: str, error=ValueError) -> int:
+    """``value`` as an int by ``operator.index``, so that a float such as 1.0
+    is rejected, not truncated; ``error`` naming ``name`` otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class LabeledBatch:
     """Feature matrix (N x d), integer labels (N,), and class count k.
@@ -105,12 +114,7 @@ class LabeledBatch:
             raise DatasetError(
                 f"label count {labels.shape[0]} does not match row count {feats.shape[0]}"
             )
-        try:
-            k = operator.index(self.num_classes)
-        except TypeError:
-            raise DatasetError(
-                f"num_classes must be an integer, got {self.num_classes!r}"
-            ) from None
+        k = _integer(self.num_classes, "num_classes", DatasetError)
         if k < 2:
             raise DatasetError(f"need at least 2 classes, got {k}")
         if feats.shape[0] < k:
@@ -158,11 +162,7 @@ class SyntheticSpec:
         if not np.all(np.isfinite(centers)):
             raise DatasetError("centers contain non-finite values")
         for name in ("points_per_class", "seed"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise DatasetError(f"{name} must be an integer, got {value!r}") from None
+            object.__setattr__(self, name, _integer(getattr(self, name), name, DatasetError))
         if self.points_per_class < 1:
             raise DatasetError(f"points_per_class must be >= 1, got {self.points_per_class}")
         if self.seed < 0:

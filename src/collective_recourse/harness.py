@@ -60,6 +60,9 @@ class SweepReport:
 
 def check_query_args(goal_class: int, base_class: int, alpha: float) -> None:
     """Reject a class pair or weight that no dataset makes valid for :func:`make_query`."""
+    for name, index in (("goal class", goal_class), ("base class", base_class)):
+        if index < 0:
+            raise ValueError(f"{name} must be nonnegative, got {index}")
     if goal_class == base_class:
         raise ValueError("goal class and base class must differ")
     if not 0.0 <= alpha <= 1.0:

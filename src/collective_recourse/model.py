@@ -16,12 +16,11 @@ class and answers from one such evaluation; :func:`distances` and
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import LabeledBatch, _frozen
+from .dataset import LabeledBatch, _frozen, _integer
 
 # Shared floor for distance denominators: keeps gradients bounded at a
 # centroid and makes the input/centroid gradient identity exact.
@@ -62,10 +61,7 @@ def _check_target(target, num_classes=math.inf, name="target class") -> int:
     The package's one class-index check. An integral float such as 1.0 is
     rejected too, so a class is never silently truncated.
     """
-    try:
-        index = operator.index(target)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {target!r}") from None
+    index = _integer(target, name)
     if not 0 <= index < num_classes:
         raise ValueError(f"{name} {index} outside [0, {num_classes - 1}]")
     return index

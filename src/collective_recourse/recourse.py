@@ -26,13 +26,11 @@ every nonzero perturbation on the budget sphere.
 from __future__ import annotations
 
 import math
-import operator
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import LabeledBatch, _frozen
+from .dataset import LabeledBatch, _frozen, _integer
 from .model import (
     GRAD_NORM_FLOOR,
     Centroids,
@@ -51,12 +49,12 @@ _MODES = ("ball", "sphere")
 # min(_SHRINK, eps / norm), each nonzero normal float moves at least half an
 # ulp toward zero, so the norm falls to eps or below within a few steps.
 _SHRINK = 1.0 - 2.0**-53
-# Spectral projected gradient: non-monotone memory, Armijo constant, stop
-# threshold (times eps) and Barzilai-Borwein step safeguards. Once steps are
-# below sqrt(machine epsilon) of the budget, the loss has settled to rounding
-# (the usual step tolerance of Gill, Murray & Wright, Practical Optimization,
+# Spectral projected gradient: Armijo constant, stop threshold (times eps)
+# and Barzilai-Borwein step safeguards. The line search is monotone: a step
+# is tested against the loss at the current point. Once steps are below
+# sqrt(machine epsilon) of the budget, the loss has settled to rounding (the
+# usual step tolerance of Gill, Murray & Wright, Practical Optimization,
 # 1981, section 8.2.3); scaling by eps alone keeps small budgets iterating.
-_MEMORY = 10
 _ARMIJO = 1e-4
 _STOP = 2**-26
 _LAMBDA_MIN, _LAMBDA_MAX = 1e-30, 1e30
@@ -161,10 +159,7 @@ class SolverConfig:
     init = "zero"
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "steps", operator.index(self.steps))
-        except TypeError:
-            raise ValueError(f"steps must be an integer, got {self.steps!r}") from None
+        object.__setattr__(self, "steps", _integer(self.steps, "steps"))
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.projection_mode not in _MODES:
@@ -219,38 +214,36 @@ def _spg(x_q, goal, mu, delta, loss, grad, eps, mode, steps):
 
     Starts from the feasible ``delta`` with the given loss and gradient. Each
     iteration evaluates a projected Barzilai-Borwein step, then halves the way
-    to it, projecting again, until a point passes a non-monotone Armijo test
-    against the worst of the last ``_MEMORY`` accepted losses. It stops once
-    the step falls to ``_STOP * eps`` or below, once the last ``_MEMORY``
-    accepted losses are equal (a step on a sphere below rounding stays about
-    eps long, but moves no loss), or after ``steps`` iterations.
+    to it, projecting again, until a point passes the Armijo test against the
+    loss at the current point. It stops once the step falls to ``_STOP * eps``
+    or below, once an accepted point does not lower that loss (a step on a
+    sphere below rounding stays about eps long, but moves no loss), or after
+    ``steps`` iterations.
     """
     tol = _STOP * eps
-    recent = deque([loss], maxlen=_MEMORY)
     lam = min(_LAMBDA_MAX, eps / max(math.sqrt(grad.dot(grad)), _ZERO_NORM))
     for _ in range(steps):
         trial = _project(delta - lam * grad, eps, mode)
         direction = trial - delta
-        length, ceiling, alpha = math.sqrt(direction.dot(direction)), max(recent), 1.0
+        length, alpha = math.sqrt(direction.dot(direction)), 1.0
         while alpha * length > tol:
             if alpha < 1.0:
                 trial = _project(delta + alpha * direction, eps, mode)
-            loss, trial_grad, probs, _, _ = _evaluate(x_q + trial, mu, goal)
-            yield loss, trial, probs
+            trial_loss, trial_grad, probs, _, _ = _evaluate(x_q + trial, mu, goal)
+            yield trial_loss, trial, probs
             s = trial - delta
-            if loss <= ceiling + _ARMIJO * float(grad.dot(s)):
+            if trial_loss <= loss + _ARMIJO * float(grad.dot(s)):
                 break
             alpha *= 0.5
         else:
+            return
+        if trial_loss >= loss:
             return
         y = trial_grad - grad
         # As Python floats: the same IEEE quotient, without numpy scalar overhead.
         sy = float(s.dot(y))
         lam = min(_LAMBDA_MAX, max(_LAMBDA_MIN, float(s.dot(s)) / sy)) if sy > 0 else _LAMBDA_MAX
-        delta, grad = trial, trial_grad
-        recent.append(loss)
-        if recent.count(loss) == _MEMORY:
-            return
+        delta, loss, grad = trial, trial_loss, trial_grad
 
 
 def individual_recourse(

@@ -534,6 +534,16 @@ def test_cli_goal_equals_base_is_usage_error(iris_path, capsys):
     assert "usage error: goal class and base class must differ" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("goal, base, name", [("-1", "2", "goal class"), ("1", "-1", "base class")])
+def test_cli_negative_class_is_usage_error_before_data_is_read(tmp_path, capsys, goal, base, name):
+    # No dataset has a class -1, so the flag is rejected before the missing file is opened.
+    argv = ["query", "--data", str(tmp_path / "nope.csv"), "--label-col", "species",
+            "--goal-class", goal, "--base-class", base]
+    assert cli_main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"usage error: {name} must be nonnegative, got -1" in err
+
 
 @pytest.mark.parametrize("features", ["", ",", "a,,b"])
 def test_cli_empty_feature_name_is_usage_error(iris_path, capsys, features):
