@@ -15,6 +15,10 @@ directory, and exits with an AssertionError at the first failed check:
    those bytes equal a serial write's. ``_read_numeric`` parses it in forked
    workers, with a traced peak below 1.6 times the matrix it returns (the
    children's values are received into the rows of that one matrix).
+   ``load_embeddings`` reads copies with CRLF and with lone CR line breaks
+   (``synth30k_crlf.csv``, ``synth30k_cr.csv``) by the same split read, each
+   to the same matrix bytes, under the same bound, and without the cell
+   reader.
 2. A ``sweep`` on it exits 0.
 3. A ``fit`` of the file piped through ``cat`` prints the lines of a fit of
    the file and peaks within 1 MB of it: the pipe is spooled to a temporary
@@ -80,6 +84,28 @@ def split_write_and_read():
     with open("synth30k.csv", "rb") as split, open("serial30k.csv", "rb") as serial:
         assert split.read() == serial.read(), "the split write differs from a serial write"
     os.remove("serial30k.csv")
+    cell_reads, read_rows = [], dataset._read_rows
+
+    def recorded(*args):
+        cell_reads.append(args)
+        return read_rows(*args)
+
+    for name, ending in [("synth30k_crlf.csv", b"\r\n"), ("synth30k_cr.csv", b"\r")]:
+        with open("synth30k.csv", "rb") as source, open(name, "wb") as copy:
+            for block in iter(lambda: source.read(1 << 20), b""):
+                copy.write(block.replace(b"\n", ending))
+        forks.clear()
+        dataset._read_rows, os.fork = recorded, counted
+        tracemalloc.start()
+        try:
+            loaded = dataset.load_embeddings(name)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            dataset._read_rows, os.fork = read_rows, fork
+        assert forks and not cell_reads, f"{name}: no split read, or the cell reader ran"
+        assert loaded.features.base.tobytes() == values.tobytes(), f"{name}: other values"
+        assert peak < 1.6 * values.nbytes, f"{name}: read peak {peak / values.nbytes:.2f}x"
 
 
 def run(*args, stdin=None):

@@ -1,5 +1,5 @@
-"""Mutation check of the solvers and the model kernel: every listed mutant
-must fail a test.
+"""Mutation check of the solvers, the model kernel and the numeric CSV
+reader: every listed mutant must fail a test.
 
 Run from the repository root::
 
@@ -7,15 +7,17 @@ Run from the repository root::
 
 It copies ``src/``, ``tests/``, ``data/`` and ``pyproject.toml`` to a
 temporary directory and, with that copy of ``src`` first on ``PYTHONPATH``,
-runs the solver, model, harness and acceptance tests once unchanged (they
-must pass) and once per mutant in ``MUTANTS``. A mutant replaces one text,
-which must occur exactly once in its file, by another. A mutant is killed
-when a test fails or the tests run past ``TIMEOUT_FACTOR`` times the
-unchanged run. The script exits 1 if a mutant survives that ``EQUIVALENT``
-does not list, if a mutant it lists is killed (its proof no longer holds),
-if a text is not found, or if the tests stop without a failed test (a
-mutant that does not import, say). It reads and writes only in the
-temporary directory, never in ``src/``.
+runs the tests that ``TESTS`` gives for each mutated file (the solver,
+model, harness and acceptance tests for ``recourse.py`` and ``model.py``,
+the dataset tests for ``dataset.py``) once unchanged, where they must pass,
+and once per mutant in ``MUTANTS``. A mutant replaces one text, which must
+occur exactly once in its file, by another. A mutant is killed when a test
+fails or its tests run past ``TIMEOUT_FACTOR`` times their unchanged run.
+The script exits 1 if a mutant survives that ``EQUIVALENT`` does not list,
+if a mutant it lists is killed (its proof no longer holds), if a text is
+not found, or if the tests stop without a failed test (a mutant that does
+not import, say). It reads and writes only in the temporary directory,
+never in ``src/``.
 """
 
 import os
@@ -28,11 +30,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "data", "pyproject.toml")
-TESTS = ["tests/test_recourse.py", "tests/test_model.py", "tests/test_harness.py",
-         "tests/test_acceptance.py"]
 TIMEOUT_FACTOR = 10
 RECOURSE = "src/collective_recourse/recourse.py"
 MODEL = "src/collective_recourse/model.py"
+DATASET = "src/collective_recourse/dataset.py"
+SOLVER_TESTS = ("tests/test_recourse.py", "tests/test_model.py", "tests/test_harness.py",
+                "tests/test_acceptance.py")
+# mutated file -> the tests run on its mutants.
+TESTS = {RECOURSE: SOLVER_TESTS, MODEL: SOLVER_TESTS, DATASET: ("tests/test_dataset.py",)}
 
 # (file, old text, new text, reason).
 MUTANTS = [
@@ -65,6 +70,15 @@ MUTANTS = [
      "the target's probability left at p - 1"),
     (MODEL, "[*range(0, count - size, _BLOCK_ROWS), count - size]", "[*range(0, count, _BLOCK_ROWS)]",
      "a short last block of rows"),
+    (DATASET, "if any(char in chunk for char in _SEPARATORS):", "if False:",
+     "no separator check in a chunk"),
+    (DATASET, "if b'\"' in chunk and any(row.count(b'\"') % 2 for row in rows):", "if False:",
+     "no odd-quote check in a chunk"),
+    (DATASET, 'cut = max(chunk.rfind(b"\\n", 0, end), chunk.rfind(b"\\r", 0, end)) + 1',
+     "cut = len(chunk)", "a chunk cut after its last byte, not where a row starts"),
+    (DATASET, "yield from map(bytes.decode, rows)",
+     'yield from (row.decode(errors="replace") for row in rows)',
+     'errors="replace" in the chunk decode'),
 ]
 
 # reason -> why no test can kill the mutant.
@@ -76,15 +90,15 @@ EQUIVALENT = {
 }
 
 
-def _run(work, timeout):
-    """The outcome of the tests in ``work`` and their wall time.
+def _run(work, tests, timeout):
+    """The outcome of ``tests`` in ``work`` and their wall time.
 
     The outcome is "passed", "timed out" past ``timeout``, the first failed
     test, or "error" when pytest stopped for another reason (a mutant that
     does not import, say), which kills nothing.
     """
     env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
-    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *TESTS]
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
     start = time.perf_counter()
     try:
         done = subprocess.run(
@@ -121,11 +135,13 @@ def main():
         ).stdout.strip()
         if not Path(where).resolve().is_relative_to(work.resolve()):
             sys.exit(f"the tests would import the package from {where}, not from the copy")
-        outcome, seconds = _run(work, None)
-        if outcome != "passed":
-            sys.exit(f"the unchanged tests do not pass: {outcome}")
-        print(f"unchanged: passed in {seconds:.1f} s")
-        timeout = TIMEOUT_FACTOR * seconds
+        timeouts = {}
+        for tests in dict.fromkeys(TESTS.values()):
+            outcome, seconds = _run(work, tests, None)
+            if outcome != "passed":
+                sys.exit(f"the unchanged tests {' '.join(tests)} do not pass: {outcome}")
+            print(f"unchanged: {' '.join(tests)} passed in {seconds:.1f} s")
+            timeouts[tests] = TIMEOUT_FACTOR * seconds
         for file, old, new, reason in MUTANTS:
             path = work / file
             text = path.read_text()
@@ -134,7 +150,7 @@ def main():
                 continue
             path.write_text(text.replace(old, new))
             try:
-                outcome, seconds = _run(work, timeout)
+                outcome, seconds = _run(work, TESTS[file], timeouts[TESTS[file]])
             finally:
                 path.write_text(text)
             verdict = {"passed": "survived", "error": "error"}.get(outcome, "killed")

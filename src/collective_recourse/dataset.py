@@ -19,15 +19,17 @@ labels, perturbation rows) are written by :func:`_write_matrix`, and the
 sweep report, which mixes reals and flags, by :func:`write_rows`, each below
 a header.
 
-The C reader holds the GIL, so a thread cannot share its work. Where the
-data rows fill at least 4 MiB, a usable second CPU exists and no other
-Python thread runs, :func:`_read_split` parses one range of rows per usable
-CPU, all but the last in children made with ``os.fork()``, into the one
-matrix that the batch then views, bit for bit the serial result.
-:func:`_write_matrix` splits a write the same way, byte for byte a serial
-write. Each child writes its part to an unnamed temporary file (see
-:func:`_forked`). If a worker fails, the file is read cell by cell, or
-written serially. README.md gives the times on a 20 000 x 64 file.
+The C reader, fed lines from 64 KiB chunks read by offset (see
+:func:`_parse_range`), holds the GIL, so a thread cannot share its work.
+Where the rows fill at least 4 MiB, a usable second CPU exists and no other
+Python thread runs, :func:`_read_split` cuts them, reading a bounded window
+at each cut, into one range per usable CPU, all but the last parsed in
+children made with ``os.fork()``, into the one matrix that the batch then
+views, bit for bit the serial result. :func:`_write_matrix` splits a write
+the same way, byte for byte a serial write. Each child writes its part to
+an unnamed temporary file (see :func:`_forked`). If a worker fails, the
+file is read cell by cell, or written serially. README.md gives the times
+on a 20 000 x 64 file.
 """
 
 from __future__ import annotations
@@ -35,9 +37,8 @@ from __future__ import annotations
 import codecs
 import contextlib
 import csv
-import io
+import itertools
 import math
-import mmap
 import operator
 import os
 import re
@@ -281,40 +282,57 @@ def _read_reals(path, line: int, row: list[str], names, columns=None) -> np.ndar
 
 # ASCII separators that numpy's reader strips from a cell as whitespace,
 # while float() rejects a cell that holds one.
-_SEPARATORS = "\x1c\x1d\x1e\x1f"
+_SEPARATORS = b"\x1c\x1d\x1e\x1f"
 
 # The least data, in bytes, that one worker of a split read is given. A file
 # is split only if its data rows fill two such ranges: below that, the fork
 # and the worker's temporary file cost more than the second CPU saves.
 _RANGE_BYTES = 2 << 20
 
-
-def _checked_lines(lines):
-    """The lines, up to one with a separator or an odd count of quotes. A cell
-    whose value holds a quote does not parse, so then every quoted cell of a
-    parsed file ends on its line, and a split read's ranges start outside one."""
-    for line in lines:
-        if ('"' in line and line.count('"') % 2) or any(char in line for char in _SEPARATORS):
-            raise ValueError("a separator character, or a quoted cell that spans lines")
-        yield line
+# The bytes read by one os.pread of rows to parse, or of a cut's search.
+_CHUNK_BYTES = 64 << 10
 
 
-def _parse_lines(lines, width: int) -> np.ndarray:
-    """numpy's C reader over a file's data lines, with warnings as errors: a
-    ValueError unless every row has ``width`` cells and every value is finite."""
+def _parse_range(fd: int, start: int, stop: int, width: int) -> np.ndarray:
+    """numpy's C reader, warnings as errors, over the lines of bytes
+    ``start..stop`` of an open file: a ValueError unless every row has
+    ``width`` cells and every value is finite, or if the file ends early.
+
+    The bytes are read by offset in chunks, each cut where its last row
+    starts, after a whole run of line breaks, so that no line is split.
+    Lines break at ``\n``, ``\r`` and ``\r\n``, as for :func:`_read_rows`, and
+    are strict UTF-8. A separator, or a line with an odd count of quotes, is
+    a ValueError: a cell whose value holds a quote does not parse, so every
+    quoted cell ends on its line, and a split read's ranges start outside one.
+    """
+
+    def lines():
+        pos, held = start, b""
+        while pos < stop:
+            # At least as much again as is held, so a long line is read in linear time.
+            read = os.pread(fd, min(max(_CHUNK_BYTES, len(held)), stop - pos), pos)
+            if not read:
+                raise ValueError("the file was shortened")
+            pos += len(read)
+            chunk = held + read
+            if pos < stop:
+                end = len(chunk.rstrip(b"\r\n"))
+                cut = max(chunk.rfind(b"\n", 0, end), chunk.rfind(b"\r", 0, end)) + 1
+                chunk, held = chunk[:cut], chunk[cut:]
+            if any(char in chunk for char in _SEPARATORS):
+                raise ValueError("a separator character")
+            rows = chunk.splitlines(True)
+            if b'"' in chunk and any(row.count(b'"') % 2 for row in rows):
+                raise ValueError("a quoted cell that spans lines")
+            yield from map(bytes.decode, rows)
+
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # comments=None keeps a row such as "#3,4,1"; quoted cells read as csv reads them.
-        values = np.loadtxt(_checked_lines(lines), delimiter=",", comments=None, quotechar='"', ndmin=2)
+        values = np.loadtxt(lines(), delimiter=",", comments=None, quotechar='"', ndmin=2)
     if values.shape[1] != width or not np.all(np.isfinite(values)):
         raise ValueError(f"a row without {width} cells, or a non-finite value")
     return values
-
-
-def _recorded(lines, seen: list):
-    for line in lines:
-        seen.append(line)
-        yield line
 
 
 def _read_numeric(data) -> np.ndarray | None:
@@ -322,24 +340,25 @@ def _read_numeric(data) -> np.ndarray | None:
     from its start, as numpy's C reader parses them, or None.
 
     The header is the first non-blank row, as for :func:`_read_rows`, and
-    :func:`_parse_lines` checks every row against its width. None means that
-    a parse raised or warned (a file without data rows warns): only
-    :func:`_read_rows` and :func:`_read_reals` then say what is wrong, and
-    where. Where it returns values, they are bit for bit those of
-    :func:`_read_reals`, also where :func:`_read_split` parses them.
+    :func:`_parse_range` or :func:`_read_split` parse the rows below it. None
+    means that a parse raised or warned (a file without data rows warns):
+    only :func:`_read_rows` and :func:`_read_reals` then say what is wrong,
+    and where. Where it returns values, they are bit for bit theirs.
     """
     try:
         data.seek(0)
         with open(data.fileno(), newline="", encoding="utf-8-sig", closefd=False) as handle:
-            head = []  # the lines up to the header, whose length locates the data
-            header = next(
-                (row for row in csv.reader(_recorded(handle, head)) if not _blank(row)), []
-            )
-            start = len("".join(head).encode())
-            workers = _worker_count(os.fstat(handle.fileno()).st_size - start)
-            if workers < 2:
-                return _parse_lines(handle, len(header))
-            return _read_split(handle.fileno(), start, workers, len(header))
+            lines, head = itertools.tee(handle)
+            reader = csv.reader(lines)
+            header = next((row for row in reader if not _blank(row)), [])
+            # The lines up to the header, whose length in bytes locates the data.
+            start = len("".join(itertools.islice(head, reader.line_num)).encode())
+        if os.pread(fd := data.fileno(), len(codecs.BOM_UTF8), 0) == codecs.BOM_UTF8:
+            start += len(codecs.BOM_UTF8)
+        size = os.fstat(fd).st_size
+        if (workers := _worker_count(size - start)) < 2:
+            return _parse_range(fd, start, size, len(header))
+        return _read_split(fd, start, workers, len(header))
     except (OSError, ValueError, Warning, csv.Error):
         return None
 
@@ -361,29 +380,19 @@ _ROW_START = re.compile(rb"[\r\n](?=[^\r\n])")
 
 
 def _read_split(fd: int, start: int, workers: int, width: int) -> np.ndarray:
-    """:func:`_parse_lines` over the bytes of an open file from ``start`` to
-    its end, in parallel, each row of ``width`` cells.
+    """:func:`_parse_range` over the bytes of an open file from ``start``,
+    just after the header's line break, to its end, in parallel.
 
-    ``start`` follows the header, as its length in UTF-8 without the byte
-    order mark. The bytes are cut into at most ``workers`` ranges, each
-    beginning on a line with at least one character, so that none is
-    without data rows. The cuts are found in a read-only map of the file,
-    whose length is the end of the data; a file shortened while they are
-    searched can still raise SIGBUS. A forked child parses and checks each
-    range but the last, and writes only its float64 rows to its part; this
-    process parses the last range, and :func:`_received` puts the parts in
-    file order into one matrix. A ValueError if no range holds data; a
-    ChildProcessError if a child failed.
+    The bytes are cut into at most ``workers`` ranges, each starting a line
+    with data (see :func:`_row_start`). A forked child parses each range but
+    the last and writes its float64 rows to its part, this process parses
+    the last, and :func:`_received` puts them in file order into one matrix.
+    A ValueError if no range holds data or the file is shortened meanwhile;
+    a ChildProcessError if a child failed.
     """
-    with mmap.mmap(fd, 0, access=mmap.ACCESS_READ) as view:
-        if view[: len(codecs.BOM_UTF8)] == codecs.BOM_UTF8:
-            start += len(codecs.BOM_UTF8)
-        stop = len(view)
-        # start - 1 is the header's line break.
-        cuts = [
-            match.end() if (match := _ROW_START.search(view, target)) else stop
-            for target in (start + (stop - start) * i // workers - 1 for i in range(workers))
-        ]
+    stop = os.fstat(fd).st_size
+    # start - 1 is the header's line break.
+    cuts = [_row_start(fd, start + (stop - start) * i // workers - 1, stop) for i in range(workers)]
     jobs = [(fd, lo, hi, width) for lo, hi in zip(cuts, cuts[1:] + [stop]) if lo < hi]
     if not jobs:
         raise ValueError("no data rows")
@@ -391,6 +400,20 @@ def _read_split(fd: int, start: int, workers: int, width: int) -> np.ndarray:
         jobs[:-1], lambda *job: [_parse_range(*job)], lambda: _parse_range(*jobs[-1])
     ) as (last, parts):
         return _received(last, parts)
+
+
+def _row_start(fd: int, pos: int, stop: int) -> int:
+    """The end of the first ``_ROW_START`` in bytes ``pos..stop`` of an open
+    file, or ``stop``: windows that overlap by a byte are read until one
+    holds it. A ValueError if the file ends early."""
+    while pos + 1 < stop:
+        window = os.pread(fd, min(_CHUNK_BYTES + 1, stop - pos), pos)
+        if len(window) < 2:
+            raise ValueError("the file was shortened")
+        if match := _ROW_START.search(window):
+            return pos + match.end()
+        pos += len(window) - 1
+    return stop
 
 
 @contextlib.contextmanager
@@ -436,31 +459,6 @@ def _forked(jobs, child, here):
         for part in parts:
             part.seek(0)
         yield last, parts
-
-
-class _ByteRange(io.RawIOBase):
-    """The bytes ``start..stop`` of an open file, read by offset as a stream."""
-
-    def __init__(self, fd: int, start: int, stop: int):
-        self._fd, self._pos, self._stop = fd, start, stop
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        count = os.preadv(self._fd, [memoryview(buffer)[: self._stop - self._pos]], self._pos)
-        self._pos += count
-        return count
-
-
-def _parse_range(fd: int, start: int, stop: int, width: int) -> np.ndarray:
-    """:func:`_parse_lines` over the bytes ``start..stop`` of an open file,
-    read as a stream of strict UTF-8 with the line breaks that
-    :func:`_read_numeric` reads.
-    """
-    stream = io.BufferedReader(_ByteRange(fd, start, stop))
-    with io.TextIOWrapper(stream, encoding="utf-8", newline="") as lines:
-        return _parse_lines(lines, width)
 
 
 def _received(last: np.ndarray, parts) -> np.ndarray:

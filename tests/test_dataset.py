@@ -827,11 +827,13 @@ def _small_embedding_files(draw):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(file=_small_embedding_files(), workers=st.integers(2, 4))
-def test_split_read_equals_serial_read_on_drawn_files(tmp_path_factory, file, workers):
+@given(file=_small_embedding_files(), workers=st.integers(2, 4), chunk=st.integers(1, 64))
+def test_split_read_equals_serial_read_on_drawn_files(tmp_path_factory, file, workers, chunk):
     # Every range's widths and values are checked where it is parsed, in a
     # child or in this process: a split read gives the serial read's bits,
     # or None where the serial read does, and leaves no child or file behind.
+    # Chunks of 1 to 64 bytes end inside lines and inside runs of line
+    # breaks, which one 64 KiB chunk of these small files never does.
     content, faulty = file
     path = tmp_path_factory.mktemp("split") / "x.csv"
     path.write_bytes(content)
@@ -839,12 +841,98 @@ def test_split_read_equals_serial_read_on_drawn_files(tmp_path_factory, file, wo
     assert faulty or serial is not None
     fds = _open_fds()
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataset, "_CHUNK_BYTES", chunk)
+        chunked = _c_read(path)
         _split_forced(patch, workers)
         split = _c_read(path)
-    assert (split is None) == (serial is None)
-    if serial is not None:
-        assert split.shape == serial.shape and split.tobytes() == serial.tobytes()
+    for values in (chunked, split):
+        assert (values is None) == (serial is None)
+        if serial is not None:
+            assert values.shape == serial.shape and values.tobytes() == serial.tobytes()
     assert _open_fds() == fds
+    assert _no_children_left()
+
+
+def test_a_range_is_decoded_as_strict_utf8(tmp_path):
+    # numpy rejects a replacement character in any cell too, so only the
+    # error shows that a byte that is not UTF-8 stops the parse at its decode.
+    path = tmp_path / "x.csv"
+    path.write_bytes(b"1,2,0\n3,\xe9,1\n")
+    with open(path, "rb") as data, pytest.raises(UnicodeDecodeError):
+        dataset._parse_range(data.fileno(), 0, path.stat().st_size, 3)
+
+
+@pytest.fixture(scope="module")
+def large_csv(tmp_path_factory):
+    """The bytes of _write_large's file, LF line breaks and no quotes."""
+    path = tmp_path_factory.mktemp("large") / "x.csv"
+    _write_large(path)
+    return path.read_bytes()
+
+
+def _with_long_row(text):
+    """``text`` with 3000 spaces before each cell of the row across its
+    middle: a row of about 200 KB, which the middle cut's target falls in
+    more than a chunk before its end."""
+    start = text.rindex(b"\n", 0, len(text) // 2) + 1
+    stop = text.index(b"\n", start)
+    row = b",".join(b" " * 3000 + cell for cell in text[start:stop].split(b","))
+    return text[:start] + row + text[stop:]
+
+
+# Layouts of a file that two workers read, each made from large_csv.
+_LARGE_LAYOUTS = {
+    "lf": lambda text: text,
+    "crlf": lambda text: text.replace(b"\n", b"\r\n"),
+    "cr": lambda text: text.replace(b"\n", b"\r"),
+    "bom-crlf": lambda text: b"\xef\xbb\xbf" + text.replace(b"\n", b"\r\n"),
+    "no-final-break": lambda text: text.rstrip(b"\n"),
+    "blank-lines": lambda text: text.replace(b"\n", b"\n\n\r\n"),
+    "quoted-labels": lambda text: re.sub(rb",(\d+)\n", rb',"\1"\n', text),
+    "spaced-cells": lambda text: text.replace(b",", b" , "),
+    "row-longer-than-a-chunk": _with_long_row,
+}
+
+
+@pytest.mark.parametrize("layout", list(_LARGE_LAYOUTS))
+def test_split_read_of_each_layout_gives_the_cell_readers_bits(
+    tmp_path, monkeypatch, forks, large_csv, layout
+):
+    path = tmp_path / "x.csv"
+    path.write_bytes(_LARGE_LAYOUTS[layout](large_csv))
+    features, labels = _load_embeddings_by_cells(path)
+    cell_reads = []
+    read_rows = dataset._read_rows
+
+    def recorded(*args):
+        cell_reads.append(args)
+        return read_rows(*args)
+
+    monkeypatch.setattr(dataset, "_read_rows", recorded)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    batch = load_embeddings(path)
+    assert len(forks) == 1 and not cell_reads
+    assert batch.features.tobytes() == features.tobytes()
+    assert batch.labels.tobytes() == labels.tobytes()
+    assert _no_children_left()
+
+
+@pytest.mark.parametrize("cell", ["1\x1d", '1"5'], ids=["separator", "odd-quote"])
+def test_a_bad_row_in_the_last_chunk_is_named_by_line_and_column(
+    tmp_path, monkeypatch, forks, large_csv, cell
+):
+    # The last row, in the last chunk of the range that this process parses.
+    *lines, last, end = large_csv.split(b"\n")
+    cells = last.split(b",")
+    cells[1] = cell.encode()
+    path = tmp_path / "x.csv"
+    path.write_bytes(b"\n".join([*lines, b",".join(cells), end]))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert _c_read(path) is None
+    assert len(forks) == 1
+    where = f"{path}: unparsable value {cell!r} at line {len(lines) + 1}, column 'e1'"
+    with pytest.raises(DatasetError, match=f"^{re.escape(where)}$"):
+        load_embeddings(path)
     assert _no_children_left()
 
 
@@ -996,6 +1084,29 @@ def test_split_read_of_a_file_shortened_after_its_size_was_read(
     assert split.shape == serial.shape and split.tobytes() == serial.tobytes()
     assert len(forks) == 1
     assert _open_fds() == fds
+    assert _no_children_left()
+
+
+def test_a_file_shortened_during_the_cut_search_fails_the_fast_read(
+    tmp_path, monkeypatch, forks
+):
+    # The cuts are found by reads of the open file, so a file cut short while
+    # they are searched is a ValueError, and the rows are read again, never
+    # a signal that ends the process.
+    head = b"e0,e1,label\n" + b"1,2,0\n3,4,1\n" * 1000
+    path = tmp_path / "x.csv"
+    path.write_bytes(head + b"1,2,0\n3,4,1\n" * 2000)
+    row_start = dataset._row_start
+
+    def shortened(fd, pos, stop):
+        os.truncate(path, len(head))
+        return row_start(fd, pos, stop)
+
+    monkeypatch.setattr(dataset, "_row_start", shortened)
+    _split_forced(monkeypatch, 2)
+    assert _c_read(path) is None
+    assert not forks
+    assert load_embeddings(path).num_rows == 2000
     assert _no_children_left()
 
 
