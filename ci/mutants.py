@@ -57,8 +57,12 @@ MUTANTS = [
      "another unit for a centroid on the query"),
     (RECOURSE, "            if loss < best_loss:", "            if loss <= best_loss:",
      "the winner's tie going to the last point"),
-    (RECOURSE, "_project(c, eps, mode) for c in candidates), _project(to_goal, eps, mode)]",
+    (RECOURSE, "_project(c, eps, mode) for c in candidates), goal_start]",
      "_project(c, eps, mode) for c in candidates)]", "no step toward the goal centroid"),
+    (RECOURSE, "reaches_goal = goal_start is to_goal", "reaches_goal = False",
+     "a search from a start on the goal centroid"),
+    (RECOURSE, "                s = trial - delta\n", "",
+     "a backtracked step taken as the full one in the Armijo test and the BB quotient"),
     (RECOURSE, 'if mode == "sphere" and eps > 0:', "if False:", "no second sphere search"),
     (RECOURSE, "for sign in (1.0, -1.0)]", "for sign in (1.0,)]", "frame starts +q only"),
     (RECOURSE, "abs(d_g - eps * f_g) < d_g", "abs(d_g - eps * f_g) <= d_g",

@@ -196,6 +196,9 @@ def _project(v: np.ndarray, epsilon: float, mode: str) -> np.ndarray:
     Ball mode returns a feasible ``v`` as is, without a copy; sphere mode
     gives zeros for a norm of at most ``_ZERO_NORM``. Any other ``v`` is
     rescaled onto the sphere, and a finite norm rounding above ``epsilon`` shrunk.
+    So the result is ``v`` itself exactly when ball mode holds and ``v`` is
+    feasible: :func:`_individual` reads from this whether the budget reaches
+    the goal centroid.
     """
     norm = math.sqrt(v.dot(v))
     if mode == "ball" and norm <= epsilon:
@@ -215,23 +218,27 @@ def _spg(x_q, goal, mu, delta, loss, grad, eps, mode, steps):
     Starts from the feasible ``delta`` with the given loss and gradient. Each
     iteration evaluates a projected Barzilai-Borwein step, then halves the way
     to it, projecting again, until a point passes the Armijo test against the
-    loss at the current point. It stops once the step falls to ``_STOP * eps``
-    or below, once an accepted point does not lower that loss (a step on a
-    sphere below rounding stays about eps long, but moves no loss), or after
-    ``steps`` iterations.
+    loss at the current point. The accepted step and its squared length make
+    the next Barzilai-Borwein quotient: an accepted full step is the
+    projected step itself, so only a halved one recomputes them. It stops
+    once the step falls to ``_STOP * eps`` or below, once an accepted point
+    does not lower that loss (a step on a sphere below rounding stays about
+    eps long, but moves no loss), or after ``steps`` iterations.
     """
     tol = _STOP * eps
     lam = min(_LAMBDA_MAX, eps / max(math.sqrt(grad.dot(grad)), _ZERO_NORM))
     for _ in range(steps):
         trial = _project(delta - lam * grad, eps, mode)
-        direction = trial - delta
-        length, alpha = math.sqrt(direction.dot(direction)), 1.0
+        s = direction = trial - delta
+        # As Python floats: the same IEEE values, without numpy scalar overhead.
+        ss, alpha = float(direction.dot(direction)), 1.0
+        length = math.sqrt(ss)
         while alpha * length > tol:
             if alpha < 1.0:
                 trial = _project(delta + alpha * direction, eps, mode)
+                s = trial - delta
             trial_loss, trial_grad, probs, _, _ = _evaluate(x_q + trial, mu, goal)
             yield trial_loss, trial, probs
-            s = trial - delta
             if trial_loss <= loss + _ARMIJO * float(grad.dot(s)):
                 break
             alpha *= 0.5
@@ -240,9 +247,10 @@ def _spg(x_q, goal, mu, delta, loss, grad, eps, mode, steps):
         if trial_loss >= loss:
             return
         y = trial_grad - grad
-        # As Python floats: the same IEEE quotient, without numpy scalar overhead.
         sy = float(s.dot(y))
-        lam = min(_LAMBDA_MAX, max(_LAMBDA_MIN, float(s.dot(s)) / sy)) if sy > 0 else _LAMBDA_MAX
+        if alpha < 1.0:
+            ss = float(s.dot(s))
+        lam = min(_LAMBDA_MAX, max(_LAMBDA_MIN, ss / sy)) if sy > 0 else _LAMBDA_MAX
         delta, loss, grad = trial, trial_loss, trial_grad
 
 
@@ -300,14 +308,17 @@ def _individual(x_q, theta, answer, budget, cfg, extra_candidates):
             raise ValueError(f"extra candidate {i} is not a finite vector of dimension {x_q.size}")
     mu, eps, mode = theta.mu, budget.epsilon, cfg.projection_mode
     to_goal = mu[goal] - x_q
-    reaches_goal = mode == "ball" and math.sqrt(to_goal.dot(to_goal)) <= eps
     evaluated = []
     # Past a norm of about 1e154 squared norms overflow: such a point
     # evaluates to inf or NaN, and so never wins or passes the Armijo test.
     with np.errstate(over="ignore", invalid="ignore"):
         zero = np.zeros(x_q.shape)
+        goal_start = _project(to_goal, eps, mode)
+        # _project returns to_goal itself exactly when ball mode holds and the
+        # budget reaches the goal centroid.
+        reaches_goal = goal_start is to_goal
         # Without the goal step the iterates stall at the kink on the goal centroid.
-        first = [zero, *(_project(c, eps, mode) for c in candidates), _project(to_goal, eps, mode)]
+        first = [zero, *(_project(c, eps, mode) for c in candidates), goal_start]
         rounds = [first]
         if mode == "sphere" and eps > 0:
             # A second search, from the centroid frame: on the sphere the

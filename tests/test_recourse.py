@@ -152,6 +152,15 @@ def test_project_ball():
     assert np.array_equal(_project(np.array([0.1, 0.0]), 1.0, "ball"), [0.1, 0.0])
     assert np.allclose(_project(np.array([3.0, 4.0]), 1.0, "ball"), [0.6, 0.8], atol=1e-15)
     assert np.array_equal(_project(np.zeros(2), 0.7, "ball"), [0.0, 0.0])
+    # A feasible vector comes back as the very same object, and only such a
+    # one: _individual reads from this whether the budget reaches the goal
+    # centroid. A vector on the boundary is feasible.
+    for inside in (np.array([0.1, 0.0]), np.array([0.6, 0.8]), np.zeros(2)):
+        assert _project(inside, 1.0, "ball") is inside
+    outside = np.array([3.0, 4.0])
+    projected = _project(outside, 1.0, "ball")
+    assert projected is not outside and not np.shares_memory(projected, outside)
+    assert np.array_equal(outside, [3.0, 4.0])
 
 
 def test_normalize_sphere():
@@ -159,6 +168,12 @@ def test_normalize_sphere():
     # unlike the ball projection, interior points are pushed out to the sphere
     assert np.allclose(_project(np.array([0.1, 0.0]), 1.0, "sphere"), [1.0, 0.0], atol=1e-15)
     assert np.array_equal(_project(np.zeros(2), 1.0, "sphere"), [0.0, 0.0])
+    # Sphere mode never returns its input, not even a vector already on the sphere.
+    for v in (np.array([3.0, 4.0]), np.array([0.1, 0.0]), np.array([0.6, 0.8]), np.zeros(2)):
+        copy = v.copy()
+        projected = _project(v, 1.0, "sphere")
+        assert projected is not v and not np.shares_memory(projected, v)
+        assert np.array_equal(v, copy)
 
 
 @pytest.mark.parametrize("mode", ["ball", "sphere"])
