@@ -83,6 +83,23 @@ MUTANTS = [
     (DATASET, "yield from map(bytes.decode, rows)",
      'yield from (row.decode(errors="replace") for row in rows)',
      'errors="replace" in the chunk decode'),
+    (DATASET, "    if not parts:\n        return last\n", "", "a lone range copied into a new matrix"),
+    (DATASET, "return max(1, min(len(os.sched_getaffinity(0)), size // _RANGE_BYTES))",
+     "return min(len(os.sched_getaffinity(0)), size // _RANGE_BYTES)",
+     "no worker at all for under _RANGE_BYTES of rows"),
+    (DATASET, "while _blank(header) and", "while not header and",
+     "a line of blank cells taken as the header"),
+    (DATASET, '.decode("utf-8-sig" if lo == 0 else "utf-8")', ".decode()",
+     "a byte order mark kept in the header's line"),
+    (DATASET, '.decode("utf-8-sig" if lo == 0 else "utf-8")', '.decode("utf-8-sig")',
+     "a byte order mark dropped from a header line past the file's start"),
+    (DATASET, "csv.reader([line], strict=True)", "csv.reader([line])",
+     "a header line that leaves a quoted cell open"),
+    (DATASET, "lo, start = start, next(ends)",
+     "lo, start = start, next(_row_starts(fd, start, size))",
+     "a window read for each line before the header"),
+    (DATASET, "if workers < 2 or not _wrote_split(", "if not _wrote_split(",
+     "one worker's write put through the split, which seeks"),
 ]
 
 # reason -> why no test can kill the mutant.

@@ -21,23 +21,21 @@ a header.
 
 The C reader, fed lines from 64 KiB chunks read by offset (see
 :func:`_parse_range`), holds the GIL, so a thread cannot share its work.
-Where the rows fill at least 4 MiB, a usable second CPU exists and no other
-Python thread runs, :func:`_read_split` cuts them, reading a bounded window
-at each cut, into one range per usable CPU, all but the last parsed in
-children made with ``os.fork()``, into the one matrix that the batch then
-views, bit for bit the serial result. :func:`_write_matrix` splits a write
-the same way, byte for byte a serial write. Each child writes its part to
-an unnamed temporary file (see :func:`_forked`). If a worker fails, the
-file is read cell by cell, or written serially. README.md gives the times
-on a 20 000 x 64 file.
+:func:`_read_split` parses the rows below the header, cut where
+:func:`_row_starts` finds a row (the rule that ends the header too), in one
+range per worker (see :func:`_worker_count`), all but the last in children
+made with ``os.fork()``, into the one matrix that the batch then views; one
+worker forks nothing. :func:`_write_matrix` splits a write of two or more
+workers the same way. The values and bytes are the same at any worker
+count. Each child writes its part to an unnamed temporary file (see
+:func:`_forked`). A failed worker means a read cell by cell, or a write
+by this process alone. README.md gives the times on a 20 000 x 64 file.
 """
 
 from __future__ import annotations
 
-import codecs
 import contextlib
 import csv
-import itertools
 import math
 import operator
 import os
@@ -85,7 +83,7 @@ def _integer(value, name: str, error=ValueError) -> int:
         raise error(f"{name} must be an integer, got {value!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledBatch:
     """Feature matrix (N x d), integer labels (N,), and class count k.
 
@@ -147,7 +145,7 @@ class LabeledBatch:
         return self.features.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyntheticSpec:
     """Blob-sampling recipe: k centers, points per class, noise std, seed."""
 
@@ -336,41 +334,37 @@ def _parse_range(fd: int, start: int, stop: int, width: int) -> np.ndarray:
 
 
 def _read_numeric(data) -> np.ndarray | None:
-    """The rows below the header of the open regular file ``data``, read
-    from its start, as numpy's C reader parses them, or None.
+    """The rows below the header of the open regular file ``data``, as
+    :func:`_read_split` parses them, or None.
 
-    The header is the first non-blank row, as for :func:`_read_rows`, and
-    :func:`_parse_range` or :func:`_read_split` parse the rows below it. None
-    means that a parse raised or warned (a file without data rows warns):
+    The header is the first line that holds a cell, as for
+    :func:`_read_rows`; a line ends where :func:`_row_starts` finds the next,
+    and csv reads it strictly, so that a quoted cell left open is an error,
+    not a header that runs on. None means that a parse raised or warned:
     only :func:`_read_rows` and :func:`_read_reals` then say what is wrong,
     and where. Where it returns values, they are bit for bit theirs.
     """
     try:
-        data.seek(0)
-        with open(data.fileno(), newline="", encoding="utf-8-sig", closefd=False) as handle:
-            lines, head = itertools.tee(handle)
-            reader = csv.reader(lines)
-            header = next((row for row in reader if not _blank(row)), [])
-            # The lines up to the header, whose length in bytes locates the data.
-            start = len("".join(itertools.islice(head, reader.line_num)).encode())
-        if os.pread(fd := data.fileno(), len(codecs.BOM_UTF8), 0) == codecs.BOM_UTF8:
-            start += len(codecs.BOM_UTF8)
+        fd, start, header = data.fileno(), 0, []
         size = os.fstat(fd).st_size
-        if (workers := _worker_count(size - start)) < 2:
-            return _parse_range(fd, start, size, len(header))
-        return _read_split(fd, start, workers, len(header))
+        ends = _row_starts(fd, 0, size)
+        while _blank(header) and start < size:
+            lo, start = start, next(ends)
+            line = os.pread(fd, start - lo, lo).decode("utf-8-sig" if lo == 0 else "utf-8")
+            header = next(csv.reader([line], strict=True), [])
+        return _read_split(fd, start, _worker_count(size - start), len(header))
     except (OSError, ValueError, Warning, csv.Error):
         return None
 
 
 def _worker_count(size: int) -> int:
-    """How many processes parse ``size`` bytes of data rows: one per usable
-    CPU, each given at least ``_RANGE_BYTES``. A process that runs a second
-    Python thread is never forked, and reads alone.
+    """How many processes parse ``size`` bytes of data rows, at least one:
+    one per usable CPU, each given at least ``_RANGE_BYTES``. A process that
+    runs a second Python thread is never forked, and reads alone.
     """
     if not hasattr(os, "sched_getaffinity") or threading.active_count() != 1:
         return 1
-    return min(len(os.sched_getaffinity(0)), size // _RANGE_BYTES)
+    return max(1, min(len(os.sched_getaffinity(0)), size // _RANGE_BYTES))
 
 
 # A line break followed by a character: its end starts a line with data. One
@@ -381,18 +375,19 @@ _ROW_START = re.compile(rb"[\r\n](?=[^\r\n])")
 
 def _read_split(fd: int, start: int, workers: int, width: int) -> np.ndarray:
     """:func:`_parse_range` over the bytes of an open file from ``start``,
-    just after the header's line break, to its end, in parallel.
+    where :func:`_row_starts` found the row after the header, to its end.
 
     The bytes are cut into at most ``workers`` ranges, each starting a line
-    with data (see :func:`_row_start`). A forked child parses each range but
+    with data (see :func:`_row_starts`). A forked child parses each range but
     the last and writes its float64 rows to its part, this process parses
     the last, and :func:`_received` puts them in file order into one matrix.
-    A ValueError if no range holds data or the file is shortened meanwhile;
-    a ChildProcessError if a child failed.
+    One range forks nothing. A ValueError if no range holds data or the file
+    is shortened meanwhile; a ChildProcessError if a child failed.
     """
     stop = os.fstat(fd).st_size
     # start - 1 is the header's line break.
-    cuts = [_row_start(fd, start + (stop - start) * i // workers - 1, stop) for i in range(workers)]
+    targets = (start + (stop - start) * i // workers - 1 for i in range(workers))
+    cuts = [next(_row_starts(fd, pos, stop)) for pos in targets]
     jobs = [(fd, lo, hi, width) for lo, hi in zip(cuts, cuts[1:] + [stop]) if lo < hi]
     if not jobs:
         raise ValueError("no data rows")
@@ -402,18 +397,18 @@ def _read_split(fd: int, start: int, workers: int, width: int) -> np.ndarray:
         return _received(last, parts)
 
 
-def _row_start(fd: int, pos: int, stop: int) -> int:
-    """The end of the first ``_ROW_START`` in bytes ``pos..stop`` of an open
-    file, or ``stop``: windows that overlap by a byte are read until one
-    holds it. A ValueError if the file ends early."""
+def _row_starts(fd: int, pos: int, stop: int):
+    """The ends of each ``_ROW_START`` in bytes ``pos..stop`` of an open
+    file, in order, then ``stop``: windows that overlap by a byte are read
+    as the ends are taken, each once. A ValueError if the file ends early."""
     while pos + 1 < stop:
         window = os.pread(fd, min(_CHUNK_BYTES + 1, stop - pos), pos)
         if len(window) < 2:
             raise ValueError("the file was shortened")
-        if match := _ROW_START.search(window):
-            return pos + match.end()
+        for match in _ROW_START.finditer(window):
+            yield pos + match.end()
         pos += len(window) - 1
-    return stop
+    yield stop
 
 
 @contextlib.contextmanager
@@ -466,7 +461,10 @@ def _received(last: np.ndarray, parts) -> np.ndarray:
 
     Every row has ``last``'s width, so a part's size gives its row count:
     the matrix is made once, and each child's rows are read straight into it.
+    Where no child ran, ``last`` is the matrix, not copied.
     """
+    if not parts:
+        return last
     counts = [os.fstat(part.fileno()).st_size // last[0].nbytes for part in parts]
     values = np.empty((sum(counts) + len(last), last.shape[1]))
     *blocks, own = np.split(values, np.cumsum(counts))
@@ -491,10 +489,10 @@ def _write_matrix(path, columns, header) -> None:
 
     ``columns`` are 2-D or 1-D arrays with one row per line, such as a
     batch's features and its labels (an integral label prints as an
-    integer: ``'%.17g' % 3.0 == '3'``). Where :func:`_worker_count` allows
-    for the formatted size, sized at ``_CELL_BYTES`` a cell, and the path is
-    a regular file, the lines are written in parallel (see
-    :func:`_wrote_split`); the bytes are the same either way.
+    integer: ``'%.17g' % 3.0 == '3'``). Where :func:`_worker_count` gives
+    two or more workers for ``_CELL_BYTES`` a cell and the path is a regular
+    file, :func:`_wrote_split` writes them in parallel, else this process
+    alone, as to a pipe, which cannot seek; the bytes are the same either way.
     """
     rows = len(columns[0])
     width = np.column_stack([column[:1] for column in columns]).shape[1]
@@ -523,9 +521,9 @@ def _wrote_split(handle, line: str, columns, rows: int, workers: int) -> bool:
     This process formats the first range straight into the file, while a
     forked child writes each other range to its part, a block at a time as
     it is formatted (see :func:`_forked`). The parts are then copied into
-    the file in order. If a worker fails, the file is put back to where the
-    rows begin, for a serial write: what the split wrote is a prefix of that
-    write, which overwrites all of it.
+    the file in order; one range forks nothing. If a worker fails, the file
+    is put back to where the rows begin, for one worker's write: what the
+    split wrote is a prefix of it, which overwrites all of it.
     """
     start = handle.tell()
     cuts = [rows * i // workers for i in range(workers + 1)]

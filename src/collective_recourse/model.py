@@ -30,7 +30,7 @@ GRAD_NORM_FLOOR = 1e-12
 _BLOCK_ROWS = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Centroids:
     """Model parameters: a k x d matrix with one centroid row per class."""
 

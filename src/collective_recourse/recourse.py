@@ -60,7 +60,7 @@ _STOP = 2**-26
 _LAMBDA_MIN, _LAMBDA_MAX = 1e-30, 1e30
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuerySpec:
     """Query subject's features plus the class they want predicted."""
 
@@ -99,7 +99,7 @@ def _row_mask(mask, labels) -> np.ndarray:
     return mask
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerturbationMatrix:
     """Per-row perturbations held as one move per class: row i of the N x d
     perturbation is ``moves[labels[i]]`` (a row of the finite k x d moves)
@@ -167,7 +167,7 @@ class SolverConfig:
             raise ValueError(f"projection_mode must be {allowed}, got {self.projection_mode!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class RecourseResult:
     """Best perturbation found, its loss, and the resulting model state.
 

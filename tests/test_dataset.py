@@ -451,6 +451,14 @@ _PARSE_CASES = {
     "lone-cr": (b"e0,label\r1,0\r2,1\r", True),
     "no-final-newline": (b"e0,label\n1,0\n2,1", True),
     "blank-lines": (b"\n\ne0,label\n1,0\n\n2,1\n\n", True),
+    "bom-then-blank-lines": (b"\xef\xbb\xbf\n\ne0,label\n1,0\n2,1\n", True),
+    "commas-before-header": (b",,\ne0,label\n1,0\n2,1\n", True),
+    "spaces-before-header": (b"  \t\ne0,label\n1,0\n2,1\n", True),
+    # A byte order mark past the file's start is a cell, so this line is the header.
+    "bom-line-after-blank-line": (b"\n\xef\xbb\xbf\ne0,label\n1,0\n2,1\n", False),
+    # The header is read a line at a time, so the cell reader reads these.
+    "quoted-header-line-break": (b'"e\n0",label\n1,0\n2,1\n', False),
+    "quote-left-open-in-header": (b'x,"a,b\n1,0\n2,1\n', False),
     "spaces-around-values": (b"e0,label\n 1 ,0\n\t2,1 \n", True),
     "no-break-space": ("e0,label\n\xa01,0\n2,1\n".encode(), True),
     "whitespace-row": (b"e0,label\n1,0\n   \n2,1\n", False),
@@ -494,7 +502,7 @@ _PARSE_CASES = {
 # requires; load_csv maps labels by their text and checks its own layout.
 _LABEL_OR_LAYOUT_FAULTS = {
     "fractional-label", "negative-label", "skipped-class", "one-class", "header-only",
-    "single-column",
+    "single-column", "bom-line-after-blank-line", "quote-left-open-in-header",
 }
 
 
@@ -1096,13 +1104,15 @@ def test_a_file_shortened_during_the_cut_search_fails_the_fast_read(
     head = b"e0,e1,label\n" + b"1,2,0\n3,4,1\n" * 1000
     path = tmp_path / "x.csv"
     path.write_bytes(head + b"1,2,0\n3,4,1\n" * 2000)
-    row_start = dataset._row_start
+    row_starts = dataset._row_starts
 
     def shortened(fd, pos, stop):
-        os.truncate(path, len(head))
-        return row_start(fd, pos, stop)
+        # The search from byte 0 ends the header; every later one is a cut's.
+        if pos > 0:
+            os.truncate(path, len(head))
+        return row_starts(fd, pos, stop)
 
-    monkeypatch.setattr(dataset, "_row_start", shortened)
+    monkeypatch.setattr(dataset, "_row_starts", shortened)
     _split_forced(monkeypatch, 2)
     assert _c_read(path) is None
     assert not forks
@@ -1153,6 +1163,47 @@ def test_split_read_is_used_only_where_it_pays(tmp_path, monkeypatch, forks, why
             thread.join()
     assert values.shape == (8, 3)
     assert not forks
+
+
+def test_one_worker_receives_its_own_rows_without_a_copy():
+    last = np.arange(6.0).reshape(3, 2)
+    assert dataset._received(last, []) is last
+
+
+def test_lines_before_the_header_are_read_once(tmp_path, monkeypatch):
+    # Each line before the header ends where the search for the next one
+    # left off, so a long run of blank-cell lines costs its bytes, not a
+    # window each.
+    path = tmp_path / "x.csv"
+    path.write_bytes(b",,\n  \n" * 20000 + b"e0,label\n1,0\n2,1\n")
+    read = []
+    pread = os.pread
+
+    def counted(fd, length, offset):
+        read.append(length)
+        return pread(fd, length, offset)
+
+    monkeypatch.setattr(os, "pread", counted)
+    assert _c_read(path).tolist() == [[1, 0], [2, 1]]
+    assert sum(read) < 3 * path.stat().st_size
+
+
+def test_save_csv_to_a_fifo_writes_the_files_bytes(tmp_path):
+    # An output that cannot seek, such as a pipe, is written by this process alone.
+    batch = _edge_batch(300)
+    path, fifo = tmp_path / "x.csv", tmp_path / "fifo"
+    save_csv(batch, path)
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+    reader.start()
+    faulthandler.dump_traceback_later(60, exit=True)
+    try:
+        save_csv(batch, fifo)
+    finally:
+        reader.join(60)
+        faulthandler.cancel_dump_traceback_later()
+    assert received == [path.read_bytes()]
 
 
 def _edge_batch(rows):

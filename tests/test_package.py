@@ -5,10 +5,20 @@ import shutil
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import collective_recourse
-from collective_recourse import cli_main, oracle
+from collective_recourse import (
+    Centroids,
+    LabeledBatch,
+    PerturbationMatrix,
+    QuerySpec,
+    RecourseResult,
+    SyntheticSpec,
+    cli_main,
+    oracle,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -114,3 +124,30 @@ def test_every_private_module_name_is_read():
                 read.add(node.attr)
     assert len(defined) > 50
     assert [entry for entry in defined if entry.rsplit(" ", 1)[1] not in read] == []
+
+
+_MU = np.array([[0.0, 1.0], [2.0, 3.0]])
+
+# The records that hold arrays, each made anew from copies of the same arrays.
+_ARRAY_RECORDS = {
+    "LabeledBatch": lambda: LabeledBatch(_MU.copy(), np.array([0, 1]), 2),
+    "SyntheticSpec": lambda: SyntheticSpec(_MU.copy(), 3, 1.0, seed=0),
+    "Centroids": lambda: Centroids(_MU.copy()),
+    "QuerySpec": lambda: QuerySpec(_MU[0].copy(), 1),
+    "PerturbationMatrix": lambda: PerturbationMatrix(
+        _MU.copy(), np.array([0, 1]), np.array([True, False])
+    ),
+    "RecourseResult": lambda: RecourseResult(
+        _MU[0].copy(), 0.5, False, _MU[0].copy(), Centroids(_MU.copy())
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_ARRAY_RECORDS))
+def test_records_that_hold_arrays_compare_by_identity(name):
+    # A generated __eq__ would compare tuples of arrays, which raises, and a
+    # generated __hash__ would hash an array, which raises too.
+    one, other = _ARRAY_RECORDS[name](), _ARRAY_RECORDS[name]()
+    assert one == one and not one == other and one != other
+    assert hash(one) == hash(one)
+    assert len({one, other}) == 2
