@@ -84,25 +84,25 @@ def split_write_and_read():
     with open("synth30k.csv", "rb") as split, open("serial30k.csv", "rb") as serial:
         assert split.read() == serial.read(), "the split write differs from a serial write"
     os.remove("serial30k.csv")
-    cell_reads, read_rows = [], dataset._read_rows
+    cell_reads, read_reals = [], dataset._read_reals
 
     def recorded(*args):
         cell_reads.append(args)
-        return read_rows(*args)
+        return read_reals(*args)
 
     for name, ending in [("synth30k_crlf.csv", b"\r\n"), ("synth30k_cr.csv", b"\r")]:
         with open("synth30k.csv", "rb") as source, open(name, "wb") as copy:
             for block in iter(lambda: source.read(1 << 20), b""):
                 copy.write(block.replace(b"\n", ending))
         forks.clear()
-        dataset._read_rows, os.fork = recorded, counted
+        dataset._read_reals, os.fork = recorded, counted
         tracemalloc.start()
         try:
             loaded = dataset.load_embeddings(name)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-            dataset._read_rows, os.fork = read_rows, fork
+            dataset._read_reals, os.fork = read_reals, fork
         assert forks and not cell_reads, f"{name}: no split read, or the cell reader ran"
         assert loaded.features.base.tobytes() == values.tobytes(), f"{name}: other values"
         assert peak < 1.6 * values.nbytes, f"{name}: read peak {peak / values.nbytes:.2f}x"

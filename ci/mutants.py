@@ -1,5 +1,5 @@
-"""Mutation check of the solvers, the model kernel and the numeric CSV
-reader: every listed mutant must fail a test.
+"""Mutation check of the solvers, the model kernel and the CSV readers:
+every listed mutant must fail a test.
 
 Run from the repository root::
 
@@ -87,17 +87,15 @@ MUTANTS = [
     (DATASET, "return max(1, min(len(os.sched_getaffinity(0)), size // _RANGE_BYTES))",
      "return min(len(os.sched_getaffinity(0)), size // _RANGE_BYTES)",
      "no worker at all for under _RANGE_BYTES of rows"),
-    (DATASET, "while _blank(header) and", "while not header and",
-     "a line of blank cells taken as the header"),
-    (DATASET, '.decode("utf-8-sig" if lo == 0 else "utf-8")', ".decode()",
-     "a byte order mark kept in the header's line"),
-    (DATASET, '.decode("utf-8-sig" if lo == 0 else "utf-8")', '.decode("utf-8-sig")',
-     "a byte order mark dropped from a header line past the file's start"),
-    (DATASET, "csv.reader([line], strict=True)", "csv.reader([line])",
-     "a header line that leaves a quoted cell open"),
-    (DATASET, "lo, start = start, next(ends)",
-     "lo, start = start, next(_row_starts(fd, start, size))",
-     "a window read for each line before the header"),
+    (DATASET, "if number == 1 else line", "if True else line",
+     "a byte order mark dropped from a line past the file's start"),
+    (DATASET, 'line.removeprefix(b"\\xef\\xbb\\xbf")', "line",
+     "a byte order mark kept in the first line"),
+    (DATASET, "yield line.decode()", 'yield line.decode(errors="replace")',
+     'errors="replace" in the line decode'),
+    (DATASET, "            spool.flush()\n", "", "a spooled pipe not flushed"),
+    (DATASET, "islice(_lines(fd), line)", "islice(_lines(fd), line - 1)",
+     "the data started a line early"),
     (DATASET, "if workers < 2 or not _wrote_split(", "if not _wrote_split(",
      "one worker's write put through the split, which seeks"),
 ]

@@ -10,26 +10,27 @@ This module is the package's only CSV reader and writer. The package reads
 two inputs, a labeled CSV (:func:`load_csv`) and an embedding CSV
 (:func:`load_embeddings`), and reads none of the files it writes. Each input
 is opened once, by :func:`_opened`, which spools a pipe to an unnamed
-temporary file. :func:`load_embeddings` first tries numpy's C reader on that
-file. A labeled CSV, and a file the C reader rejects, is read in one pass:
-:func:`_read_rows` yields each row as it reads it and :func:`_read_reals`
-converts that row, so no reader holds every row's cells, and an error names
-the first fault in file order. Float matrices (a batch's features and
-labels, perturbation rows) are written by :func:`_write_matrix`, and the
-sweep report, which mixes reals and flags, by :func:`write_rows`, each below
-a header.
+temporary file and flushes it. Both readers read that file by offset, in the
+chunks of :func:`_chunks`, and take the first row of :func:`_read_rows` as
+the header. :func:`load_embeddings` first tries numpy's C reader on the
+lines below it. A labeled CSV, and a file the C reader rejects, is read
+in one pass: :func:`_read_rows` yields each row as it reads it and
+:func:`_read_reals` converts that row, so no reader holds every row's cells,
+and an error names the first fault in file order. Float matrices (a batch's
+features and labels, perturbation rows) are written by :func:`_write_matrix`,
+and the sweep report, which mixes reals and flags, by :func:`write_rows`,
+each below a header.
 
-The C reader, fed lines from 64 KiB chunks read by offset (see
-:func:`_parse_range`), holds the GIL, so a thread cannot share its work.
-:func:`_read_split` parses the rows below the header, cut where
-:func:`_row_starts` finds a row (the rule that ends the header too), in one
-range per worker (see :func:`_worker_count`), all but the last in children
-made with ``os.fork()``, into the one matrix that the batch then views; one
-worker forks nothing. :func:`_write_matrix` splits a write of two or more
-workers the same way. The values and bytes are the same at any worker
-count. Each child writes its part to an unnamed temporary file (see
-:func:`_forked`). A failed worker means a read cell by cell, or a write
-by this process alone. README.md gives the times on a 20 000 x 64 file.
+The C reader (see :func:`_parse_range`) holds the GIL, so a thread cannot
+share its work. :func:`_read_split` parses the rows below the header, cut
+where :func:`_row_start` finds a row, in one range per worker (see
+:func:`_worker_count`), all but the last in children made with ``os.fork()``,
+into the one matrix that the batch then views; one worker forks nothing.
+:func:`_write_matrix` splits a write of two or more workers the same way.
+The values and bytes are the same at any worker count. Each child writes its
+part to an unnamed temporary file (see :func:`_forked`). A failed worker means
+a read cell by cell, or a write by this process alone. README.md gives the
+times on a 20 000 x 64 file.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ import threading
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -176,16 +178,12 @@ class SyntheticSpec:
         object.__setattr__(self, "centers", _frozen(centers))
 
 
-def _blank(row: list[str]) -> bool:
-    return not any(cell.strip() for cell in row)
-
-
 @contextlib.contextmanager
 def _opened(path):
     """The file at ``path``, open for binary reads: a regular file as it is,
     and any other, such as a pipe, read once into an unnamed temporary file
-    (in TMPDIR). Every reader reads this one open file, so a file replaced
-    at its path meanwhile cannot mix two files.
+    (in TMPDIR) and flushed for reads by offset. Every reader reads this one
+    open file, so a file replaced at its path meanwhile cannot mix two files.
     """
     if not os.path.exists(path):
         raise DatasetError(f"missing file: {path}")
@@ -195,6 +193,7 @@ def _opened(path):
             return
         with tempfile.TemporaryFile() as spool:
             shutil.copyfileobj(data, spool)
+            spool.flush()
             yield spool
 
 
@@ -203,44 +202,44 @@ def _read_rows(path, data):
     :func:`_opened`), as ``(line, cells)`` when the csv module reads it from
     the start: the header row first, with ``line`` counting blank lines too.
 
-    A leading UTF-8 byte order mark is dropped, so it cannot become part of
-    the first cell. A byte that is not UTF-8, and a line the csv module
-    cannot split (such as a cell over its field size limit), are rejected
-    by their line when reached; a file without rows, at its end. The caller
-    keeps ``data`` open, and so closes it when a row fails.
+    The lines are :func:`_utf8_lines` of :func:`_lines`. A byte that is not
+    UTF-8, a line the csv module cannot split (such as a cell over its field
+    size limit), and a file shortened meanwhile are rejected when reached; a
+    file without rows, at its end. The caller keeps ``data`` open, and so
+    closes it when a row fails.
     """
-    data.seek(0)
+    reader = csv.reader(_utf8_lines(_lines(data.fileno())))
     found = False
-    with open(
-        data.fileno(), newline="", encoding="utf-8-sig", errors="surrogateescape", closefd=False
-    ) as handle:
-        reader = csv.reader(_utf8_lines(handle, path))
-        try:
-            for row in reader:
-                if not _blank(row):
-                    found = True
-                    yield reader.line_num, row
-        except csv.Error as err:
-            raise DatasetError(f"{path}: line {reader.line_num}: {err}") from None
+    try:
+        for row in reader:
+            if any(cell.strip() for cell in row):
+                found = True
+                yield reader.line_num, row
+    except csv.Error as err:
+        raise DatasetError(f"{path}: line {reader.line_num}: {err}") from None
+    except ValueError as err:  # from _utf8_lines or _chunks
+        raise DatasetError(f"{path}: {err}") from None
     if not found:
         raise DatasetError(f"{path}: no rows")
 
 
-# A byte that is not UTF-8, as the "surrogateescape" error handler decodes it.
-_ESCAPED = re.compile("[\udc80-\udcff]")
+def _lines(fd: int):
+    """The lines of an open file, line breaks kept (see :func:`_chunks`)."""
+    for chunk in _chunks(fd, 0, os.fstat(fd).st_size):
+        yield from chunk.splitlines(True)
 
 
-def _utf8_lines(lines, path):
-    """The lines of a file decoded with "surrogateescape", up to the first
-    that holds a byte that is not UTF-8, which is rejected by its line.
+def _utf8_lines(lines):
+    """``lines`` decoded as strict UTF-8, a byte order mark dropped from the
+    first, so that it cannot become part of a cell. A ValueError names the
+    first byte that is not UTF-8 by its line.
     """
     for number, line in enumerate(lines, 1):
-        # isascii() is a flag lookup: only a line with another character is searched.
-        if not line.isascii() and (byte := _ESCAPED.search(line)):
-            raise DatasetError(
-                f"{path}: byte 0x{ord(byte[0]) - 0xDC00:02x} at line {number} is not UTF-8"
-            )
-        yield line
+        line = line.removeprefix(b"\xef\xbb\xbf") if number == 1 else line
+        try:
+            yield line.decode()
+        except UnicodeDecodeError as err:
+            raise ValueError(f"byte 0x{line[err.start]:02x} at line {number} is not UTF-8")
 
 
 def _parse_cell(text: str, line: int, column, path) -> float:
@@ -291,32 +290,41 @@ _RANGE_BYTES = 2 << 20
 _CHUNK_BYTES = 64 << 10
 
 
+def _chunks(fd: int, start: int, stop: int):
+    """Bytes ``start..stop`` of an open file, read by offset in chunks, each
+    cut where its last row starts, after a whole run of line breaks, so that
+    no line is split. Lines break at ``\n``, ``\r`` and ``\r\n``, as for the
+    csv module. A ValueError if the file ends early.
+    """
+    pos, held = start, b""
+    while pos < stop:
+        # At least as much again as is held, so a long line is read in linear time.
+        read = os.pread(fd, min(max(_CHUNK_BYTES, len(held)), stop - pos), pos)
+        if not read:
+            raise ValueError("the file was shortened")
+        pos += len(read)
+        chunk = held + read
+        if pos < stop:
+            end = len(chunk.rstrip(b"\r\n"))
+            cut = max(chunk.rfind(b"\n", 0, end), chunk.rfind(b"\r", 0, end)) + 1
+            chunk, held = chunk[:cut], chunk[cut:]
+        yield chunk
+
+
 def _parse_range(fd: int, start: int, stop: int, width: int) -> np.ndarray:
     """numpy's C reader, warnings as errors, over the lines of bytes
-    ``start..stop`` of an open file: a ValueError unless every row has
-    ``width`` cells and every value is finite, or if the file ends early.
+    ``start..stop`` of an open file (see :func:`_chunks`): a ValueError
+    unless every row has ``width`` cells and every value is finite, or if
+    the file ends early.
 
-    The bytes are read by offset in chunks, each cut where its last row
-    starts, after a whole run of line breaks, so that no line is split.
-    Lines break at ``\n``, ``\r`` and ``\r\n``, as for :func:`_read_rows`, and
-    are strict UTF-8. A separator, or a line with an odd count of quotes, is
-    a ValueError: a cell whose value holds a quote does not parse, so every
-    quoted cell ends on its line, and a split read's ranges start outside one.
+    Each chunk's lines are strict UTF-8. A separator, or a line with an odd
+    count of quotes, is a ValueError: a cell whose value holds a quote does
+    not parse, so every quoted cell ends on its line, and a split read's
+    ranges start outside one.
     """
 
     def lines():
-        pos, held = start, b""
-        while pos < stop:
-            # At least as much again as is held, so a long line is read in linear time.
-            read = os.pread(fd, min(max(_CHUNK_BYTES, len(held)), stop - pos), pos)
-            if not read:
-                raise ValueError("the file was shortened")
-            pos += len(read)
-            chunk = held + read
-            if pos < stop:
-                end = len(chunk.rstrip(b"\r\n"))
-                cut = max(chunk.rfind(b"\n", 0, end), chunk.rfind(b"\r", 0, end)) + 1
-                chunk, held = chunk[:cut], chunk[cut:]
+        for chunk in _chunks(fd, start, stop):
             if any(char in chunk for char in _SEPARATORS):
                 raise ValueError("a separator character")
             rows = chunk.splitlines(True)
@@ -334,26 +342,20 @@ def _parse_range(fd: int, start: int, stop: int, width: int) -> np.ndarray:
 
 
 def _read_numeric(data) -> np.ndarray | None:
-    """The rows below the header of the open regular file ``data``, as
+    """The rows below the header of the open file ``data``, as
     :func:`_read_split` parses them, or None.
 
-    The header is the first line that holds a cell, as for
-    :func:`_read_rows`; a line ends where :func:`_row_starts` finds the next,
-    and csv reads it strictly, so that a quoted cell left open is an error,
-    not a header that runs on. None means that a parse raised or warned:
-    only :func:`_read_rows` and :func:`_read_reals` then say what is wrong,
-    and where. Where it returns values, they are bit for bit theirs.
+    The header is :func:`_read_rows`' first row, and the data start after
+    the lines that it took. None means that a read or a parse raised or
+    warned: only :func:`_read_rows` and :func:`_read_reals` then say what is
+    wrong, and where. Where it returns values, they are bit for bit theirs.
     """
     try:
-        fd, start, header = data.fileno(), 0, []
-        size = os.fstat(fd).st_size
-        ends = _row_starts(fd, 0, size)
-        while _blank(header) and start < size:
-            lo, start = start, next(ends)
-            line = os.pread(fd, start - lo, lo).decode("utf-8-sig" if lo == 0 else "utf-8")
-            header = next(csv.reader([line], strict=True), [])
-        return _read_split(fd, start, _worker_count(size - start), len(header))
-    except (OSError, ValueError, Warning, csv.Error):
+        fd = data.fileno()
+        line, header = next(_read_rows(None, data))
+        start = sum(map(len, islice(_lines(fd), line)))
+        return _read_split(fd, start, _worker_count(os.fstat(fd).st_size - start), len(header))
+    except (OSError, ValueError, Warning):
         return None
 
 
@@ -375,10 +377,10 @@ _ROW_START = re.compile(rb"[\r\n](?=[^\r\n])")
 
 def _read_split(fd: int, start: int, workers: int, width: int) -> np.ndarray:
     """:func:`_parse_range` over the bytes of an open file from ``start``,
-    where :func:`_row_starts` found the row after the header, to its end.
+    where the row after the header starts, to its end.
 
     The bytes are cut into at most ``workers`` ranges, each starting a line
-    with data (see :func:`_row_starts`). A forked child parses each range but
+    with data (see :func:`_row_start`). A forked child parses each range but
     the last and writes its float64 rows to its part, this process parses
     the last, and :func:`_received` puts them in file order into one matrix.
     One range forks nothing. A ValueError if no range holds data or the file
@@ -386,8 +388,7 @@ def _read_split(fd: int, start: int, workers: int, width: int) -> np.ndarray:
     """
     stop = os.fstat(fd).st_size
     # start - 1 is the header's line break.
-    targets = (start + (stop - start) * i // workers - 1 for i in range(workers))
-    cuts = [next(_row_starts(fd, pos, stop)) for pos in targets]
+    cuts = [_row_start(fd, start + (stop - start) * i // workers - 1, stop) for i in range(workers)]
     jobs = [(fd, lo, hi, width) for lo, hi in zip(cuts, cuts[1:] + [stop]) if lo < hi]
     if not jobs:
         raise ValueError("no data rows")
@@ -397,18 +398,18 @@ def _read_split(fd: int, start: int, workers: int, width: int) -> np.ndarray:
         return _received(last, parts)
 
 
-def _row_starts(fd: int, pos: int, stop: int):
-    """The ends of each ``_ROW_START`` in bytes ``pos..stop`` of an open
-    file, in order, then ``stop``: windows that overlap by a byte are read
-    as the ends are taken, each once. A ValueError if the file ends early."""
+def _row_start(fd: int, pos: int, stop: int) -> int:
+    """The end of the first ``_ROW_START`` in bytes ``pos..stop`` of an open
+    file, or ``stop``: windows that overlap by a byte are read until one
+    holds it. A ValueError if the file ends early."""
     while pos + 1 < stop:
         window = os.pread(fd, min(_CHUNK_BYTES + 1, stop - pos), pos)
         if len(window) < 2:
             raise ValueError("the file was shortened")
-        for match in _ROW_START.finditer(window):
-            yield pos + match.end()
+        if match := _ROW_START.search(window):
+            return pos + match.end()
         pos += len(window) - 1
-    yield stop
+    return stop
 
 
 @contextlib.contextmanager

@@ -456,8 +456,8 @@ _PARSE_CASES = {
     "spaces-before-header": (b"  \t\ne0,label\n1,0\n2,1\n", True),
     # A byte order mark past the file's start is a cell, so this line is the header.
     "bom-line-after-blank-line": (b"\n\xef\xbb\xbf\ne0,label\n1,0\n2,1\n", False),
-    # The header is read a line at a time, so the cell reader reads these.
-    "quoted-header-line-break": (b'"e\n0",label\n1,0\n2,1\n', False),
+    # The header is the csv module's first row, so a quoted line break stays in its cell.
+    "quoted-header-line-break": (b'"e\n0",label\n1,0\n2,1\n', True),
     "quote-left-open-in-header": (b'x,"a,b\n1,0\n2,1\n', False),
     "spaces-around-values": (b"e0,label\n 1 ,0\n\t2,1 \n", True),
     "no-break-space": ("e0,label\n\xa01,0\n2,1\n".encode(), True),
@@ -619,15 +619,20 @@ def test_load_embeddings_fast_path_keeps_every_bit(embeddings_path, tmp_path):
         assert batch.labels.tobytes() == labels.tobytes()
 
 
-@pytest.mark.parametrize("rows_before", [0, 3000])
+@pytest.mark.parametrize("rows_before", [None, 0, 12000])
 @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
 def test_non_utf8_byte_is_named_by_file_line(tmp_path, rows_before, ending):
-    # 3000 rows put the bad byte past the decoder's first 8 KB chunk.
-    lines = ["e0,label"] + ["1.25,0"] * rows_before + ["2,1", "caf\u00e9,1"]
+    # 12000 rows put the bad byte past the first 64 KiB chunk. None puts it in
+    # the header, behind the byte order mark, whose 3 bytes must not shift it.
+    if rows_before is None:
+        lines, line = ["caf\u00e9,label", "1.25,0", "2,1"], 1
+    else:
+        lines = ["e0,label"] + ["1.25,0"] * rows_before + ["2,1", "caf\u00e9,1"]
+        line = rows_before + 3
     path = tmp_path / "x.csv"
     data = ending.join(lines).encode("utf-8") + ending.encode()
     path.write_bytes(b"\xef\xbb\xbf" + data.replace("\u00e9".encode(), b"\xe9"))
-    where = f"{path}: byte 0xe9 at line {rows_before + 3} is not UTF-8"
+    where = f"{path}: byte 0xe9 at line {line} is not UTF-8"
     with pytest.raises(DatasetError, match=re.escape(where)):
         load_embeddings(path)
     with pytest.raises(DatasetError, match=re.escape(where)):
@@ -699,6 +704,21 @@ def test_a_failing_load_closes_its_file_before_raising(tmp_path, load, content):
     assert _open_fds() == fds
 
 
+def test_a_file_shortened_while_its_rows_are_read_is_named(tmp_path):
+    # Rows are read by offset up to the size the file had when its reading
+    # began, so a file cut short meanwhile is an error, not fewer rows.
+    path = tmp_path / "x.csv"
+    path.write_text("e0,e1,label\n" + "1.25,2.5,a\n3,4,b\n" * 10_000)
+    where = f"{path}: the file was shortened"
+    with dataset._opened(path) as data:
+        rows = dataset._read_rows(path, data)
+        next(rows)
+        os.truncate(path, 100_000)
+        with pytest.raises(DatasetError, match=f"^{re.escape(where)}$"):
+            for _ in rows:
+                pass
+
+
 def test_load_csv_converts_each_row_as_it_reads_it(tmp_path, synth_20k_batch):
     # 20 000 x 64 features with string labels: no list of every row's cells
     # is held, and the stacked matrix is the batch's own, not copied.
@@ -760,6 +780,20 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counted)
     return pids
+
+
+@pytest.fixture
+def cell_reads(monkeypatch):
+    """The calls of dataset._read_reals, which converts a row the C reader did not."""
+    calls = []
+    read_reals = dataset._read_reals
+
+    def recorded(*args):
+        calls.append(args)
+        return read_reals(*args)
+
+    monkeypatch.setattr(dataset, "_read_reals", recorded)
+    return calls
 
 
 def _split_forced(monkeypatch, workers):
@@ -904,19 +938,12 @@ _LARGE_LAYOUTS = {
 
 @pytest.mark.parametrize("layout", list(_LARGE_LAYOUTS))
 def test_split_read_of_each_layout_gives_the_cell_readers_bits(
-    tmp_path, monkeypatch, forks, large_csv, layout
+    tmp_path, monkeypatch, forks, cell_reads, large_csv, layout
 ):
     path = tmp_path / "x.csv"
     path.write_bytes(_LARGE_LAYOUTS[layout](large_csv))
     features, labels = _load_embeddings_by_cells(path)
-    cell_reads = []
-    read_rows = dataset._read_rows
-
-    def recorded(*args):
-        cell_reads.append(args)
-        return read_rows(*args)
-
-    monkeypatch.setattr(dataset, "_read_rows", recorded)
+    cell_reads.clear()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     batch = load_embeddings(path)
     assert len(forks) == 1 and not cell_reads
@@ -1035,7 +1062,9 @@ def _load_from_fifo(tmp_path, content, load=load_embeddings):
         faulthandler.cancel_dump_traceback_later()
 
 
-def test_fifo_is_spooled_and_parsed_by_the_split_c_reader(tmp_path, monkeypatch, forks):
+def test_fifo_is_spooled_and_parsed_by_the_split_c_reader(
+    tmp_path, monkeypatch, forks, cell_reads
+):
     # About 5 MB of rows: two ranges of at least _RANGE_BYTES.
     path = tmp_path / "x.csv"
     _write_large(path)
@@ -1044,8 +1073,6 @@ def test_fifo_is_spooled_and_parsed_by_the_split_c_reader(tmp_path, monkeypatch,
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     on_path = load_embeddings(path)
     assert len(forks) == 1
-    cell_reads = []
-    monkeypatch.setattr(dataset, "_read_rows", lambda *args: cell_reads.append(args))
     fds = _open_fds()
     batch, peak = _peak_bytes(lambda: _load_from_fifo(tmp_path, content))
     assert len(forks) == 2 and not cell_reads
@@ -1054,6 +1081,33 @@ def test_fifo_is_spooled_and_parsed_by_the_split_c_reader(tmp_path, monkeypatch,
     assert peak < 1.6 * batch.features.base.nbytes
     assert _open_fds() == fds
     assert _no_children_left()
+
+
+def test_fifo_whose_first_chunk_ends_a_row_is_read_whole(tmp_path):
+    # Byte 65 536 ends a row, so the spool's first 64 KiB hold whole rows; the
+    # 20 rows after them reach the file only when the spool is flushed.
+    head = b"e0,label\n" + b"".join(b"%d.25,%d\n" % (i % 10, i % 2) for i in range(9361))
+    assert len(head) == 65536
+    path = tmp_path / "x.csv"
+    path.write_bytes(head + b"".join(b"%d,%d\n" % (i % 10, i % 2) for i in range(20)))
+    on_path = load_embeddings(path)
+    batch = _load_from_fifo(tmp_path, path.read_bytes())
+    assert batch.num_rows == on_path.num_rows == 9381
+    assert batch.features.tobytes() == on_path.features.tobytes()
+    assert batch.labels.tobytes() == on_path.labels.tobytes()
+
+
+def test_small_fifo_is_parsed_by_the_c_reader(tmp_path, cell_reads):
+    # Under 8 KiB, the whole input sits in the spool's write buffer until it
+    # is flushed, so a read of its size by offset would find no rows.
+    path = tmp_path / "x.csv"
+    save_csv(synth_blobs(SyntheticSpec(np.eye(3), 20, 1.0, seed=4)), path)
+    assert path.stat().st_size < 8192
+    on_path = load_embeddings(path)
+    batch = _load_from_fifo(tmp_path, path.read_bytes())
+    assert not cell_reads
+    assert batch.features.tobytes() == on_path.features.tobytes()
+    assert batch.labels.tobytes() == on_path.labels.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -1104,15 +1158,13 @@ def test_a_file_shortened_during_the_cut_search_fails_the_fast_read(
     head = b"e0,e1,label\n" + b"1,2,0\n3,4,1\n" * 1000
     path = tmp_path / "x.csv"
     path.write_bytes(head + b"1,2,0\n3,4,1\n" * 2000)
-    row_starts = dataset._row_starts
+    row_start = dataset._row_start
 
     def shortened(fd, pos, stop):
-        # The search from byte 0 ends the header; every later one is a cut's.
-        if pos > 0:
-            os.truncate(path, len(head))
-        return row_starts(fd, pos, stop)
+        os.truncate(path, len(head))
+        return row_start(fd, pos, stop)
 
-    monkeypatch.setattr(dataset, "_row_starts", shortened)
+    monkeypatch.setattr(dataset, "_row_start", shortened)
     _split_forced(monkeypatch, 2)
     assert _c_read(path) is None
     assert not forks
