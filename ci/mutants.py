@@ -72,8 +72,11 @@ MUTANTS = [
     (MODEL, "GRAD_NORM_FLOOR = 1e-12", "GRAD_NORM_FLOOR = 1e-3", "a distance floor that bites"),
     (MODEL, "    probs[target] = p_target\n    return", "    return",
      "the target's probability left at p - 1"),
-    (MODEL, "[*range(0, count - size, _BLOCK_ROWS), count - size]", "[*range(0, count, _BLOCK_ROWS)]",
-     "a short last block of rows"),
+    (MODEL, "buffer = np.empty((min(len(points), _BLOCK_ROWS), theta.dim))",
+     "buffer = np.empty_like(points[:_BLOCK_ROWS])", "a block buffer in the input's memory order"),
+    (MODEL, "    if len(far):\n", "    if False:\n", "no finiteness check in training_accuracy"),
+    (MODEL, 'with np.errstate(over="ignore"):\n        for lo', "with np.errstate():\n        for lo",
+     "no np.errstate in distances"),
     (DATASET, "if any(char in chunk for char in _SEPARATORS):", "if False:",
      "no separator check in a chunk"),
     (DATASET, "if b'\"' in chunk and any(row.count(b'\"') % 2 for row in rows):", "if False:",

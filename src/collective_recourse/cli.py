@@ -191,10 +191,12 @@ def _load_batch(args) -> LabeledBatch:
 
 def _run_fit(args) -> int:
     batch, theta = args.batch, args.theta
+    # First, so that a batch it refuses prints nothing past the config line.
+    accuracy = training_accuracy(batch, theta)
     print(f"rows={batch.num_rows} dim={batch.dim} classes={batch.num_classes}")
     for y in range(theta.num_classes):
         print(f"centroid[{y}]=" + ",".join(map(_format_cell, theta.mu[y])))
-    print(f"training_accuracy={_format_cell(training_accuracy(batch, theta))}")
+    print(f"training_accuracy={_format_cell(accuracy)}")
     return 0
 
 

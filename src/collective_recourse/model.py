@@ -9,8 +9,8 @@ perturbation available in closed form.
 The single-point layer is one unchecked kernel, ``_evaluate(x, mu, target)``,
 which gives the loss, both gradients and the probabilities from the point's
 distances to the centroids, and ``_answered``, which checks the point and the
-class and answers from one such evaluation; :func:`distances` and
-:func:`nll_from_distances` are the batch forms.
+class and answers from one such evaluation. :func:`distances`, equal to its
+distances row by row, and :func:`nll_from_distances` are the batch forms.
 """
 
 from __future__ import annotations
@@ -78,31 +78,23 @@ def fit(batch: LabeledBatch) -> Centroids:
 def distances(points: np.ndarray, theta: Centroids) -> np.ndarray:
     """Euclidean distances from each row of ``points`` to each centroid (n x k).
 
-    Filled one centroid at a time, a block of rows at a time (see
-    :func:`_row_blocks`), through one buffer of a block's rows, not through
-    an n x k x d tensor or an n x d buffer; each distance sums the same
-    squares in the same order.
+    Filled one centroid at a time, a block of ``_BLOCK_ROWS`` rows at a time,
+    through one C-ordered buffer of a block's rows, not through an n x k x d
+    tensor or an n x d buffer. Each row sums its squares as :func:`_evaluate`
+    does, so row i equals ``_evaluate(points[i], theta.mu, y)[3]`` bit for bit
+    whatever the layout of ``points``. A squared distance that overflows is inf.
     """
     points = np.asarray(points, dtype=float)
-    out = np.empty((points.shape[0], theta.num_classes))
-    diffs = np.empty_like(points[:_BLOCK_ROWS])
-    for rows in _row_blocks(len(points)):
-        for y, centroid in enumerate(theta.mu):
-            np.subtract(points[rows], centroid, out=diffs)
-            np.multiply(diffs, diffs, out=diffs)
-            np.add.reduce(diffs, axis=1, out=out[rows, y])
+    out = np.empty((len(points), theta.num_classes))
+    buffer = np.empty((min(len(points), _BLOCK_ROWS), theta.dim))
+    with np.errstate(over="ignore"):
+        for lo in range(0, len(points), _BLOCK_ROWS):
+            diffs = buffer[: len(points) - lo]
+            for y, centroid in enumerate(theta.mu):
+                np.subtract(points[lo : lo + _BLOCK_ROWS], centroid, out=diffs)
+                np.multiply(diffs, diffs, out=diffs)
+                np.add.reduce(diffs, axis=1, out=out[lo : lo + _BLOCK_ROWS, y])
     return np.sqrt(out, out=out)
-
-
-def _row_blocks(count: int) -> list[slice]:
-    """Slices that cover ``count`` rows in blocks of ``min(count, _BLOCK_ROWS)``.
-
-    The last block ends at the last row, overlapping the one before it, so
-    that every block has as many rows as the first. A block of one row
-    would sum a column-major row in another order than a block of many.
-    """
-    size = min(count, _BLOCK_ROWS)
-    return [slice(lo, lo + size) for lo in [*range(0, count - size, _BLOCK_ROWS), count - size]]
 
 
 def _evaluate(x, mu, target):
@@ -226,6 +218,14 @@ def refit_with_perturbation(batch: LabeledBatch, delta: np.ndarray) -> Centroids
 
 
 def training_accuracy(batch: LabeledBatch, theta: Centroids) -> float:
-    """Fraction of batch rows whose nearest centroid matches their label."""
+    """Fraction of batch rows whose nearest centroid (ties to the lowest index)
+    is their label, read from the distances :func:`predict` reads, bit for bit.
+
+    A ValueError, in :func:`_answered`'s words, names the first row whose
+    squared distances overflow, rather than count rows by infinite distances.
+    """
     dists = distances(batch.features, theta)
+    far = np.flatnonzero(~np.isfinite(dists).all(axis=1))
+    if len(far):
+        raise ValueError(f"row {far[0]} lies so far from the centroids that its squared distances overflow")
     return float(np.mean(np.argmin(dists, axis=1) == batch.labels))

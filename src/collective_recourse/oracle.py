@@ -87,12 +87,9 @@ def grid_individual(query, theta: Centroids, epsilon: float, spec: GridSpec):
 
 
 def _per_class_distance_tables(query, theta: Centroids, epsilon: float, resolution: float):
+    """The disk's candidates c and, as row y, the query's distances to mu_y + c."""
     candidates = ball_grid(epsilon, resolution)
-    tables = []
-    for y in range(theta.num_classes):
-        shifted = theta.mu[y][None, :] + candidates
-        tables.append(np.linalg.norm(query.features[None, :] - shifted, axis=1))
-    return candidates, tables
+    return candidates, distances(query.features - candidates, theta).T
 
 
 def grid_collective(batch: LabeledBatch, query, epsilon: float, spec: GridSpec):

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import math
 import re
 import subprocess
 import sys
@@ -612,6 +615,74 @@ def test_cli_huge_label_is_data_error(tmp_path, capsys):
     path.write_text("e0,label\n1.0,0\n2.0,1e300\n")
     assert cli_main(["fit", "--data", str(path)]) == 2
     assert "empty class: no rows with label 1" in capsys.readouterr().err
+
+
+def test_cli_fit_refuses_a_batch_whose_squared_distances_overflow(tmp_path, capsys):
+    # This fit used to warn of an overflow and print an accuracy of 0.5
+    # read from infinite distances.
+    path = tmp_path / "big.csv"
+    path.write_text("e0,label\n1e300,0\n-1e300,0\n1e300,1\n3e299,1\n")
+    assert cli_main(["fit", "--data", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == f"config: command=fit data={path} label_col=auto features=auto\n"
+    assert err == "error: row 0 lies so far from the centroids that its squared distances overflow\n"
+
+
+_HOSTILE = [0.0, 1.0, -2.5, 1e300, -1e300, 9e299, 1e-300, -1e-300]
+
+
+@st.composite
+def _hostile_runs(draw):
+    """A tiny CSV (one to three features, values near 0, 1 and +-1e300, equal
+    rows, classes of one row) and the argv of a fit or query run on it."""
+    k = draw(st.integers(2, 3))
+    dim = draw(st.integers(1, 3))
+    row = st.lists(st.sampled_from(_HOSTILE), min_size=dim, max_size=dim)
+    rows = draw(st.lists(row, min_size=k, max_size=6))
+    labels = list(range(k)) + draw(st.lists(st.integers(0, k - 1), min_size=len(rows) - k,
+                                            max_size=len(rows) - k))
+    lines = [",".join([*(f"e{j}" for j in range(dim)), "label"])]
+    lines += [",".join([*map(repr, values), str(label)]) for values, label in zip(rows, labels)]
+    text = "\n".join(lines) + "\n"
+    if draw(st.booleans()):
+        return text, ["fit"]
+    goal = draw(st.integers(0, k - 1))
+    base = (goal + draw(st.integers(1, k - 1))) % k
+    alpha = draw(st.sampled_from(["0", "0.25", "1"]))
+    return text, ["query", "--goal-class", str(goal), "--base-class", str(base), "--alpha", alpha]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(run=_hostile_runs())
+def test_cli_fit_and_query_on_hostile_files_exit_cleanly(tmp_path_factory, run):
+    text, command = run
+    path = tmp_path_factory.mktemp("hostile") / "x.csv"
+    path.write_text(text)
+    argv = [command[0], "--data", str(path), *command[1:]]
+    code, out, err = _captured(argv)
+    assert code in (0, 1, 2)
+    if code:
+        prefix = "usage error: " if code == 1 else "error: "
+        assert len(err.splitlines()) == 1 and err.startswith(prefix), err
+        assert "Traceback" not in err
+    else:
+        assert err == ""
+        for line in out.splitlines()[1:]:
+            for value in ",".join(re.findall("=([^ ]*)", line)).split(","):
+                try:
+                    real = float(value)
+                except ValueError:
+                    continue
+                assert math.isfinite(real), line
+    assert _captured(argv)[:2] == (code, out)
+
+
+def _captured(argv):
+    """``cli_main(argv)``'s exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("kind", ["individual", "collective"])

@@ -410,7 +410,9 @@ def test_distances_equal_the_broadcast_formula_without_its_memory():
     for n, k, d in [(1, 2, 1), (37, 3, 5), (200, 10, 64), (50, 4, 130)]:
         points, theta = rng.standard_normal((n, d)), Centroids(rng.standard_normal((k, d)))
         for layout in (points, np.asfortranarray(points), points[::-1, ::2]):
-            diffs = layout[:, None, :] - theta.mu[None, :, : layout.shape[1]]
+            # Rows sum their squares in C order, as the single-point kernel does.
+            rows = np.ascontiguousarray(layout)
+            diffs = rows[:, None, :] - theta.mu[None, :, : layout.shape[1]]
             reference = np.sqrt(np.sum(diffs * diffs, axis=2))
             trimmed = Centroids(theta.mu[:, : layout.shape[1]])
             assert distances(layout, trimmed).tobytes() == reference.tobytes()
@@ -431,7 +433,9 @@ def test_distances_hold_one_block_of_rows_whatever_the_row_count():
     for n in (block - 1, block, block + 1, 3 * block + 37):
         points, theta = rng.standard_normal((n, 16)), Centroids(rng.standard_normal((4, 16)))
         for layout in (points, np.asfortranarray(points), points[::-1, ::2]):
-            diffs = layout[:, None, :] - theta.mu[None, :, : layout.shape[1]]
+            # Rows sum their squares in C order, as the single-point kernel does.
+            rows = np.ascontiguousarray(layout)
+            diffs = rows[:, None, :] - theta.mu[None, :, : layout.shape[1]]
             reference = np.sqrt(np.sum(diffs * diffs, axis=2))
             trimmed = Centroids(theta.mu[:, : layout.shape[1]])
             assert distances(layout, trimmed).tobytes() == reference.tobytes()
@@ -445,6 +449,44 @@ def test_distances_hold_one_block_of_rows_whatever_the_row_count():
     finally:
         tracemalloc.stop()
     assert peak < out.nbytes + 2 * block * 64 * 8
+
+
+def test_distances_equal_the_single_point_kernel_row_by_row_in_any_layout():
+    rng = np.random.default_rng(17)
+    block = model._BLOCK_ROWS
+    for n in (1, block - 1, block, block + 1, 3 * block + 37):
+        points, mu = rng.standard_normal((n, 16)), rng.standard_normal((3, 16))
+        for layout in (points, np.asfortranarray(points), points[::-1, ::2]):
+            theta = Centroids(mu[:, : layout.shape[1]])
+            dists = distances(layout, theta)
+            for i, row in enumerate(layout):
+                assert dists[i].tobytes() == model._evaluate(row, theta.mu, 0)[3].tobytes(), (n, i)
+
+
+def test_training_accuracy_counts_the_rows_predict_gets_right_on_a_near_tie():
+    # Rows on the bisector of two centroids: their two distances differ
+    # only by rounding, and a Fortran-ordered batch used to round them
+    # otherwise than predict does.
+    rng = np.random.default_rng(18)
+    mu = rng.standard_normal((2, 64))
+    axis = (mu[1] - mu[0]) / np.linalg.norm(mu[1] - mu[0])
+    v = rng.standard_normal((200, 64))
+    v -= np.outer(v @ axis, axis)
+    features = np.asfortranarray((mu[0] + mu[1]) / 2 + v)
+    batch = LabeledBatch(features, np.arange(200) % 2, 2)
+    assert batch.features.flags.f_contiguous
+    theta = Centroids(mu)
+    expected = np.mean([predict(row, theta) == label for row, label in zip(features, batch.labels)])
+    assert training_accuracy(batch, theta) == expected
+
+
+def test_training_accuracy_refuses_a_row_whose_squared_distances_overflow():
+    # Counted from infinite distances, where rows 2 and 3 tie to class 0,
+    # this batch read 0.75, behind numpy's overflow warning.
+    batch = LabeledBatch(np.array([[0.5], [2.0], [1e200], [1e300]]), np.array([0, 1, 0, 1]), 2)
+    message = "row 2 lies so far from the centroids that its squared distances overflow"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        training_accuracy(batch, Centroids(np.array([[0.0], [1.0]])))
 
 
 def test_training_accuracy_holds_no_copy_of_the_batch():
