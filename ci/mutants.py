@@ -67,6 +67,12 @@ MUTANTS = [
     (RECOURSE, "for sign in (1.0, -1.0)]", "for sign in (1.0,)]", "frame starts +q only"),
     (RECOURSE, "abs(d_g - eps * f_g) < d_g", "abs(d_g - eps * f_g) <= d_g",
      "the sphere goal rule moving on a tie"),
+    (RECOURSE, "flipped=int(best_dists.argmin()) == goal",
+     "flipped=int(np.exp(best_dists.min() - best_dists).argmax()) == goal",
+     "the individual flip read from the softmax weights"),
+    (RECOURSE, "int(post_dists.argmin()) == goal",
+     "int(np.exp(post_dists.min() - post_dists).argmax()) == goal",
+     "the collective flip read from the softmax weights"),
     (MODEL, "norms = dists if nearest > GRAD_NORM_FLOOR else np.maximum(dists, GRAD_NORM_FLOOR)",
      "norms = dists", "no distance floor in the gradient"),
     (MODEL, "GRAD_NORM_FLOOR = 1e-12", "GRAD_NORM_FLOOR = 1e-3", "a distance floor that bites"),
@@ -77,6 +83,8 @@ MUTANTS = [
     (MODEL, "    if len(far):\n", "    if False:\n", "no finiteness check in training_accuracy"),
     (MODEL, 'with np.errstate(over="ignore"):\n        for lo', "with np.errstate():\n        for lo",
      "no np.errstate in distances"),
+    (MODEL, "return int(_answered(x, 0, theta)[4].argmin())",
+     "return int(_answered(x, 0, theta)[3].argmax())", "predict read from the probabilities"),
     (DATASET, "if any(char in chunk for char in _SEPARATORS):", "if False:",
      "no separator check in a chunk"),
     (DATASET, "if b'\"' in chunk and any(row.count(b'\"') % 2 for row in rows):", "if False:",

@@ -250,11 +250,11 @@ def render_plot_svg(report: SweepReport, path) -> None:
 
 
 def describe_query(theta: Centroids, query: QuerySpec) -> dict:
-    """Base-model facts about a query: prediction, baseline loss, flip need,
-    all from one checked evaluation of the query. Takes the fitted model
-    ``theta``, not the data."""
-    _, loss, _, probs, *_ = _answered(query.features, query.goal_class, theta, "goal class")
-    base_pred = int(probs.argmax())
+    """Base-model facts about a query: prediction (the nearest centroid, ties to
+    the lowest index), baseline loss and flip need, all from one checked
+    evaluation of the query. Takes the fitted model ``theta``, not the data."""
+    _, loss, _, _, dists, _ = _answered(query.features, query.goal_class, theta, "goal class")
+    base_pred = int(dists.argmin())
     return {
         "base_prediction": base_pred,
         "goal_class": query.goal_class,

@@ -4,7 +4,9 @@ The model keeps one centroid per class and scores a point by its negative
 Euclidean distance to each centroid (``-distances(x[None], theta)[0]``);
 class probabilities are the softmax of those scores. Fitting is the
 per-class mean, which makes the post-update parameters under a training-set
-perturbation available in closed form.
+perturbation available in closed form. Every class the package predicts, each
+flip included, is the nearest centroid (ties to the lowest index), read from the
+distances and not the rounded probabilities, so it holds at any feature scale.
 
 The single-point layer is one unchecked kernel, ``_evaluate(x, mu, target)``,
 which gives the loss, both gradients and the probabilities from the point's
@@ -162,8 +164,8 @@ def predict_proba(x, theta: Centroids) -> np.ndarray:
 
 
 def predict(x, theta: Centroids) -> int:
-    """Most probable class, i.e. the nearest centroid; ties go to the lowest index."""
-    return int(predict_proba(x, theta).argmax())
+    """The nearest centroid, ties to the lowest index: the one class rule, at any feature scale."""
+    return int(_answered(x, 0, theta)[4].argmin())
 
 
 def nll_from_distances(dists: np.ndarray, target: int) -> np.ndarray:
@@ -218,8 +220,7 @@ def refit_with_perturbation(batch: LabeledBatch, delta: np.ndarray) -> Centroids
 
 
 def training_accuracy(batch: LabeledBatch, theta: Centroids) -> float:
-    """Fraction of batch rows whose nearest centroid (ties to the lowest index)
-    is their label, read from the distances :func:`predict` reads, bit for bit.
+    """Fraction of batch rows that :func:`predict` gets right, from its distances bit for bit.
 
     A ValueError, in :func:`_answered`'s words, names the first row whose
     squared distances overflow, rather than count rows by infinite distances.

@@ -15,7 +15,7 @@ toward the goal centroid, in sphere mode a second time from the best of
 the points the budget away along the centroid offsets' orthonormal frame,
 and reports the best point it evaluated. Each
 evaluation is one query-to-centroid distance computation, which gives the
-loss, the gradient and the class probabilities there. The collective problem
+loss, the gradient and the distances there. The collective problem
 splits into one small problem per class and is solved exactly in closed
 form: with a share f_y of class y's rows each moving by move_y, centroid y
 refits to mu_y + f_y * move_y, all k at once, and the answer is those k moves,
@@ -181,6 +181,8 @@ class RecourseResult:
     a :class:`PerturbationMatrix` of class moves for collective recourse.
     ``post_centroids`` equals the base centroids for individual recourse and
     the refit centroids under the best perturbation for collective recourse.
+    ``flipped``: the goal's is the nearest of ``post_centroids`` to the query (plus
+    the perturbation, for individual recourse), ties to the lowest index.
     """
 
     perturbation: np.ndarray | PerturbationMatrix
@@ -212,7 +214,7 @@ def _project(v: np.ndarray, epsilon: float, mode: str) -> np.ndarray:
 
 
 def _spg(x_q, goal, mu, delta, loss, grad, eps, mode, steps):
-    """Yield the loss, the point and the class probabilities of each point the
+    """Yield the loss, the point and the centroid distances of each point the
     spectral projected gradient method evaluates.
 
     Starts from the feasible ``delta`` with the given loss and gradient. Each
@@ -237,8 +239,8 @@ def _spg(x_q, goal, mu, delta, loss, grad, eps, mode, steps):
             if alpha < 1.0:
                 trial = _project(delta + alpha * direction, eps, mode)
                 s = trial - delta
-            trial_loss, trial_grad, probs, _, _ = _evaluate(x_q + trial, mu, goal)
-            yield trial_loss, trial, probs
+            trial_loss, trial_grad, _, dists, _ = _evaluate(x_q + trial, mu, goal)
+            yield trial_loss, trial, dists
             if trial_loss <= loss + _ARMIJO * float(grad.dot(s)):
                 break
             alpha *= 0.5
@@ -300,7 +302,7 @@ def individual_recourse(
 
 def _individual(x_q, theta, answer, budget, cfg, extra_candidates):
     """:func:`individual_recourse` from the query's ``_answered``, which gives
-    the loss, gradient and probabilities at delta = 0."""
+    the loss, gradient and distances at delta = 0."""
     goal = answer[0]
     candidates = [np.array(c, dtype=float) for c in extra_candidates]
     for i, candidate in enumerate(candidates):
@@ -328,26 +330,23 @@ def _individual(x_q, theta, answer, budget, cfg, extra_candidates):
         for starts in rounds:
             start_loss = math.inf
             for delta in starts:
-                loss, grad, probs = (
-                    answer[1:4] if delta is zero else _evaluate(x_q + delta, mu, goal)[:3]
+                loss, grad, _, dists = (
+                    answer[1:5] if delta is zero else _evaluate(x_q + delta, mu, goal)[:4]
                 )
-                evaluated.append((loss, delta, probs))
+                evaluated.append((loss, delta, dists))
                 if loss < start_loss and (mode == "ball" or delta.any()):
                     start_loss, start = loss, (delta, loss, grad)
             if start_loss < math.inf and not reaches_goal:
                 evaluated.extend(_spg(x_q, goal, mu, *start, eps, mode, cfg.steps))
         best_loss = math.inf
-        for loss, delta, probs in evaluated:
+        for loss, delta, dists in evaluated:
             if loss < best_loss:
-                best_loss, best_delta, best_probs = loss, delta, probs
-        # The winner is the query or has a finite loss, so its probabilities
-        # are finite (a centroid at an overflowing distance gets 0).
-        flipped = int(best_probs.argmax()) == goal
+                best_loss, best_delta, best_dists = loss, delta, dists
 
     return RecourseResult(
         perturbation=best_delta,
         achieved_loss=best_loss,
-        flipped=flipped,
+        flipped=int(best_dists.argmin()) == goal,
         loss_trace=np.array([loss for loss, _, _ in evaluated]),
         post_centroids=theta,
     )
@@ -396,13 +395,13 @@ def _collective_answer(theta, share, x_q, answer, eps, mode):
         mu = theta.mu + share[:, None] * moves
     post = Centroids(mu)
     try:
-        _, loss, _, probs, *_ = _answered(x_q, goal, post)
+        _, loss, _, _, post_dists, _ = _answered(x_q, goal, post)
     except ValueError:
         # The query passed this check against the fitted centroids; only the refit can fail it.
         raise ValueError(
             "the refit centroids lie so far from the query that its squared distances overflow"
         ) from None
-    return post, moves, loss, int(probs.argmax()) == goal
+    return post, moves, loss, int(post_dists.argmin()) == goal
 
 
 def collective_recourse(

@@ -50,6 +50,15 @@ def three_blob_pair():
 
 
 @pytest.fixture
+def near_tie_triple():
+    # Three 1-point classes on a line, the query asking for class 0. Its
+    # distances are 0.1, 0.1 and 0.09999999999999998: class 2 is the nearest,
+    # though the softmax rounds all three probabilities to 1/3.
+    batch = LabeledBatch(np.array([[0.0], [0.2], [0.19999999999999998]]), np.array([0, 1, 2]), 3)
+    return batch, QuerySpec(np.array([0.1]), 0)
+
+
+@pytest.fixture
 def count_calls(monkeypatch):
     """``count_calls(name)``: a list that grows by one at each call of
     ``model.<name>``, under every name the package looks it up by."""

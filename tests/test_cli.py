@@ -293,6 +293,23 @@ def test_cli_recourse_stdout_matches_result(iris_path, iris_batch, capsys, count
     ]
 
 
+def test_cli_reads_every_class_as_the_nearest_centroid_on_a_near_tie(tmp_path, capsys):
+    # The query 0.1 is 0.1, 0.1 and 0.09999999999999998 from the three
+    # centroids: class 2 is the nearest, though the softmax rounds every
+    # probability to 1/3.
+    path = tmp_path / "near_tie.csv"
+    path.write_text("e0,label\n0.0,0\n0.2,1\n0.19999999999999998,2\n")
+    common = ["--data", str(path), "--goal-class", "0", "--base-class", "1", "--alpha", "0.5"]
+    assert cli_main(["query", *common]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "query_features=0.10000000000000001" in lines
+    assert "base_prediction=2" in lines
+    assert "needs_flip=true" in lines
+    for kind in ("individual", "collective"):
+        assert cli_main(["recourse", *common, "--kind", kind, "--epsilon", "0"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "flipped=false"
+
+
 @pytest.mark.parametrize("kind", ["individual", "collective"])
 def test_cli_recourse_out_writes_the_solvers_rows(iris_path, iris_batch, tmp_path, capsys, kind):
     out = tmp_path / "delta.csv"

@@ -16,7 +16,7 @@ from collective_recourse.harness import (
     sweep_epsilon,
     write_report_csv,
 )
-from collective_recourse.model import fit, predict
+from collective_recourse.model import distances, fit, predict
 from collective_recourse.recourse import (
     EpsilonBudget,
     QuerySpec,
@@ -68,6 +68,14 @@ def test_iris_query_needs_flip(iris_batch):
     assert facts["base_prediction"] == 2
     assert facts["goal_class"] == 1
     assert facts["needs_flip"]
+
+
+def test_describe_query_predicts_the_nearest_centroid_on_a_near_tie(near_tie_triple):
+    batch, query = near_tie_triple
+    theta = fit(batch)
+    facts = describe_query(theta, query)
+    assert facts["base_prediction"] == distances(query.features[None], theta)[0].argmin() == 2
+    assert facts["needs_flip"] is True
 
 
 def test_describe_query_names_an_out_of_range_goal_as_the_solvers_do(iris_batch):
@@ -229,6 +237,10 @@ def test_sweep_flags_match_public_predict(iris_batch, embeddings_path, data, mod
         post = collective_recourse(batch, query, EpsilonBudget(row.epsilon), cfg).post_centroids
         assert row.collective_flipped == (predict(x_q, post) == goal)
         assert row.individual_flipped == (predict(x_q + ind.perturbation, theta) == goal)
+        # The batch distances: a reference that does not go through predict.
+        assert row.collective_flipped == (distances(x_q[None], post)[0].argmin() == goal)
+        at_answer = distances((x_q + ind.perturbation)[None], theta)[0]
+        assert row.individual_flipped == (at_answer.argmin() == goal)
     for flags in ([r.collective_flipped for r in rows], [r.individual_flipped for r in rows]):
         assert any(flags) and not all(flags)
 

@@ -111,6 +111,28 @@ def test_predict_examples():
     assert predict(np.array([-0.5, 0.0]), TWO) == 1
 
 
+def test_predict_is_the_nearest_centroid_one_ulp_nearer():
+    # The two distances are one ulp apart below 0.5, so the softmax rounds
+    # them to [0.5, 0.5]; class 1 is still strictly nearer.
+    theta = Centroids(np.array([[0.0], [0.2 - 2 * np.spacing(0.1)]]))
+    x = np.array([0.1])
+    dists = distances(x[None], theta)[0]
+    assert dists[1] < dists[0]
+    assert predict(x, theta) == 1
+
+
+def test_predict_does_not_depend_on_the_units_of_the_features(iris_batch):
+    # Past a scale of about 1e-16 the distances differ by less than the
+    # softmax can resolve; the nearest centroid is still well defined.
+    for scale in (1.0, 1e-16, 1e-17, 1e-100):
+        batch = LabeledBatch(iris_batch.features * scale, iris_batch.labels, iris_batch.num_classes)
+        theta = fit(batch)
+        nearest = distances(batch.features, theta).argmin(axis=1)
+        predicted = np.array([predict(row, theta) for row in batch.features])
+        assert np.array_equal(predicted, nearest), scale
+        assert np.mean(predicted == batch.labels) == training_accuracy(batch, theta), scale
+
+
 def test_nll_loss_uniform_point():
     assert abs(nll_loss(np.array([0.0, 0.0]), 0, TWO) - math.log(2)) < 1e-12
     tri = Centroids(np.array([[0.0, 0.0], [2.0, 0.0], [1.0, math.sqrt(3)]]))

@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+import sys
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -574,10 +576,83 @@ def test_flipped_matches_public_predict(embeddings_path, mode):
         for eps in (0.1, 0.3, 1.0):
             ind = individual_recourse(query, theta, EpsilonBudget(eps), cfg)
             assert ind.flipped == (predict(x_q + ind.perturbation, theta) == goal)
+            assert ind.flipped == (_nearest(x_q + ind.perturbation, theta) == goal)
             col = collective_recourse(batch, query, EpsilonBudget(eps), cfg)
             assert col.flipped == (predict(x_q, col.post_centroids) == goal)
+            assert col.flipped == (_nearest(x_q, col.post_centroids) == goal)
             flips += [ind.flipped, col.flipped]
     assert any(flips) and not all(flips)
+
+
+def _nearest(point, theta):
+    """The class of the nearest centroid by the batch distances, ties to the lowest index."""
+    return int(distances(point[None], theta)[0].argmin())
+
+
+@pytest.mark.parametrize("mode", ["ball", "sphere"])
+def test_both_solvers_flip_by_the_nearest_centroid_on_a_near_tie(near_tie_triple, mode):
+    batch, query = near_tie_triple
+    theta = fit(batch)
+    assert distances(query.features[None], theta)[0].tolist() == [0.1, 0.1, 0.09999999999999998]
+    assert _nearest(query.features, theta) == 2
+    cfg = SolverConfig(projection_mode=mode)
+    assert individual_recourse(query, theta, EpsilonBudget(0.0), cfg).flipped is False
+    assert collective_recourse(batch, query, EpsilonBudget(0.0), cfg).flipped is False
+
+
+@st.composite
+def _scaled_instances(draw):
+    """A batch of k classes in d dimensions, one or two rows each and sometimes
+    two equal rows, a query and its goal, all scaled by 10^u, and a budget."""
+    k, d = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    labels = np.repeat(np.arange(k), draw(st.lists(st.integers(1, 2), min_size=k, max_size=k)))
+    coords = st.floats(-4.0, 4.0, allow_subnormal=False)
+    features = np.array(draw(st.lists(coords, min_size=labels.size * d, max_size=labels.size * d)))
+    features = features.reshape(labels.size, d)
+    if draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, labels.size - 1), min_size=2, max_size=2, unique=True))
+        features[j] = features[i]
+    x_q = np.array(draw(st.lists(coords, min_size=d, max_size=d)))
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    eps = draw(st.one_of(
+        st.floats(5e-324, sys.float_info.max),
+        st.floats(0.0, 8.0).map(lambda r: r * scale),
+    ))
+    batch = LabeledBatch(features * scale, labels, k)
+    return batch, QuerySpec(x_q * scale, draw(st.integers(0, k - 1))), eps
+
+
+# The refusals the solvers document: a query, or for the collective solver
+# the refit centroids, too far out for its squared distances, or refit
+# centroids past the float range.
+_OVERFLOW = "squared distances overflow$|^centroids contain non-finite values$"
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_scaled_instances())
+def test_every_flip_is_the_nearest_centroid_at_any_scale(instance):
+    # Ball mode. Sphere mode's loss at budgets far beyond the data scale is
+    # ROADMAP item 7's; the flag is read by the same rule in both modes.
+    batch, query, eps = instance
+    theta, x_q, goal = fit(batch), query.features, query.goal_class
+    try:
+        base = describe_query(theta, query)["base_prediction"]
+    except ValueError as err:
+        assert re.search(_OVERFLOW, str(err))
+    else:
+        assert base == predict(x_q, theta) == _nearest(x_q, theta)
+    for solve, answer in (
+        (lambda: individual_recourse(query, theta, EpsilonBudget(eps)),
+         lambda res: _nearest(x_q + res.perturbation, theta)),
+        (lambda: collective_recourse(batch, query, EpsilonBudget(eps)),
+         lambda res: _nearest(x_q, res.post_centroids)),
+    ):
+        try:
+            res = solve()
+        except ValueError as err:
+            assert re.search(_OVERFLOW, str(err))
+        else:
+            assert res.flipped == (answer(res) == goal)
 
 
 @pytest.mark.parametrize("mode", ["ball", "sphere"])
