@@ -109,6 +109,10 @@ MUTANTS = [
      "the data started a line early"),
     (DATASET, "if workers < 2 or not _wrote_split(", "if not _wrote_split(",
      "one worker's write put through the split, which seeks"),
+    (DATASET, 'if not stripped.isascii() or "_" in stripped:', "if False:",
+     "a cell read by float() with a non-ASCII digit or an underscore"),
+    (DATASET, "if not math.isfinite(value):", "if False:", "no finiteness check on a cell"),
+    (DATASET, "if len(row) != len(names):", "if False:", "no width check on a row read cell by cell"),
 ]
 
 # reason -> why no test can kill the mutant.

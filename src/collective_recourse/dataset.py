@@ -261,19 +261,13 @@ def _read_reals(path, line: int, row: list[str], names, columns=None) -> np.ndar
     """The cells of ``columns`` (default: all) of the row at file ``line`` as
     finite floats. The row must have one cell per name of the header
     ``names``. A cell holds what numpy's C reader reads: an ASCII real
-    without ``_``, spaces around it allowed. A row is converted in one call,
-    or else a cell at a time, so that the first bad cell is named with its
-    column.
+    without ``_``, spaces around it allowed. Each picked cell is converted
+    by :func:`_parse_cell`, in column order, so the first bad cell is named
+    with its column.
     """
     if len(row) != len(names):
         raise DatasetError(f"{path}: line {line} has {len(row)} cells, expected {len(names)}")
     picked = range(len(names)) if columns is None else columns
-    cells = row if columns is None else [row[j] for j in columns]
-    if (text := "".join(cells)).isascii() and "_" not in text:
-        with contextlib.suppress(ValueError):
-            values = np.array(cells, dtype=float)
-            if np.all(np.isfinite(values)):
-                return values
     return np.array([_parse_cell(row[j], line, names[j], path) for j in picked])
 
 
@@ -619,7 +613,7 @@ def load_embeddings(path) -> LabeledBatch:
     The input is opened once (see :func:`_opened`), so a pipe is spooled to
     a temporary file and read like a file. numpy's C reader parses it, in
     parallel where it holds 4 MiB of rows or more (see
-    :func:`_read_numeric`). A file it rejects, or one with a label that is
+    :func:`_worker_count`). A file it rejects, or one with a label that is
     not a nonnegative integer, is read again row by row from the same file,
     which names the first fault in file order by its line and column.
     """

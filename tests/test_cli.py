@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from collective_recourse.cli import MAX_GRID_POINTS, cli_main, parse_eps_grid
@@ -646,36 +646,54 @@ def test_cli_fit_refuses_a_batch_whose_squared_distances_overflow(tmp_path, caps
 
 
 _HOSTILE = [0.0, 1.0, -2.5, 1e300, -1e300, 9e299, 1e-300, -1e-300]
+_NEAR_ONE = [value for value in _HOSTILE if abs(value) <= 2.5]
 
 
 @st.composite
-def _hostile_runs(draw):
-    """A tiny CSV (one to three features, values near 0, 1 and +-1e300, equal
-    rows, classes of one row) and the argv of a fit or query run on it."""
+def _hostile_files(draw, pool=_HOSTILE):
+    """A tiny CSV (one to three features, values from ``pool`` such as those
+    near 0, 1 and +-1e300, equal rows, classes of one row) and its class
+    count."""
     k = draw(st.integers(2, 3))
     dim = draw(st.integers(1, 3))
-    row = st.lists(st.sampled_from(_HOSTILE), min_size=dim, max_size=dim)
+    row = st.lists(st.sampled_from(pool), min_size=dim, max_size=dim)
     rows = draw(st.lists(row, min_size=k, max_size=6))
     labels = list(range(k)) + draw(st.lists(st.integers(0, k - 1), min_size=len(rows) - k,
                                             max_size=len(rows) - k))
     lines = [",".join([*(f"e{j}" for j in range(dim)), "label"])]
     lines += [",".join([*map(repr, values), str(label)]) for values, label in zip(rows, labels)]
-    text = "\n".join(lines) + "\n"
-    if draw(st.booleans()):
-        return text, ["fit"]
+    return "\n".join(lines) + "\n", k
+
+
+def _query_flags(draw, k):
     goal = draw(st.integers(0, k - 1))
     base = (goal + draw(st.integers(1, k - 1))) % k
     alpha = draw(st.sampled_from(["0", "0.25", "1"]))
-    return text, ["query", "--goal-class", str(goal), "--base-class", str(base), "--alpha", alpha]
+    return ["--goal-class", str(goal), "--base-class", str(base), "--alpha", alpha]
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(run=_hostile_runs())
-def test_cli_fit_and_query_on_hostile_files_exit_cleanly(tmp_path_factory, run):
-    text, command = run
-    path = tmp_path_factory.mktemp("hostile") / "x.csv"
-    path.write_text(text)
-    argv = [command[0], "--data", str(path), *command[1:]]
+@st.composite
+def _hostile_runs(draw):
+    """A tiny hostile file (see :func:`_hostile_files`) and the argv of a
+    fit or query run on it."""
+    text, k = draw(_hostile_files())
+    if draw(st.booleans()):
+        return text, ["fit"]
+    return text, ["query", *_query_flags(draw, k)]
+
+
+_WRITTEN = ("out.csv", "plot.svg")
+
+
+def _assert_exits_cleanly(directory, text, argv):
+    """Runs ``argv`` twice on ``text`` written to ``directory``, with the
+    names in ``_WRITTEN`` made paths there: the exit code is 0, 1 or 2; an
+    error is one line with no traceback; every real printed on success is
+    finite; and the second run prints and writes what the first did."""
+    (directory / "x.csv").write_text(text)
+    written = [directory / name for name in _WRITTEN]
+    argv = [str(directory / arg) if arg in _WRITTEN else arg for arg in argv]
+    argv = [argv[0], "--data", str(directory / "x.csv"), *argv[1:]]
     code, out, err = _captured(argv)
     assert code in (0, 1, 2)
     if code:
@@ -685,13 +703,54 @@ def test_cli_fit_and_query_on_hostile_files_exit_cleanly(tmp_path_factory, run):
     else:
         assert err == ""
         for line in out.splitlines()[1:]:
-            for value in ",".join(re.findall("=([^ ]*)", line)).split(","):
+            for value in re.split("[,/]", ",".join(re.findall("=([^ ]*)", line))):
                 try:
                     real = float(value)
                 except ValueError:
                     continue
                 assert math.isfinite(real), line
+    files = [file.read_bytes() if file.exists() else None for file in written]
     assert _captured(argv)[:2] == (code, out)
+    assert [file.read_bytes() if file.exists() else None for file in written] == files
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(run=_hostile_runs())
+def test_cli_fit_and_query_on_hostile_files_exit_cleanly(tmp_path_factory, run):
+    _assert_exits_cleanly(tmp_path_factory.mktemp("hostile"), *run)
+
+
+# Budgets from 0 and the least subnormal to the largest float.
+_BUDGETS = st.sampled_from(
+    ["0", "5e-324", "1e-17", "0.3", "1", "1e16", "1e20", "1e154", "1.7976931348623157e308"]
+)
+
+
+@st.composite
+def _hostile_solves(draw):
+    """A tiny hostile file (see :func:`_hostile_files`) and the argv of a
+    recourse or sweep run on it, with budgets from ``_BUDGETS``. Half the
+    files hold no value near +-1e300, whose squared distances overflow, so
+    that a fair share of runs succeeds."""
+    text, k = draw(_hostile_files(draw(st.sampled_from([_NEAR_ONE, _HOSTILE]))))
+    solver = ["--mode", draw(st.sampled_from(["ball", "sphere"]))]
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from(["individual", "collective"]))
+        budget = draw(_BUDGETS)
+        command = ["recourse", "--kind", kind, "--epsilon", budget, *solver]
+        return text, [*command, *_query_flags(draw, k), "--out", "out.csv"]
+    grid = ":".join(draw(_BUDGETS) for _ in range(3))
+    with contextlib.suppress(ValueError):
+        # A grid of thousands of budgets (1e16:1e20:1e16) is slow, not hostile.
+        assume(len(parse_eps_grid(grid)) <= 10)
+    command = ["sweep", "--eps-grid", grid, *solver, *_query_flags(draw, k)]
+    return text, [*command, "--out", "out.csv", "--plot", "plot.svg"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(run=_hostile_solves())
+def test_cli_recourse_and_sweep_on_hostile_files_exit_cleanly(tmp_path_factory, run):
+    _assert_exits_cleanly(tmp_path_factory.mktemp("hostile"), *run)
 
 
 def _captured(argv):
